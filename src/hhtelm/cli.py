@@ -20,6 +20,7 @@ import numpy as np
 from .dataio import (
     FilterSpec,
     SynthConfig,
+    _fmt,
     atomic_write_text,
     load_features_csv,
     load_trials_csv,
@@ -42,6 +43,10 @@ from .solvers import KERNELS, SolverKind, solve_output_weights
 
 _PROG = "hhtelm"
 
+# solver-bench times this many warm calls per kernel and size and reports
+# their median.
+_BENCH_REPEATS = 7
+
 
 class _UsageError(Exception):
     pass
@@ -50,10 +55,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def _echo(args, text):
@@ -361,9 +362,13 @@ def cmd_solver_bench(args):
         for size in sizes:
             h, t = problems[size]
             reference = solve_output_weights(h, t, SolverKind(variant="svd", ridge=args.ridge))
-            start = time.perf_counter()
-            beta = solve_output_weights(h, t, kind)
-            elapsed = time.perf_counter() - start
+            beta = solve_output_weights(h, t, kind)  # untimed warm-up call
+            times = []
+            for _ in range(_BENCH_REPEATS):
+                start = time.perf_counter()
+                solve_output_weights(h, t, kind)
+                times.append(time.perf_counter() - start)
+            elapsed = float(np.median(times))
             deviation = np.linalg.norm(beta - reference) / max(np.linalg.norm(reference), 1e-30)
             lines.append(f"{variant},{size},{_fmt(elapsed)},{_fmt(deviation)}")
             _echo(

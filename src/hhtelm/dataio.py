@@ -243,7 +243,8 @@ def load_trials_csv(path):
     """Parse a trials CSV written by save_trials_csv.
 
     Raises ParseError (with the offending data row number) for malformed
-    rows and FormatError when rows disagree on fs or sample count.
+    rows, non-finite samples included, and FormatError when rows disagree
+    on fs or sample count.
     """
     with open(path, "r", newline="") as handle:
         rows = [row for row in csv.reader(_skip_comments(handle)) if row]
@@ -271,6 +272,9 @@ def load_trials_csv(path):
             samples = np.array([float(v) for v in row[4:]])
         except ValueError as exc:
             raise ParseError(f"{path}: row {number}: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise ParseError(f"{path}: row {number} has a non-finite sample s{bad[0]}")
         try:
             trial = TrialRecord(
                 trial_id=trial_id, session=session, label=label, fs=row_fs, samples=samples

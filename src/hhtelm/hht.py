@@ -51,11 +51,18 @@ class Signal:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 4:
             raise ShapeMismatch("a signal needs at least 4 samples in one dimension")
-        if not np.all(np.isfinite(samples)):
-            raise InvalidConfig("signal samples must be finite")
+        _finite_samples(samples)
         if not self.fs > 0.0:
             raise InvalidConfig("sampling rate must be > 0")
         object.__setattr__(self, "samples", samples)
+
+
+def _finite_samples(signal):
+    """Samples of a Signal or of raw array_like input; InvalidConfig unless all finite."""
+    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidConfig("signal samples must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,7 @@ def emd(signal, config=None):
     has two maxima and two minima (monotone or flat) or ``max_imfs`` modes
     were extracted.
     """
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=float)
+    x = _finite_samples(signal)
     if config is None:
         config = EmdConfig()
     n = x.size
@@ -366,7 +373,7 @@ def trial_feature_vector(signal, emd_config=None, feature_config=None):
         emd_config = EmdConfig()
     if feature_config is None:
         feature_config = FeatureConfig()
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=float)
+    x = _finite_samples(signal)
     modes = emd(x, emd_config)
     layout = feature_layout(emd_config.max_imfs, feature_config.sources)
     values = np.zeros(len(layout))

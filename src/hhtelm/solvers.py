@@ -4,9 +4,12 @@ Three interchangeable routes produce a layer's output weights from the
 hidden activations H and targets T:
 
 * ``svd``        - Moore-Penrose pseudoinverse (ridge-shrunk when lambda > 0)
-* ``hessenberg`` - Hessenberg factorization of the regularized Gram matrix,
-                   solved by a Givens sweep plus back-substitution
+* ``hessenberg`` - Hessenberg factorization of the regularized Gram matrix
+                   (tridiagonal, since the matrix is symmetric), solved as a
+                   banded system
 * ``lu``         - LU factorization with partial pivoting of the same system
+
+LAPACK does the work behind every route (through numpy and scipy.linalg).
 
 All three solve (H^T H + lambda I) beta = H^T T for lambda > 0 and agree to
 solver tolerance; ``svd`` additionally supports the exact pseudoinverse at
@@ -17,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, hessenberg, lu_solve, solve_banded
+from scipy.linalg.lapack import dgetrf
 
 from .errors import (
     InvalidConfig,
@@ -34,7 +39,7 @@ KERNELS = (KERNEL_SVD, KERNEL_HESSENBERG, KERNEL_LU)
 DEFAULT_RIDGE = 1e-3
 DEFAULT_SVD_TOL = 1e-12
 
-# Pivots below this are treated as exact zeros during elimination.
+# LU pivots below this are treated as exact zeros.
 _PIVOT_FLOOR = 1e-300
 
 
@@ -101,40 +106,26 @@ def svd_pseudoinverse(h, tol=DEFAULT_SVD_TOL):
 
 
 def hessenberg_reduce(a):
-    """Reduce a square matrix to upper Hessenberg form by Householder reflectors.
+    """Reduce a square matrix to upper Hessenberg form (LAPACK ``gehrd``).
 
     Returns ``HessenbergFactorization(q, u)`` with ``a = q @ u @ q.T``.
-    When the input is symmetric, ``u`` is tridiagonal up to rounding. A
-    matrix that is already upper Hessenberg is a fixed point (``q`` comes
-    back as the identity).
+    Entries of ``u`` below the subdiagonal are exact zeros. When the input
+    is symmetric, ``u`` is tridiagonal up to rounding. A matrix that is
+    already upper Hessenberg is a fixed point (``q`` comes back as the
+    identity).
     """
     a = _check_matrix(a, "a")
     n, m = a.shape
     if n != m:
         raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
-    u = a.copy()
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = u[k + 1 :, k]
-        sigma = float(np.dot(x[1:], x[1:]))
-        if sigma == 0.0:
-            continue  # nothing below the subdiagonal to annihilate
-        x0 = x[0]
-        mu = np.sqrt(x0 * x0 + sigma)
-        v0 = x0 - mu if x0 <= 0.0 else -sigma / (x0 + mu)
-        beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-        v = x / v0
-        v[0] = 1.0
-        # similarity update: P = I - beta v v^T acting on rows/cols k+1..n-1
-        u[k + 1 :, k:] -= beta * np.outer(v, v @ u[k + 1 :, k:])
-        u[:, k + 1 :] -= beta * np.outer(u[:, k + 1 :] @ v, v)
-        q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ v, v)
-        u[k + 2 :, k] = 0.0
+    # scipy returns its input itself as u for n <= 2; the copy keeps u
+    # from aliasing the caller's array.
+    u, q = hessenberg(a.copy(), calc_q=True, overwrite_a=True, check_finite=False)
     return HessenbergFactorization(q=q, u=u)
 
 
 def lu_factor_solve(a, b):
-    """Solve a @ x = b by LU factorization with partial pivoting.
+    """Solve a @ x = b by LU factorization with partial pivoting (LAPACK ``getrf``).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result matches its shape. Raises SingularMatrix when no usable pivot
@@ -153,21 +144,11 @@ def lu_factor_solve(a, b):
         raise ShapeMismatch(
             f"right-hand side has {b_arr.shape[0]} rows, expected {n}"
         )
-    lu = a.copy()
-    x = b_arr.copy()
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < _PIVOT_FLOOR:
-            raise SingularMatrix(f"no usable pivot in column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-        x[k + 1 :, :] -= np.outer(lu[k + 1 :, k], x[k, :])
-    for k in range(n - 1, -1, -1):
-        x[k, :] -= lu[k, k + 1 :] @ x[k + 1 :, :]
-        x[k, :] /= lu[k, k]
+    lu, piv, _ = dgetrf(a)
+    weak = np.flatnonzero(np.abs(np.diagonal(lu)) < _PIVOT_FLOOR)
+    if weak.size:
+        raise SingularMatrix(f"no usable pivot in column {weak[0]}")
+    x = lu_solve((lu, piv), b_arr, check_finite=False)
     return x[:, 0] if vector else x
 
 
@@ -219,44 +200,28 @@ def solve_output_weights(h, t, kind):
         u, s, vt = np.linalg.svd(h, full_matrices=False)
         shrink = s / (s * s + lam)
         return (vt.T * shrink) @ (u.T @ t)
-    if lam <= 0.0:
-        raise InvalidConfig("Gram-based variants need ridge > 0")
     gram = h.T @ h + lam * np.eye(h.shape[1])
     rhs = h.T @ t
     if kind.variant == KERNEL_LU:
         return lu_factor_solve(gram, rhs)
     fact = hessenberg_reduce(gram)
-    y = _solve_upper_hessenberg(fact.u, fact.q.T @ rhs)
+    y = _solve_tridiagonal(fact.u, fact.q.T @ rhs)
     return fact.q @ y
 
 
-def _solve_upper_hessenberg(u, c):
-    """Solve u @ y = c for upper-Hessenberg u via a Givens sweep.
+def _solve_tridiagonal(u, c):
+    """Solve u @ y = c using only the three central diagonals of u.
 
-    One rotation per subdiagonal entry turns u into an upper triangle;
-    back-substitution finishes the job.
+    Valid only when u is tridiagonal up to rounding, as the Hessenberg form
+    of a symmetric matrix is; the sole caller passes that of the symmetric
+    Gram matrix h^T h + lambda I. Raises NumericalFailure when the band is
+    exactly singular.
     """
-    n = u.shape[0]
-    u = u.copy()
-    c = c.copy()
-    for k in range(n - 1):
-        a, b = u[k, k], u[k + 1, k]
-        if b == 0.0:
-            continue
-        r = np.hypot(a, b)
-        cth, sth = a / r, b / r
-        upper = cth * u[k, k:] + sth * u[k + 1, k:]
-        lower = -sth * u[k, k:] + cth * u[k + 1, k:]
-        u[k, k:], u[k + 1, k:] = upper, lower
-        upper = cth * c[k, :] + sth * c[k + 1, :]
-        lower = -sth * c[k, :] + cth * c[k + 1, :]
-        c[k, :], c[k + 1, :] = upper, lower
-        u[k + 1, k] = 0.0
-    for k in range(n - 1, -1, -1):
-        if abs(u[k, k]) < _PIVOT_FLOOR:
-            raise NumericalFailure(
-                f"regularized system is singular at row {k}"
-            )
-        c[k, :] -= u[k, k + 1 :] @ c[k + 1 :, :]
-        c[k, :] /= u[k, k]
-    return c
+    band = np.zeros((3, u.shape[0]))
+    band[0, 1:] = np.diagonal(u, 1)
+    band[1] = np.diagonal(u)
+    band[2, :-1] = np.diagonal(u, -1)
+    try:
+        return solve_banded((1, 1), band, c, check_finite=False)
+    except LinAlgError as exc:
+        raise NumericalFailure(f"regularized system is singular: {exc}") from exc

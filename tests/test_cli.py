@@ -180,6 +180,20 @@ def test_features_empty_input_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_non_finite_sample_exits_2(tmp_path, trials_csv, capsys):
+    lines = read_lines(trials_csv)
+    fields = lines[3].split(",")
+    fields[10] = "nan"
+    lines[3] = ",".join(fields)
+    bad = str(tmp_path / "nan.csv")
+    with open(bad, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    for command in ("features", "decompose"):
+        rc = main([command, "--in", bad, "--out", str(tmp_path / command), "--quiet"])
+        assert rc == 2, command
+        assert "row 2 has a non-finite sample s6" in capsys.readouterr().err
+
+
 def test_features_missing_input_exits_2(tmp_path):
     rc = main([
         "features", "--in", str(tmp_path / "absent.csv"),

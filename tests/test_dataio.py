@@ -302,6 +302,18 @@ def test_trials_csv_parse_error_names_the_row(tmp_path):
         load_trials_csv(path)
 
 
+def test_trials_csv_rejects_non_finite_samples(tmp_path):
+    path = str(tmp_path / "nonfinite.csv")
+    for bad in ("nan", "inf", "-inf"):
+        write_lines(path, [
+            "trial_id,session,label,fs,s0,s1",
+            "a,1,negativity,4.0,0.0,0.5",
+            f"b,1,negativity,4.0,0.0,{bad}",
+        ])
+        with pytest.raises(ParseError, match="row 2 has a non-finite sample s1"):
+            load_trials_csv(path)
+
+
 def test_trials_csv_rejects_mixed_rates(tmp_path):
     path = str(tmp_path / "mixed.csv")
     write_lines(path, [

@@ -411,6 +411,16 @@ def test_signal_validation():
         Signal(samples=np.arange(8.0), fs=0.0)
 
 
+def test_raw_non_finite_input_is_rejected():
+    x = np.sin(np.linspace(0.0, 20.0, 256))
+    for bad in (np.nan, np.inf):
+        x[100] = bad
+        with pytest.raises(InvalidConfig, match="finite"):
+            emd(x)
+        with pytest.raises(InvalidConfig, match="finite"):
+            trial_feature_vector(x)
+
+
 def test_emd_config_validation():
     with pytest.raises(InvalidConfig):
         EmdConfig(sd_threshold=0.0)

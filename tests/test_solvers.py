@@ -274,15 +274,19 @@ def test_solve_kernels_agree_and_match_oracle():
 
 def test_solve_kernels_agree_random_sizes():
     rng = np.random.default_rng(43)
-    for _ in range(8):
+    for trial in range(12):
         n = int(rng.integers(10, 60))
-        width = int(rng.integers(2, n))
+        if trial % 3 == 2:
+            width = int(rng.integers(n + 1, 3 * n))  # wide layer: more columns than rows
+        else:
+            width = int(rng.integers(2, n))
         h = rng.standard_normal((n, width))
         t = rng.standard_normal((n, int(rng.integers(1, 4))))
         ref = solve_output_weights(h, t, SolverKind("svd", ridge=1e-3))
         for variant in ("hessenberg", "lu"):
             beta = solve_output_weights(h, t, SolverKind(variant, ridge=1e-3))
-            assert np.linalg.norm(beta - ref) / np.linalg.norm(ref) < 1e-8
+            rel = np.linalg.norm(beta - ref) / np.linalg.norm(ref)
+            assert rel < 1e-8, (variant, n, width, rel)
 
 
 def test_solve_ridge_shrinkage_monotone():
