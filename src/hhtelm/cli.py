@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
@@ -21,7 +20,7 @@ from .dataio import (
     FilterSpec,
     SynthConfig,
     _fmt,
-    atomic_write_text,
+    config_note,
     load_features_csv,
     load_trials_csv,
     save_features_csv,
@@ -29,6 +28,7 @@ from .dataio import (
     save_trials_csv,
     synth_scp,
     lowpass_filter,
+    write_csv,
 )
 from .elm import TrainConfig
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     PipelineError,
 )
 from .evaluation import cross_validate
-from .hht import EmdConfig, FeatureConfig, emd, trial_feature_vector
+from .hht import EmdConfig, emd, trial_feature_vector
 from .solvers import KERNELS, SolverKind, solve_output_weights
 
 _PROG = "hhtelm"
@@ -151,17 +151,8 @@ def cmd_synth(args):
         fs=args.fs,
         seed=args.seed,
     )
-    echo = {
-        "command": "synth",
-        "n_per_class": cfg.n_per_class,
-        "drift_amplitude": cfg.drift_amplitude,
-        "noise_sigma": cfg.noise_sigma,
-        "alpha_amplitude": cfg.alpha_amplitude,
-        "fs": cfg.fs,
-        "seed": cfg.seed,
-    }
     trials = synth_scp(cfg)
-    save_trials_csv(trials, args.out, config_note=json.dumps(echo, sort_keys=True))
+    save_trials_csv(trials, args.out, config_note=config_note("synth", cfg))
     _echo(args, f"synth: wrote {len(trials.trials)} trials to {args.out}")
     return 0
 
@@ -177,18 +168,6 @@ def _pipeline_configs(args):
     )
 
 
-def _pipeline_echo(command, args, spec, emd_cfg):
-    return {
-        "command": command,
-        "cutoff": spec.cutoff,
-        "taps": spec.taps,
-        "sd_threshold": emd_cfg.sd_threshold,
-        "max_siftings": emd_cfg.max_siftings,
-        "max_imfs": emd_cfg.max_imfs,
-        "seed": args.seed,
-    }
-
-
 def cmd_decompose(args):
     spec, emd_cfg = _pipeline_configs(args)
     trial_set = load_trials_csv(args.input)
@@ -200,8 +179,7 @@ def cmd_decompose(args):
         selected = [by_id[tid] for tid in args.trial_id]
     else:
         selected = trial_set.trials
-    echo = _pipeline_echo("decompose", args, spec, emd_cfg)
-    note = json.dumps(echo, sort_keys=True)
+    note = config_note("decompose", spec, emd_cfg, seed=args.seed)
     _echo(
         args,
         f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} "
@@ -212,34 +190,28 @@ def cmd_decompose(args):
         filtered = lowpass_filter(trial.signal(), spec)
         modes = emd(filtered, emd_cfg)
         columns = [f"imf_{i + 1}" for i in range(len(modes.imfs))] + ["residual"]
-        series = modes.imfs + [modes.residual]
-        lines = ["# " + note, ",".join(columns)]
-        for row in zip(*series):
-            lines.append(",".join(_fmt(v) for v in row))
-        atomic_write_text(os.path.join(args.out, f"{trial.trial_id}.csv"), "\n".join(lines) + "\n")
+        rows = ([_fmt(v) for v in row] for row in zip(*modes.imfs, modes.residual))
+        write_csv(os.path.join(args.out, f"{trial.trial_id}.csv"), columns, rows, note)
     _echo(args, f"decompose: wrote {len(selected)} file(s) under {args.out}")
     return 0
 
 
 def cmd_features(args):
     spec, emd_cfg = _pipeline_configs(args)
-    feature_cfg = FeatureConfig()
     trial_set = load_trials_csv(args.input)
-    echo = _pipeline_echo("features", args, spec, emd_cfg)
     rows = []
     labels = []
     layout = None
     for trial in trial_set.trials:
         filtered = lowpass_filter(trial.signal(), spec)
-        vector = trial_feature_vector(filtered, emd_cfg, feature_cfg)
+        vector = trial_feature_vector(filtered, emd_cfg)
         rows.append(vector.values)
         labels.append(trial.label)
         layout = vector.layout
     if layout is None:
         raise NotFound(f"{args.input} contains no trials")
-    save_features_csv(
-        np.vstack(rows), layout, labels, args.out, config_note=json.dumps(echo, sort_keys=True)
-    )
+    note = config_note("features", spec, emd_cfg, seed=args.seed)
+    save_features_csv(np.vstack(rows), layout, labels, args.out, config_note=note)
     _echo(
         args,
         f"features: cutoff={spec.cutoff:g} Hz, {len(rows)} trials x {len(layout)} features -> {args.out}",
@@ -299,37 +271,29 @@ def cmd_sweep(args):
     results.sort(
         key=lambda item: (-(item[1].accuracy if item[1].accuracy is not None else -1.0), item[0])
     )
-    echo = {
-        "command": "sweep",
-        "min": args.min,
-        "max": args.max,
-        "step": args.step,
-        "depth": args.depth,
-        "budget": args.budget,
-        "kernel": args.kernel,
-        "ridge": args.ridge,
-        "k": args.k,
-        "seed": args.seed,
-    }
-    lines = ["# " + json.dumps(echo, sort_keys=True)]
-    lines.append("layers,accuracy_mean,accuracy_std,sensitivity_mean,selectivity_mean")
+    note = config_note(
+        "sweep",
+        min=args.min,
+        max=args.max,
+        step=args.step,
+        depth=args.depth,
+        budget=args.budget,
+        kernel=args.kernel,
+        ridge=args.ridge,
+        k=args.k,
+        seed=args.seed,
+    )
 
     def cell(value):
         return "" if value is None else _fmt(value)
 
-    for sizes, mean, std in results:
-        lines.append(
-            ",".join(
-                [
-                    "-".join(str(s) for s in sizes),
-                    cell(mean.accuracy),
-                    cell(std.accuracy),
-                    cell(mean.sensitivity),
-                    cell(mean.selectivity),
-                ]
-            )
-        )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    rows = [
+        ["-".join(str(s) for s in sizes), cell(mean.accuracy), cell(std.accuracy),
+         cell(mean.sensitivity), cell(mean.selectivity)]
+        for sizes, mean, std in results
+    ]
+    header = ["layers", "accuracy_mean", "accuracy_std", "sensitivity_mean", "selectivity_mean"]
+    write_csv(args.out, header, rows, note)
     best_sizes, best_mean, _ = results[0]
     best_acc = "undefined" if best_mean.accuracy is None else f"{best_mean.accuracy:.2f}"
     _echo(
@@ -355,8 +319,7 @@ def cmd_solver_bench(args):
         h = rng.standard_normal((size, max(2, size // 2)))
         t = rng.standard_normal((size, 2))
         problems[size] = (h, t)
-    echo = {"command": "solver-bench", "sizes": sizes, "ridge": args.ridge, "seed": args.seed}
-    lines = ["# " + json.dumps(echo, sort_keys=True), "kernel,size,seconds,deviation"]
+    rows = []
     for variant in KERNELS:
         kind = SolverKind(variant=variant, ridge=args.ridge)
         for size in sizes:
@@ -370,12 +333,13 @@ def cmd_solver_bench(args):
                 times.append(time.perf_counter() - start)
             elapsed = float(np.median(times))
             deviation = np.linalg.norm(beta - reference) / max(np.linalg.norm(reference), 1e-30)
-            lines.append(f"{variant},{size},{_fmt(elapsed)},{_fmt(deviation)}")
+            rows.append([variant, str(size), _fmt(elapsed), _fmt(deviation)])
             _echo(
                 args,
                 f"solver-bench: {variant} size={size} {elapsed * 1e3:.2f} ms deviation={deviation:.2e}",
             )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    note = config_note("solver-bench", sizes=sizes, ridge=args.ridge, seed=args.seed)
+    write_csv(args.out, ["kernel", "size", "seconds", "deviation"], rows, note)
     return 0
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,8 +54,8 @@ class TrialRecord:
             raise InvalidConfig(f"session must be in 1..{SESSION_COUNT}, got {self.session}")
         if self.label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {self.label!r}")
-        if not self.fs > 0.0:
-            raise InvalidConfig("fs must be > 0")
+        if not (math.isfinite(self.fs) and self.fs > 0.0):
+            raise InvalidConfig("fs must be finite and > 0")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ShapeMismatch("samples must be a non-empty 1-D array")
@@ -84,12 +85,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
         if self.n_per_class < 1:
             raise InvalidConfig("n_per_class must be >= 1")
         if self.drift_amplitude < 0.0 or self.noise_sigma < 0.0 or self.alpha_amplitude < 0.0:
             raise InvalidConfig("amplitudes must be >= 0")
-        if not self.fs > 0.0:
-            raise InvalidConfig("fs must be > 0")
+        # A trial becomes a Signal downstream, which needs at least 4 samples.
+        if int(round(TRIAL_SECONDS * self.fs)) < 4:
+            raise InvalidConfig(
+                f"fs {self.fs} Hz gives fewer than 4 samples in a {TRIAL_SECONDS:g} s trial"
+            )
 
 
 @dataclass(frozen=True)
@@ -216,53 +223,85 @@ def _fmt(value):
     return repr(float(value))
 
 
-def save_trials_csv(trial_set, path, config_note=None):
-    """Write trials as CSV: header trial_id,session,label,fs,s0,...
+def config_note(command, *configs, **fields):
+    """The reproducibility echo of an artifact: sorted-key JSON of the
+    command name, every field of each config dataclass, then ``fields``."""
+    echo = {"command": command}
+    for config in configs:
+        echo.update(asdict(config))
+    echo.update(fields)
+    return json.dumps(echo, sort_keys=True)
+
+
+def write_csv(path, header, rows, config_note=None):
+    """Write a CSV artifact atomically from already-formatted fields.
 
     ``config_note`` becomes a single leading ``#`` comment line (the
-    reproducibility echo); readers skip comment lines. Floats use
-    shortest round-trip repr so a load restores values exactly.
+    reproducibility echo); readers skip comment lines. ``header`` is a
+    sequence of column names and each row a sequence of strings.
     """
-    lines = []
-    if config_note:
-        lines.append("# " + config_note)
-    if trial_set.trials:
-        width = trial_set.trials[0].samples.size
-        header = ",".join(_FIXED_COLUMNS) + "," + ",".join(f"s{i}" for i in range(width))
-    else:
-        header = ",".join(_FIXED_COLUMNS)
-    lines.append(header)
-    for trial in trial_set.trials:
-        fields = [trial.trial_id, str(int(trial.session)), trial.label, _fmt(trial.fs)]
-        fields.extend(_fmt(v) for v in trial.samples)
-        lines.append(",".join(fields))
+    lines = ["# " + config_note] if config_note else []
+    lines.append(",".join(header))
+    lines.extend(",".join(row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_trials_csv(path):
-    """Parse a trials CSV written by save_trials_csv.
+def _read_csv(path):
+    """Header and data rows of a CSV artifact, comment and blank lines skipped.
 
-    Raises ParseError (with the offending data row number) for malformed
-    rows, non-finite samples included, and FormatError when rows disagree
-    on fs or sample count.
+    Raises FormatError for a file without a header row and ParseError
+    (with the data row number) for a row whose field count differs.
     """
     with open(path, "r", newline="") as handle:
         rows = [row for row in csv.reader(_skip_comments(handle)) if row]
     if not rows:
         raise FormatError(f"{path}: empty file, expected a header row")
     header = rows[0]
-    if header[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
-        raise FormatError(
-            f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
-        )
-    width = len(header) - len(_FIXED_COLUMNS)
-    trials = []
-    fs = None
     for number, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
             )
+    return header, rows[1:]
+
+
+def _skip_comments(handle):
+    for line in handle:
+        if not line.lstrip().startswith("#"):
+            yield line
+
+
+def save_trials_csv(trial_set, path, config_note=None):
+    """Write trials as CSV: header trial_id,session,label,fs,s0,...
+
+    ``config_note`` is the leading ``#`` echo line (see ``write_csv``).
+    Floats use shortest round-trip repr so a load restores values exactly.
+    """
+    width = trial_set.trials[0].samples.size if trial_set.trials else 0
+    header = [*_FIXED_COLUMNS, *(f"s{i}" for i in range(width))]
+    rows = (
+        [trial.trial_id, str(int(trial.session)), trial.label, _fmt(trial.fs)]
+        + [_fmt(v) for v in trial.samples]
+        for trial in trial_set.trials
+    )
+    write_csv(path, header, rows, config_note)
+
+
+def load_trials_csv(path):
+    """Parse a trials CSV written by save_trials_csv.
+
+    Raises ParseError (with the offending data row number) for malformed
+    rows, non-finite samples and rates included, and FormatError when rows
+    disagree on fs.
+    """
+    header, rows = _read_csv(path)
+    if header[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
+        raise FormatError(
+            f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
+        )
+    trials = []
+    fs = None
+    for number, row in enumerate(rows, start=1):
         trial_id, session_text, label, fs_text = row[:4]
         if label not in CLASS_NAMES:
             raise ParseError(f"{path}: row {number} has unknown label {label!r}")
@@ -287,18 +326,8 @@ def load_trials_csv(path):
             raise FormatError(
                 f"{path}: row {number} has fs {row_fs}, other rows use {fs}"
             )
-        if trial.samples.size != width:
-            raise FormatError(
-                f"{path}: row {number} has {trial.samples.size} samples, expected {width}"
-            )
         trials.append(trial)
     return TrialSet(trials=trials, fs=fs)
-
-
-def _skip_comments(handle):
-    for line in handle:
-        if not line.lstrip().startswith("#"):
-            yield line
 
 
 def save_features_csv(values, layout, labels, path, config_note=None):
@@ -308,34 +337,22 @@ def save_features_csv(values, layout, labels, path, config_note=None):
         raise ShapeMismatch("values must be 2-D with one row per label")
     if values.shape[1] != len(layout):
         raise ShapeMismatch("layout length must match the feature width")
-    lines = []
-    if config_note:
-        lines.append("# " + config_note)
-    lines.append(",".join(list(layout) + ["label"]))
-    for row, label in zip(values, labels):
+    for label in labels:
         if label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {label!r}")
-        lines.append(",".join([_fmt(v) for v in row] + [label]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ([*map(_fmt, row), label] for row, label in zip(values, labels))
+    write_csv(path, [*layout, "label"], rows, config_note)
 
 
 def load_features_csv(path):
     """Read a feature CSV back as (values, layout, labels)."""
-    with open(path, "r", newline="") as handle:
-        rows = [row for row in csv.reader(_skip_comments(handle)) if row]
-    if not rows:
-        raise FormatError(f"{path}: empty file, expected a header row")
-    header = rows[0]
-    if not header or header[-1] != "label":
+    header, rows = _read_csv(path)
+    if header[-1] != "label":
         raise FormatError(f"{path}: last column must be 'label'")
     layout = tuple(header[:-1])
     values = []
     labels = []
-    for number, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
-            )
+    for number, row in enumerate(rows, start=1):
         label = row[-1]
         if label not in CLASS_NAMES:
             raise ParseError(f"{path}: row {number} has unknown label {label!r}")

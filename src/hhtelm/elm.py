@@ -16,6 +16,7 @@ import numpy as np
 from .dataio import CLASS_NAMES, atomic_write_text
 from .errors import (
     DegenerateLabels,
+    FormatError,
     InvalidConfig,
     InvalidLabel,
     InvalidMatrix,
@@ -28,6 +29,7 @@ ACTIVATION_LINEAR = "linear"
 ACTIVATIONS = (ACTIVATION_SIGMOID, ACTIVATION_LINEAR)
 
 _MODEL_FORMAT = "deep-elm-model"
+_MODEL_VERSION = 1
 
 
 def activate(z, activation):
@@ -245,7 +247,7 @@ def save_model(model, path):
     """Serialize a model to self-describing JSON; loads back bit-exact."""
     payload = {
         "format": _MODEL_FORMAT,
-        "version": 1,
+        "version": _MODEL_VERSION,
         "seed": int(model.seed),
         "kernel": {"variant": model.kernel.variant, "ridge": model.kernel.ridge},
         "activation": model.activation,
@@ -261,25 +263,59 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Inverse of save_model."""
+    """Inverse of save_model.
+
+    Raises InvalidConfig for a file that is not a model file, and
+    FormatError for one of another version, with a missing key, with
+    weights whose shapes do not chain from the feature width to one
+    readout column per class, with other class names, or with non-finite
+    numbers.
+    """
     with open(path, "r") as handle:
         payload = json.load(handle)
-    if payload.get("format") != _MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise InvalidConfig(f"{path}: not a {_MODEL_FORMAT} file")
-    kernel = SolverKind(
-        variant=payload["kernel"]["variant"], ridge=payload["kernel"]["ridge"]
-    )
-    activation = payload["activation"]
+    if payload.get("version") != _MODEL_VERSION:
+        raise FormatError(f"{path}: unsupported model version {payload.get('version')!r}")
+    try:
+        kernel = SolverKind(
+            variant=payload["kernel"]["variant"], ridge=payload["kernel"]["ridge"]
+        )
+        mean = np.array(payload["normalization"]["mean"], dtype=float)
+        std = np.array(payload["normalization"]["std"], dtype=float)
+        betas = [np.array(entry["beta"], dtype=float) for entry in payload["layers"]]
+        readout = np.array(payload["readout"], dtype=float)
+        class_names = tuple(payload["class_names"])
+        seed = int(payload["seed"])
+        activation = payload["activation"]
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed model entry: {exc}") from exc
+    if class_names != CLASS_NAMES:
+        raise FormatError(f"{path}: class names {list(class_names)}, expected {list(CLASS_NAMES)}")
+    if mean.ndim != 1 or mean.size < 1 or std.shape != mean.shape:
+        raise FormatError(f"{path}: normalization mean and std must be 1-D of one width")
+    width = mean.size
+    for number, beta in enumerate(betas, start=1):
+        if beta.ndim != 2 or beta.shape[1] != width:
+            raise FormatError(
+                f"{path}: layer {number} beta has shape {beta.shape}, expected (*, {width})"
+            )
+        width = beta.shape[0]
+    if readout.shape != (width, len(CLASS_NAMES)):
+        raise FormatError(
+            f"{path}: readout has shape {readout.shape}, expected {(width, len(CLASS_NAMES))}"
+        )
+    if not all(np.all(np.isfinite(a)) for a in (mean, std, readout, *betas)):
+        raise FormatError(f"{path}: model weights must be finite")
     return DeepElmModel(
-        feature_mean=np.array(payload["normalization"]["mean"]),
-        feature_std=np.array(payload["normalization"]["std"]),
-        ae_layers=[
-            AutoencoderLayer(beta=np.array(entry["beta"]), activation=activation)
-            for entry in payload["layers"]
-        ],
-        readout=np.array(payload["readout"]),
+        feature_mean=mean,
+        feature_std=std,
+        ae_layers=[AutoencoderLayer(beta=beta, activation=activation) for beta in betas],
+        readout=readout,
         kernel=kernel,
-        seed=int(payload["seed"]),
-        class_names=tuple(payload["class_names"]),
+        seed=seed,
+        class_names=class_names,
         activation=activation,
     )

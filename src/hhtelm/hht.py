@@ -19,12 +19,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-BOUNDARY_MIRROR = "mirror"
-
-SOURCE_IMF = "imf"
-SOURCE_AMPLITUDE = "amplitude"
-SOURCES = (SOURCE_IMF, SOURCE_AMPLITUDE)
-
 STAT_NAMES = (
     "mean",
     "std",
@@ -72,15 +66,12 @@ class EmdConfig:
     sd_threshold: float = 0.2
     max_siftings: int = 100
     max_imfs: int = 6
-    boundary: str = BOUNDARY_MIRROR
 
     def __post_init__(self):
         if not self.sd_threshold > 0.0:
             raise InvalidConfig("sd_threshold must be > 0")
         if self.max_siftings < 1 or self.max_imfs < 1:
             raise InvalidConfig("max_siftings and max_imfs must be >= 1")
-        if self.boundary != BOUNDARY_MIRROR:
-            raise InvalidConfig(f"unknown boundary policy {self.boundary!r}")
 
 
 @dataclass
@@ -98,19 +89,6 @@ class AnalyticSeries:
     amplitude: np.ndarray
     phase: np.ndarray
     inst_freq: np.ndarray
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Which per-mode series contribute statistics blocks."""
-
-    sources: tuple = SOURCES
-
-    def __post_init__(self):
-        if not self.sources or any(s not in SOURCES for s in self.sources):
-            raise InvalidConfig(f"sources must be a non-empty subset of {SOURCES}")
-        if len(set(self.sources)) != len(self.sources):
-            raise InvalidConfig("sources must not repeat")
 
 
 @dataclass
@@ -143,7 +121,7 @@ def find_extrema(samples):
     return mids[is_max], mids[~is_max]
 
 
-def spline_envelope(indices, values, n, boundary=BOUNDARY_MIRROR):
+def spline_envelope(indices, values, n):
     """Natural cubic spline through extrema, evaluated at 0..n-1.
 
     Boundary knots come from the two extrema nearest each edge, reflected
@@ -156,8 +134,6 @@ def spline_envelope(indices, values, n, boundary=BOUNDARY_MIRROR):
         raise ShapeMismatch("indices and values must be 1-D and the same length")
     if idx.size < 2:
         raise InsufficientExtrema(f"need at least 2 extrema, got {idx.size}")
-    if boundary != BOUNDARY_MIRROR:
-        raise InvalidConfig(f"unknown boundary policy {boundary!r}")
     if n < 2:
         raise InvalidConfig("n must be >= 2")
     xs = [idx]
@@ -222,8 +198,8 @@ def emd(signal, config=None):
             break
         h = residual.copy()
         for _ in range(config.max_siftings):
-            upper = spline_envelope(maxima, h[maxima], n, config.boundary)
-            lower = spline_envelope(minima, h[minima], n, config.boundary)
+            upper = spline_envelope(maxima, h[maxima], n)
+            lower = spline_envelope(minima, h[minima], n)
             env_mean = 0.5 * (upper + lower)
             denom = float(np.dot(h, h))
             if denom == 0.0:
@@ -341,17 +317,18 @@ def stat_features(series, reference):
     )
 
 
-def feature_layout(max_imfs, sources=SOURCES):
-    """Feature names in storage order: mode-major, then source, then statistic."""
+def feature_layout(max_imfs):
+    """Feature names in storage order: mode, then source (raw mode, then its
+    instantaneous amplitude), then statistic."""
     return tuple(
         f"imf{k + 1}_{source}_{stat}"
         for k in range(max_imfs)
-        for source in sources
+        for source in ("imf", "amplitude")
         for stat in STAT_NAMES
     )
 
 
-def trial_feature_vector(signal, emd_config=None, feature_config=None):
+def trial_feature_vector(signal, emd_config=None):
     """Feature vector for one (already filtered) trial.
 
     Parameters
@@ -360,32 +337,21 @@ def trial_feature_vector(signal, emd_config=None, feature_config=None):
         The filtered trial. Its samples double as the reference series
         for the correlation and covariance statistics.
     emd_config : EmdConfig, optional
-    feature_config : FeatureConfig, optional
 
     Returns
     -------
     FeatureVector
-        ``max_imfs * len(sources) * 11`` values; slots for modes beyond
+        ``max_imfs * 2 * 11`` values: per mode, the statistics of the mode
+        and then of its instantaneous amplitude. Slots for modes beyond
         what the decomposition produced stay zero, so width is fixed per
         configuration.
     """
     if emd_config is None:
         emd_config = EmdConfig()
-    if feature_config is None:
-        feature_config = FeatureConfig()
     x = _finite_samples(signal)
     modes = emd(x, emd_config)
-    layout = feature_layout(emd_config.max_imfs, feature_config.sources)
-    values = np.zeros(len(layout))
-    block = len(STAT_NAMES)
-    pos = 0
-    for k in range(emd_config.max_imfs):
-        for source in feature_config.sources:
-            if k < len(modes.imfs):
-                if source == SOURCE_IMF:
-                    series = modes.imfs[k]
-                else:
-                    series = np.abs(analytic_signal(modes.imfs[k]))
-                values[pos : pos + block] = stat_features(series, x)
-            pos += block
-    return FeatureVector(values=values, layout=layout)
+    values = np.zeros((emd_config.max_imfs, 2, len(STAT_NAMES)))
+    for k, imf in enumerate(modes.imfs):
+        values[k, 0] = stat_features(imf, x)
+        values[k, 1] = stat_features(np.abs(analytic_signal(imf)), x)
+    return FeatureVector(values=values.ravel(), layout=feature_layout(emd_config.max_imfs))

@@ -103,6 +103,17 @@ def test_synth_rejects_bad_config(tmp_path, capsys):
     assert not os.path.exists(path)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--fs", "inf"], ["--fs", "nan"], ["--fs", "0.1"], ["--drift", "nan"], ["--noise", "inf"]],
+)
+def test_synth_rejects_values_that_cannot_make_trials(tmp_path, capsys, flags):
+    path = str(tmp_path / "t.csv")
+    assert main(["synth", "--n-per-class", "2", *flags, "--out", path]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not os.path.exists(path)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -192,6 +203,20 @@ def test_non_finite_sample_exits_2(tmp_path, trials_csv, capsys):
         rc = main([command, "--in", bad, "--out", str(tmp_path / command), "--quiet"])
         assert rc == 2, command
         assert "row 2 has a non-finite sample s6" in capsys.readouterr().err
+
+
+def test_non_finite_rate_exits_2(tmp_path, trials_csv, capsys):
+    lines = read_lines(trials_csv)
+    fields = lines[3].split(",")
+    fields[3] = "inf"
+    lines[3] = ",".join(fields)
+    bad = str(tmp_path / "inf.csv")
+    with open(bad, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    for command in ("features", "decompose"):
+        rc = main([command, "--in", bad, "--out", str(tmp_path / command), "--quiet"])
+        assert rc == 2, command
+        assert "row 2: fs must be finite" in capsys.readouterr().err
 
 
 def test_features_missing_input_exits_2(tmp_path):
@@ -327,3 +352,49 @@ def test_solver_bench_rejects_bad_flags(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert main(["solver-bench", "--sizes", "2,8", "--out", out, "--quiet"]) == 1
     assert main(["solver-bench", "--ridge", "0.0", "--out", out, "--quiet"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# config echo
+
+
+def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_csv):
+    """The leading `#` line of every artifact: full key set, values, byte form."""
+    pipeline = {"cutoff": 10.0, "taps": 65, "sd_threshold": 0.2, "max_siftings": 100, "max_imfs": 6}
+    cases = {
+        "synth": (
+            ["synth", *SYNTH_FLAGS, "--out", str(tmp_path / "t.csv")],
+            str(tmp_path / "t.csv"),
+            {"command": "synth", "n_per_class": 4, "drift_amplitude": 10.0, "noise_sigma": 1.0,
+             "alpha_amplitude": 2.0, "fs": 64.0, "seed": 1},
+        ),
+        "features": (
+            None,
+            features_csv,
+            {"command": "features", **pipeline, "seed": 0},
+        ),
+        "decompose": (
+            ["decompose", "--in", trials_csv, "--trial-id", "synth-0001", "--taps", "65",
+             "--max-imfs", "3", "--seed", "4", "--out", str(tmp_path / "d")],
+            str(tmp_path / "d" / "synth-0001.csv"),
+            {"command": "decompose", **pipeline, "max_imfs": 3, "seed": 4},
+        ),
+        "sweep": (
+            ["sweep", "--features", blob_csv, "--min", "4", "--max", "6", "--step", "2",
+             "--k", "2", "--budget", "2", "--seed", "5", "--out", str(tmp_path / "s.csv")],
+            str(tmp_path / "s.csv"),
+            {"command": "sweep", "min": 4, "max": 6, "step": 2, "depth": 2, "budget": 2,
+             "kernel": "hessenberg", "ridge": 0.001, "k": 2, "seed": 5},
+        ),
+        "solver-bench": (
+            ["solver-bench", "--sizes", "8,12", "--ridge", "0.01", "--out", str(tmp_path / "b.csv")],
+            str(tmp_path / "b.csv"),
+            {"command": "solver-bench", "sizes": [8, 12], "ridge": 0.01, "seed": 0},
+        ),
+    }
+    for command, (argv, path, expected) in cases.items():
+        if argv is not None:
+            assert main([*argv, "--quiet"]) == 0, command
+        first = read_lines(path)[0]
+        assert json.loads(first[2:]) == expected, command
+        assert first == "# " + json.dumps(expected, sort_keys=True), command

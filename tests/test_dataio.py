@@ -95,6 +95,19 @@ def test_synth_config_validation():
     SynthConfig(drift_amplitude=0.0, noise_sigma=0.0, alpha_amplitude=0.0)
 
 
+def test_synth_config_rejects_values_that_cannot_make_trials():
+    for name in ("drift_amplitude", "noise_sigma", "alpha_amplitude", "fs"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+                SynthConfig(**{name: bad})
+    with pytest.raises(InvalidConfig, match="fewer than 4 samples"):
+        SynthConfig(fs=0.1)
+    # the smallest rate that still gives a Signal-sized trial
+    trial = synth_scp(SynthConfig(n_per_class=1, fs=0.5)).trials[0]
+    assert trial.samples.size == 4
+    assert trial.signal().samples.size == 4
+
+
 def test_synth_noiseless_trials_are_exact():
     """Without noise or oscillation the active phase is exactly +-drift."""
     cfg = SynthConfig(n_per_class=2, drift_amplitude=10.0, noise_sigma=0.0,
@@ -311,6 +324,18 @@ def test_trials_csv_rejects_non_finite_samples(tmp_path):
             f"b,1,negativity,4.0,0.0,{bad}",
         ])
         with pytest.raises(ParseError, match="row 2 has a non-finite sample s1"):
+            load_trials_csv(path)
+
+
+def test_trials_csv_rejects_non_finite_rate(tmp_path):
+    path = str(tmp_path / "rate.csv")
+    for bad in ("nan", "inf", "-inf"):
+        write_lines(path, [
+            "trial_id,session,label,fs,s0,s1",
+            "a,1,negativity,4.0,0.0,0.5",
+            f"b,1,negativity,{bad},0.0,0.5",
+        ])
+        with pytest.raises(ParseError, match="row 2: fs must be finite"):
             load_trials_csv(path)
 
 

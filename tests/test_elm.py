@@ -21,6 +21,7 @@ from hhtelm import (
 from hhtelm.elm import activate
 from hhtelm.errors import (
     DegenerateLabels,
+    FormatError,
     InvalidConfig,
     InvalidLabel,
     ShapeMismatch,
@@ -349,3 +350,73 @@ def test_model_file_is_self_describing(tmp_path, separable_features):
     doc = json.loads(path.read_text())
     assert doc["format"] == "deep-elm-model"
     assert "readout" in doc and "normalization" in doc
+
+
+# ---------------------------------------------------------------------------
+# model file validation
+
+
+@pytest.fixture()
+def model_doc(tmp_path):
+    """A saved three-stage model as a JSON document, and a helper that
+    writes an edited copy and loads it back."""
+    import json
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 4))
+    labels = np.array(["negativity", "positivity"] * 15)
+    x[labels == "positivity"] += 2.0
+    model = deep_elm_train(x, labels, TrainConfig(layer_sizes=(6, 5), kernel=HESS, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    doc = json.loads(path.read_text())
+
+    def load_edited(edit):
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        path.write_text(json.dumps(edited))
+        return load_model(str(path))
+
+    return doc, load_edited
+
+
+def test_load_model_rejects_other_format_marker(model_doc):
+    _, load_edited = model_doc
+    with pytest.raises(InvalidConfig, match="not a deep-elm-model file"):
+        load_edited(lambda d: d.update(format="other"))
+
+
+def test_load_model_rejects_other_version(model_doc):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match="version 99"):
+        load_edited(lambda d: d.update(version=99))
+
+
+def test_load_model_rejects_missing_keys(model_doc):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match="readout"):
+        load_edited(lambda d: d.pop("readout"))
+    with pytest.raises(FormatError, match="beta"):
+        load_edited(lambda d: d["layers"][0].pop("beta"))
+
+
+def test_load_model_rejects_broken_shape_chain(model_doc):
+    doc, load_edited = model_doc
+    with pytest.raises(FormatError, match="normalization"):
+        load_edited(lambda d: d["normalization"]["std"].pop())
+    with pytest.raises(FormatError, match="layer 2 beta"):
+        load_edited(lambda d: d["layers"][1].update(beta=doc["layers"][0]["beta"]))
+    with pytest.raises(FormatError, match="readout"):
+        load_edited(lambda d: d.update(readout=[row[:1] for row in doc["readout"]]))
+
+
+def test_load_model_rejects_other_class_names(model_doc):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match="class names"):
+        load_edited(lambda d: d.update(class_names=["negativity", "positivity", "rest"]))
+
+
+def test_load_model_rejects_non_finite_weights(model_doc):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match="finite"):
+        load_edited(lambda d: d["layers"][0]["beta"][0].__setitem__(0, float("nan")))

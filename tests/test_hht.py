@@ -11,7 +11,6 @@ import scipy.signal
 
 from hhtelm import (
     EmdConfig,
-    FeatureConfig,
     Signal,
     analytic_series,
     analytic_signal,
@@ -366,8 +365,6 @@ def test_feature_vector_layout_and_width():
     assert layout[0] == "imf1_imf_mean"
     assert layout[11] == "imf1_amplitude_mean"
     assert layout[-1] == "imf6_amplitude_cov"
-    small = feature_layout(2, sources=("imf",))
-    assert len(small) == 2 * 1 * 11
 
 
 def test_feature_vector_two_tone_amplitude_std():
@@ -426,12 +423,3 @@ def test_emd_config_validation():
         EmdConfig(sd_threshold=0.0)
     with pytest.raises(InvalidConfig):
         EmdConfig(max_imfs=0)
-    with pytest.raises(InvalidConfig):
-        EmdConfig(boundary="wrap")
-
-
-def test_feature_config_validation():
-    with pytest.raises(InvalidConfig):
-        FeatureConfig(sources=("imf", "imf"))
-    with pytest.raises(InvalidConfig):
-        FeatureConfig(sources=())
