@@ -365,15 +365,75 @@ def load_features_csv(path):
     return matrix, layout, labels
 
 
+def write_json(path, kind, version, payload):
+    """Write ``payload`` atomically as a JSON artifact marked with its
+    ``format`` (``kind``) and ``version``; sorted keys keep the bytes stable."""
+    document = {"format": kind, "version": version, **payload}
+    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, kind, version):
+    """The top-level object of a JSON artifact written by ``write_json``.
+
+    Raises InvalidConfig for a file without the ``kind`` format marker, and
+    FormatError for one that is not valid JSON or is of another version.
+    """
+    try:
+        with open(path, "r") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != kind:
+        raise InvalidConfig(f"{path}: not a {kind} file")
+    if payload.get("version") != version:
+        raise FormatError(f"{path}: unsupported {kind} version {payload.get('version')!r}")
+    return payload
+
+
+_REPORT_FORMAT = "cv-report"
+_REPORT_VERSION = 1
+
+
 def save_report(report, path):
     """Serialize a cross-validation report to stable, exact JSON."""
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, _REPORT_FORMAT, _REPORT_VERSION, report.to_dict())
 
 
 def load_report(path):
-    """Load a report written by save_report."""
+    """Load a report written by save_report.
+
+    Raises InvalidConfig for a file that is not a report, and FormatError
+    for one that is not valid JSON, of another version, with a missing or
+    malformed entry, with fold assignments and predictions of unequal
+    length, with a fold count other than ``k``, with an assignment outside
+    ``0..k-1``, with an unknown label, or with a metric that is neither
+    None nor a finite percentage.
+    """
     from .evaluation import CvReport
 
-    with open(path, "r") as handle:
-        payload = json.load(handle)
-    return CvReport.from_dict(payload)
+    payload = read_json(path, _REPORT_FORMAT, _REPORT_VERSION)
+    try:
+        report = CvReport.from_dict(payload)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed report entry: {exc}") from exc
+    assignments, predictions = report.fold_assignments, report.predictions
+    if assignments.ndim != 1 or assignments.shape != predictions.shape:
+        raise FormatError(
+            f"{path}: {assignments.size} fold assignments but {predictions.size} predictions"
+        )
+    if len(report.folds) != report.k:
+        raise FormatError(f"{path}: {len(report.folds)} folds, expected k = {report.k}")
+    if np.any((assignments < 0) | (assignments >= report.k)):
+        raise FormatError(f"{path}: fold assignments must lie in 0..{report.k - 1}")
+    unknown = sorted({str(p) for p in predictions.tolist() if p not in CLASS_NAMES})
+    if unknown:
+        raise FormatError(f"{path}: unknown labels {unknown}")
+    for entry in (*report.folds, report.mean, report.std):
+        for name, value in asdict(entry).items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            # NaN fails the range test too.
+            if value is not None and not (number and 0.0 <= value <= 100.0):
+                raise FormatError(f"{path}: {name} {value!r} is not a percentage or null")
+    return report

@@ -1,6 +1,6 @@
 """Extreme learning machines: random-projection layers solved in closed form.
 
-A single layer maps inputs through fixed seeded weights and an activation,
+A single layer maps inputs through fixed seeded weights and a sigmoid,
 then solves for output weights with one of the pluggable kernels from
 ``solvers``. Autoencoder layers reuse the same solve with the input as its
 own target; stacking them and adding a ridge readout to one-hot targets
@@ -8,61 +8,53 @@ gives the deep classifier.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, atomic_write_text
+from .dataio import CLASS_NAMES, read_json, write_json
 from .errors import (
     DegenerateLabels,
     FormatError,
     InvalidConfig,
     InvalidLabel,
-    InvalidMatrix,
     ShapeMismatch,
 )
-from .solvers import SolverKind, random_orthogonal, solve_output_weights
+from .solvers import SolverKind, _check_matrix, random_orthogonal, solve_output_weights
 
-ACTIVATION_SIGMOID = "sigmoid"
-ACTIVATION_LINEAR = "linear"
-ACTIVATIONS = (ACTIVATION_SIGMOID, ACTIVATION_LINEAR)
+# The hidden activation of every layer; model files record it by this name.
+ACTIVATION = "sigmoid"
 
 _MODEL_FORMAT = "deep-elm-model"
 _MODEL_VERSION = 1
 
 
-def activate(z, activation):
-    """Apply a named activation elementwise."""
-    if activation == ACTIVATION_SIGMOID:
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-    if activation == ACTIVATION_LINEAR:
-        return z
-    raise InvalidConfig(f"unknown activation {activation!r}")
+def sigmoid(z):
+    """Logistic sigmoid elementwise, clipped so exp never overflows."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 @dataclass(frozen=True)
 class ElmLayer:
-    """The fixed random part of a single ELM: weights, biases, activation."""
+    """The fixed random part of a single ELM: input weights and biases."""
 
     input_weights: np.ndarray
     biases: np.ndarray
-    activation: str
 
     def hidden(self, x):
         """Hidden activations for input rows x."""
-        return activate(x @ self.input_weights + self.biases, self.activation)
+        return sigmoid(x @ self.input_weights + self.biases)
 
 
 @dataclass(frozen=True)
 class AutoencoderLayer:
-    """A trained autoencoder stage; forward map is x -> g(x @ beta.T)."""
+    """A trained autoencoder stage; forward map is x -> sigmoid(x @ beta.T)."""
 
     beta: np.ndarray
-    activation: str
 
     def forward(self, x):
-        return activate(x @ self.beta.T, self.activation)
+        return sigmoid(x @ self.beta.T)
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,7 @@ class TrainConfig:
     layer_sizes: tuple
     kernel: SolverKind
     seed: int = 0
-    activation: str = ACTIVATION_SIGMOID
+    activation: ClassVar[str] = ACTIVATION
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -82,8 +74,6 @@ class TrainConfig:
             raise InvalidConfig("every layer width must be >= 1")
         if not isinstance(self.kernel, SolverKind):
             raise InvalidConfig("kernel must be a SolverKind")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidConfig(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "layer_sizes", sizes)
 
 
@@ -101,17 +91,6 @@ class DeepElmModel:
     readout: np.ndarray
     kernel: SolverKind
     seed: int
-    class_names: tuple
-    activation: str
-
-
-def _check_data(x, name="x"):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"{name} must be 2-D with at least one row and column")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidMatrix(f"{name} contains non-finite entries")
-    return arr
 
 
 def _unit_bias(rng, hidden):
@@ -120,7 +99,7 @@ def _unit_bias(rng, hidden):
     return b / norm if norm > 0.0 else b
 
 
-def elm_train(x, t, hidden, kernel, seed, activation=ACTIVATION_SIGMOID):
+def elm_train(x, t, hidden, kernel, seed):
     """Train a single ELM on targets t.
 
     Input weights are seeded orthogonalized Gaussians and the bias vector
@@ -132,8 +111,8 @@ def elm_train(x, t, hidden, kernel, seed, activation=ACTIVATION_SIGMOID):
         The fixed random layer and the solved output weights beta, so a
         prediction is ``layer.hidden(x) @ beta``.
     """
-    x = _check_data(x)
-    t = _check_data(t, "t")
+    x = _check_matrix(x, "x")
+    t = _check_matrix(t, "t")
     if x.shape[0] != t.shape[0]:
         raise ShapeMismatch(f"x has {x.shape[0]} rows but t has {t.shape[0]}")
     if hidden < 1:
@@ -142,27 +121,26 @@ def elm_train(x, t, hidden, kernel, seed, activation=ACTIVATION_SIGMOID):
     layer = ElmLayer(
         input_weights=random_orthogonal(x.shape[1], int(hidden), rng),
         biases=_unit_bias(rng, int(hidden)),
-        activation=activation,
     )
     beta = solve_output_weights(layer.hidden(x), t, kernel)
     return layer, beta
 
 
-def elm_ae_train(x, hidden, kernel, seed, activation=ACTIVATION_SIGMOID):
+def elm_ae_train(x, hidden, kernel, seed):
     """Train one autoencoder stage (the input is its own target)."""
-    x = _check_data(x)
-    _, beta = elm_train(x, x, hidden, kernel, seed, activation)
-    return AutoencoderLayer(beta=beta, activation=activation)
+    x = _check_matrix(x, "x")
+    _, beta = elm_train(x, x, hidden, kernel, seed)
+    return AutoencoderLayer(beta=beta)
 
 
-def one_hot(labels, class_names=CLASS_NAMES):
-    """0/1 target matrix with one column per class, column order fixed."""
+def one_hot(labels):
+    """0/1 target matrix with one column per class of ``CLASS_NAMES``, in that order."""
     labels = np.asarray(labels)
-    targets = np.zeros((labels.size, len(class_names)))
-    for column, name in enumerate(class_names):
+    targets = np.zeros((labels.size, len(CLASS_NAMES)))
+    for column, name in enumerate(CLASS_NAMES):
         targets[labels == name, column] = 1.0
     if int(targets.sum()) != labels.size:
-        unknown = sorted(set(labels.tolist()) - set(class_names))
+        unknown = sorted(set(labels.tolist()) - set(CLASS_NAMES))
         raise InvalidLabel(f"unknown labels {unknown}")
     return targets
 
@@ -187,13 +165,13 @@ def deep_elm_train(x, labels, config):
     each autoencoder stage is solved with the configured kernel and the
     readout is a direct ridge solve to the one-hot targets.
     """
-    x = _check_data(x)
+    x = _check_matrix(x, "x")
     if not isinstance(config, TrainConfig):
         raise InvalidConfig("config must be a TrainConfig")
     labels = np.asarray(labels)
     if labels.size != x.shape[0]:
         raise ShapeMismatch("labels and rows of x must align")
-    targets = one_hot(labels, CLASS_NAMES)
+    targets = one_hot(labels)
     counts = targets.sum(axis=0)
     if np.any(counts == 0):
         missing = [name for name, c in zip(CLASS_NAMES, counts) if c == 0]
@@ -208,7 +186,7 @@ def deep_elm_train(x, labels, config):
     rng = np.random.default_rng(config.seed)
     ae_layers = []
     for width in config.layer_sizes:
-        layer = elm_ae_train(r, width, config.kernel, rng, config.activation)
+        layer = elm_ae_train(r, width, config.kernel, rng)
         ae_layers.append(layer)
         r = layer.forward(r)
     readout = solve_output_weights(r, targets, config.kernel)
@@ -219,17 +197,15 @@ def deep_elm_train(x, labels, config):
         readout=readout,
         kernel=config.kernel,
         seed=config.seed,
-        class_names=CLASS_NAMES,
-        activation=config.activation,
     )
 
 
 def deep_elm_predict(model, x):
     """Predicted labels and raw class scores for feature rows x.
 
-    Ties in the score row go to the first class in ``model.class_names``.
+    Ties in the score row go to the first class in ``CLASS_NAMES``.
     """
-    x = _check_data(x)
+    x = _check_matrix(x, "x")
     if x.shape[1] != model.feature_mean.size:
         raise ShapeMismatch(
             f"x has {x.shape[1]} features, model expects {model.feature_mean.size}"
@@ -239,19 +215,17 @@ def deep_elm_predict(model, x):
         r = layer.forward(r)
     scores = r @ model.readout
     picks = np.argmax(scores, axis=1)
-    labels = np.asarray(model.class_names)[picks]
+    labels = np.asarray(CLASS_NAMES)[picks]
     return labels, scores
 
 
 def save_model(model, path):
     """Serialize a model to self-describing JSON; loads back bit-exact."""
     payload = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
         "seed": int(model.seed),
         "kernel": {"variant": model.kernel.variant, "ridge": model.kernel.ridge},
-        "activation": model.activation,
-        "class_names": list(model.class_names),
+        "activation": ACTIVATION,
+        "class_names": list(CLASS_NAMES),
         "normalization": {
             "mean": model.feature_mean.tolist(),
             "std": model.feature_std.tolist(),
@@ -259,24 +233,19 @@ def save_model(model, path):
         "layers": [{"beta": layer.beta.tolist()} for layer in model.ae_layers],
         "readout": model.readout.tolist(),
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, _MODEL_FORMAT, _MODEL_VERSION, payload)
 
 
 def load_model(path):
     """Inverse of save_model.
 
     Raises InvalidConfig for a file that is not a model file, and
-    FormatError for one of another version, with a missing key, with
-    weights whose shapes do not chain from the feature width to one
-    readout column per class, with other class names, or with non-finite
-    numbers.
+    FormatError for one that is not valid JSON, of another version, with
+    a missing key, with weights whose shapes do not chain from the feature
+    width to one readout column per class, with other class names or
+    another activation, or with non-finite numbers.
     """
-    with open(path, "r") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
-        raise InvalidConfig(f"{path}: not a {_MODEL_FORMAT} file")
-    if payload.get("version") != _MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported model version {payload.get('version')!r}")
+    payload = read_json(path, _MODEL_FORMAT, _MODEL_VERSION)
     try:
         kernel = SolverKind(
             variant=payload["kernel"]["variant"], ridge=payload["kernel"]["ridge"]
@@ -294,6 +263,8 @@ def load_model(path):
         raise FormatError(f"{path}: malformed model entry: {exc}") from exc
     if class_names != CLASS_NAMES:
         raise FormatError(f"{path}: class names {list(class_names)}, expected {list(CLASS_NAMES)}")
+    if activation != ACTIVATION:
+        raise FormatError(f"{path}: activation {activation!r}, expected {ACTIVATION!r}")
     if mean.ndim != 1 or mean.size < 1 or std.shape != mean.shape:
         raise FormatError(f"{path}: normalization mean and std must be 1-D of one width")
     width = mean.size
@@ -312,10 +283,8 @@ def load_model(path):
     return DeepElmModel(
         feature_mean=mean,
         feature_std=std,
-        ae_layers=[AutoencoderLayer(beta=beta, activation=activation) for beta in betas],
+        ae_layers=[AutoencoderLayer(beta=beta) for beta in betas],
         readout=readout,
         kernel=kernel,
         seed=seed,
-        class_names=class_names,
-        activation=activation,
     )

@@ -64,8 +64,6 @@ class CvReport:
 
     def to_dict(self):
         return {
-            "format": "cv-report",
-            "version": 1,
             "seed": int(self.seed),
             "k": int(self.k),
             "config": self.config,

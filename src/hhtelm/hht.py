@@ -280,7 +280,8 @@ def stat_features(series, reference):
     histogram bins), 5th central moment, 4th cumulant (m4 - 3 m2^2),
     Pearson correlation with the reference, sample covariance with the
     reference. Skewness, kurtosis, and correlation are defined as 0
-    whenever the relevant standard deviation is 0.
+    whenever the relevant series is constant up to rounding: its second
+    central moment is at most ``(n * eps)**2`` times its mean square.
     """
     x = np.asarray(series, dtype=float)
     r = np.asarray(reference, dtype=float)
@@ -296,7 +297,11 @@ def stat_features(series, reference):
     m4 = float(np.mean(d**4))
     m5 = float(np.mean(d**5))
     std = float(np.std(x, ddof=1))
-    if m2 > 0.0:
+    # The mean of n values can be off by about n * eps of their magnitude,
+    # and every deviation from it inherits that error.
+    rounding = (n * np.finfo(float).eps) ** 2
+    flat_x = m2 <= rounding * (m2 + mean * mean)
+    if not flat_x:
         skew = m3 / m2**1.5
         kurt = m4 / (m2 * m2)
     else:
@@ -306,12 +311,15 @@ def stat_features(series, reference):
     fullest = int(np.argmax(counts))
     mode = 0.5 * (edges[fullest] + edges[fullest + 1])
     cum4 = m4 - 3.0 * m2 * m2
-    rd = r - float(np.mean(r))
+    r_mean = float(np.mean(r))
+    rd = r - r_mean
     cross = float(np.dot(d, rd))
     cov = cross / (n - 1)
     sx = float(np.sqrt(np.dot(d, d)))
     sr = float(np.sqrt(np.dot(rd, rd)))
-    corr = cross / (sx * sr) if sx > 0.0 and sr > 0.0 else 0.0
+    r_m2 = sr * sr / n
+    flat_r = r_m2 <= rounding * (r_m2 + r_mean * r_mean)
+    corr = cross / (sx * sr) if not (flat_x or flat_r) else 0.0
     return np.array(
         [mean, std, float(np.min(x)), float(np.max(x)), skew, kurt, mode, m5, cum4, corr, cov]
     )

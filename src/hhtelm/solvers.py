@@ -36,11 +36,11 @@ KERNEL_HESSENBERG = "hessenberg"
 KERNEL_LU = "lu"
 KERNELS = (KERNEL_SVD, KERNEL_HESSENBERG, KERNEL_LU)
 
-DEFAULT_RIDGE = 1e-3
-DEFAULT_SVD_TOL = 1e-12
-
 # LU pivots below this are treated as exact zeros.
 _PIVOT_FLOOR = 1e-300
+
+# Singular values below this fraction of the largest are treated as exact zeros.
+_SVD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,16 @@ def _check_matrix(a, name="matrix"):
     return arr
 
 
-def svd_pseudoinverse(h, tol=DEFAULT_SVD_TOL):
+def svd_pseudoinverse(h):
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``tol * sigma_max`` are treated as exact zeros,
+    Singular values below ``1e-12 * sigma_max`` are treated as exact zeros,
     so rank-deficient input yields the minimum-norm inverse rather than
     an explosion.
     """
     h = _check_matrix(h, "h")
-    if not tol > 0.0:
-        raise InvalidConfig("tol must be > 0")
     u, s, vt = np.linalg.svd(h, full_matrices=False)
-    cutoff = tol * s[0]
+    cutoff = _SVD_TOL * s[0]
     inv = np.zeros_like(s)
     keep = s > cutoff
     inv[keep] = 1.0 / s[keep]
@@ -168,15 +166,12 @@ def random_orthogonal(rows, cols, seed):
 def orthonormalize(g):
     """QR-orthonormalize the columns (or rows, if wide) of g, sign-canonical."""
     g = _check_matrix(g, "g")
-    if g.shape[1] <= g.shape[0]:
-        q, r = np.linalg.qr(g)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        return q * signs
-    q, r = np.linalg.qr(g.T)
+    wide = g.shape[1] > g.shape[0]
+    q, r = np.linalg.qr(g.T if wide else g)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    return (q * signs).T
+    q = q * signs
+    return q.T if wide else q
 
 
 def solve_output_weights(h, t, kind):

@@ -1,0 +1,59 @@
+"""The benchmark's traced run (``perfbench/``) names functions of the
+package and reads their arguments; these tests pin that contract, so a
+rename or a dropped attribute fails here and not only in a traced run."""
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hhtelm import SolverKind, SynthConfig, TrainConfig, save_trials_csv, synth_scp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("layers")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def public_function(span):
+    """The function a span name ``<layer>.<function>`` refers to, found the
+    way the tracer finds it: a public function defined in that module."""
+    layer, name = span.split(".", 1)
+    module = importlib.import_module(f"hhtelm.{layer}")
+    obj = getattr(module, name, None)
+    assert inspect.isfunction(obj), f"{span} is not a function of hhtelm.{layer}"
+    assert obj.__module__ == module.__name__, f"{span} is defined in {obj.__module__}"
+    assert not name.startswith("_"), f"{span} is private, so it is never traced"
+    return obj
+
+
+def test_expected_spans_name_public_functions(layers):
+    for span in layers.EXPECTED_SPANS:
+        public_function(span)
+
+
+def test_annotators_accept_the_arguments_of_their_functions(layers, tmp_path):
+    trials = str(tmp_path / "trials.csv")
+    save_trials_csv(synth_scp(SynthConfig(n_per_class=2, seed=1)), trials)
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal((6, 3))
+    config = TrainConfig(layer_sizes=(4, 3), kernel=SolverKind("lu", ridge=1e-3), seed=2)
+    calls = {
+        "dataio.load_trials_csv": (trials,),
+        "dataio.load_features_csv": (trials,),
+        "dataio.atomic_write_text": (trials, "text\n"),
+        "solvers.solve_output_weights": (h, h[:, :2], SolverKind("svd")),
+        "evaluation.cross_validate": (h, ["negativity", "positivity"] * 3, config, 3, 5),
+    }
+    assert set(layers.ANNOTATORS) == set(calls)
+    for span, annotate in layers.ANNOTATORS.items():
+        inspect.signature(public_function(span)).bind(*calls[span])
+        annotate(*calls[span])

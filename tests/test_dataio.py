@@ -492,6 +492,68 @@ def test_report_bytes_are_stable(tmp_path):
     assert blob_a == blob_b
 
 
+@pytest.fixture()
+def edited_report(tmp_path):
+    """Save a two-fold report, then return a helper that rewrites the file
+    with an edited copy of its JSON document and loads it back."""
+    path = tmp_path / "report.json"
+    save_report(small_report(), str(path))
+    doc = json.loads(path.read_text())
+
+    def load_edited(edit):
+        edited = json.loads(json.dumps(doc))
+        edit(edited)
+        path.write_text(json.dumps(edited))
+        return load_report(str(path))
+
+    return load_edited
+
+
+def test_load_report_accepts_undefined_metrics(edited_report):
+    report = edited_report(lambda d: d["folds"][0].update(sensitivity=None))
+    assert report.folds[0].sensitivity is None
+
+
+def test_load_report_rejects_other_format_marker(edited_report, tmp_path):
+    with pytest.raises(InvalidConfig, match="not a cv-report file"):
+        edited_report(lambda d: d.update(format="deep-elm-model"))
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    with pytest.raises(InvalidConfig, match="not a cv-report file"):
+        load_report(str(path))
+
+
+def test_load_report_rejects_truncated_file(tmp_path):
+    path = tmp_path / "report.json"
+    save_report(small_report(), str(path))
+    path.write_text(path.read_text()[:-40])
+    with pytest.raises(FormatError, match="report.json: not valid JSON"):
+        load_report(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(lambda d: d.update(version=99), "version 99", id="version"),
+        pytest.param(lambda d: d.pop("mean"), "missing key 'mean'", id="missing-key"),
+        pytest.param(lambda d: d["mean"].pop("accuracy"), "missing key 'accuracy'", id="missing-metric"),
+        pytest.param(lambda d: d.update(folds=7), "malformed", id="malformed-entry"),
+        pytest.param(lambda d: d["predictions"].pop(), "predictions", id="short-predictions"),
+        pytest.param(lambda d: d.update(k=7), "2 folds, expected k = 7", id="fold-count"),
+        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, 2), r"0\.\.1", id="assignment-high"),
+        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, -1), r"0\.\.1", id="assignment-negative"),
+        pytest.param(lambda d: d["predictions"].__setitem__(0, "rest"), r"unknown labels \['rest'\]", id="label"),
+        pytest.param(lambda d: d["mean"].update(accuracy="x"), "accuracy 'x'", id="metric-text"),
+        pytest.param(lambda d: d["std"].update(selectivity=True), "selectivity True", id="metric-bool"),
+        pytest.param(lambda d: d["folds"][1].update(accuracy=100.5), "accuracy 100.5", id="metric-range"),
+        pytest.param(lambda d: d["folds"][0].update(sensitivity=float("nan")), "sensitivity nan", id="metric-nan"),
+    ],
+)
+def test_load_report_rejects_malformed_file(edited_report, edit, match):
+    with pytest.raises(FormatError, match=match):
+        edited_report(edit)
+
+
 def test_atomic_write_creates_directories_and_leaves_no_temp(tmp_path):
     path = str(tmp_path / "deep" / "nested" / "out.txt")
     atomic_write_text(path, "payload\n")

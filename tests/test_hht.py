@@ -289,6 +289,20 @@ def test_stats_constant_series_conventions():
     assert got["cov"] == 0.0
 
 
+def test_stats_rounding_noise_counts_as_constant():
+    # 0.1 + 0.2 is not exactly 0.3, so the computed mean leaves ~1e-17
+    # deviations; 1e-13 noise on 5 is below n * eps * 5 ~ 2e-12 as well.
+    noise = np.random.default_rng(37).standard_normal(2048)
+    reference = np.sin(np.arange(2048.0))
+    for series in (np.full(2048, 0.1) + 0.2, 5.0 + 1e-13 * noise):
+        for x, ref in ((series, reference), (reference, series)):
+            got = dict(zip(STAT_NAMES, stat_features(x, ref)))
+            assert got["corr"] == 0.0
+        got = dict(zip(STAT_NAMES, stat_features(series, reference)))
+        assert got["skewness"] == 0.0
+        assert got["kurtosis"] == 0.0
+
+
 def test_stats_self_correlation():
     rng = np.random.default_rng(31)
     x = rng.standard_normal(50)

@@ -107,11 +107,11 @@ def test_pseudoinverse_penrose_conditions_random():
 
 
 def test_pseudoinverse_cutoff_drops_tiny_singular_values():
-    # second singular value far below tol * sigma_max must act like zero
+    # second singular value far below the cutoff (1e-12 * sigma_max) must act like zero
     u = random_orthogonal(4, 2, seed=0)
     v = random_orthogonal(3, 2, seed=1)
     h = u @ np.diag([1.0, 1e-15]) @ v.T
-    pinv = svd_pseudoinverse(h, tol=1e-12)
+    pinv = svd_pseudoinverse(h)
     assert np.linalg.norm(pinv) < 10.0  # a genuine inverse of 1e-15 would be 1e15
 
 
