@@ -38,7 +38,7 @@ from .errors import (
     PipelineError,
 )
 from .evaluation import cross_validate
-from .hht import EmdConfig, emd, trial_feature_vector
+from .hht import EmdConfig, emd, feature_layout, trial_feature_vector
 from .solvers import KERNELS, SolverKind, solve_output_weights
 
 _PROG = "hhtelm"
@@ -62,8 +62,11 @@ def _echo(args, text):
         print(text)
 
 
-def _common_flags(sub):
+def _seed_flag(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
+
+def _common_flags(sub):
     sub.add_argument("--out", required=True, help="output path (directory for decompose)")
     sub.add_argument("--quiet", action="store_true", help="suppress log lines")
 
@@ -74,8 +77,6 @@ def _filter_flags(sub):
 
 
 def _emd_flags(sub):
-    sub.add_argument("--sd-threshold", type=float, default=0.2)
-    sub.add_argument("--max-siftings", type=int, default=100)
     sub.add_argument("--max-imfs", type=int, default=6)
 
 
@@ -95,6 +96,7 @@ def build_parser():
     synth.add_argument("--noise", type=float, default=1.0)
     synth.add_argument("--alpha", type=float, default=2.0)
     synth.add_argument("--fs", type=float, default=256.0)
+    _seed_flag(synth)
     _common_flags(synth)
     synth.set_defaults(func=cmd_synth)
 
@@ -119,6 +121,7 @@ def build_parser():
     evaluate.add_argument("--features", required=True, help="feature CSV")
     evaluate.add_argument("--layers", default="40,30", help="comma-separated widths")
     _train_flags(evaluate)
+    _seed_flag(evaluate)
     _common_flags(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -130,12 +133,14 @@ def build_parser():
     sweep.add_argument("--depth", type=int, choices=(2, 3), default=2)
     sweep.add_argument("--budget", type=int, default=None, help="evaluate at most this many configs")
     _train_flags(sweep)
+    _seed_flag(sweep)
     _common_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     bench = commands.add_parser("solver-bench", help="time the solver kernels")
     bench.add_argument("--sizes", default="50,100,200", help="comma-separated system sizes")
     bench.add_argument("--ridge", type=float, default=1e-3)
+    _seed_flag(bench)
     _common_flags(bench)
     bench.set_defaults(func=cmd_solver_bench)
 
@@ -153,37 +158,33 @@ def cmd_synth(args):
     )
     trials = synth_scp(cfg)
     save_trials_csv(trials, args.out, config_note=config_note("synth", cfg))
-    _echo(args, f"synth: wrote {len(trials.trials)} trials to {args.out}")
+    _echo(args, f"synth: wrote {len(trials)} trials to {args.out}")
     return 0
 
 
 def _pipeline_configs(args):
     return (
         FilterSpec(cutoff=args.cutoff, taps=args.taps),
-        EmdConfig(
-            sd_threshold=args.sd_threshold,
-            max_siftings=args.max_siftings,
-            max_imfs=args.max_imfs,
-        ),
+        EmdConfig(max_imfs=args.max_imfs),
     )
 
 
 def cmd_decompose(args):
     spec, emd_cfg = _pipeline_configs(args)
-    trial_set = load_trials_csv(args.input)
-    by_id = {trial.trial_id: trial for trial in trial_set.trials}
+    trials = load_trials_csv(args.input)
+    by_id = {trial.trial_id: trial for trial in trials}
     if args.trial_id:
         missing = [tid for tid in args.trial_id if tid not in by_id]
         if missing:
             raise NotFound(f"trial id(s) {missing} not present in {args.input}")
         selected = [by_id[tid] for tid in args.trial_id]
     else:
-        selected = trial_set.trials
-    note = config_note("decompose", spec, emd_cfg, seed=args.seed)
+        selected = trials
+    note = config_note("decompose", spec, emd_cfg)
     _echo(
         args,
         f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} "
-        f"sd_threshold={emd_cfg.sd_threshold:g} -> {len(selected)} trial(s)",
+        f"max_imfs={emd_cfg.max_imfs} -> {len(selected)} trial(s)",
     )
     os.makedirs(args.out, exist_ok=True)
     for trial in selected:
@@ -198,19 +199,13 @@ def cmd_decompose(args):
 
 def cmd_features(args):
     spec, emd_cfg = _pipeline_configs(args)
-    trial_set = load_trials_csv(args.input)
-    rows = []
-    labels = []
-    layout = None
-    for trial in trial_set.trials:
-        filtered = lowpass_filter(trial.signal(), spec)
-        vector = trial_feature_vector(filtered, emd_cfg)
-        rows.append(vector.values)
-        labels.append(trial.label)
-        layout = vector.layout
-    if layout is None:
+    trials = load_trials_csv(args.input)
+    if not trials:
         raise NotFound(f"{args.input} contains no trials")
-    note = config_note("features", spec, emd_cfg, seed=args.seed)
+    rows = [trial_feature_vector(lowpass_filter(trial.signal(), spec), emd_cfg) for trial in trials]
+    labels = [trial.label for trial in trials]
+    layout = feature_layout(emd_cfg.max_imfs)
+    note = config_note("features", spec, emd_cfg)
     save_features_csv(np.vstack(rows), layout, labels, args.out, config_note=note)
     _echo(
         args,

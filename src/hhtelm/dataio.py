@@ -65,14 +65,6 @@ class TrialRecord:
         return Signal(samples=self.samples, fs=self.fs)
 
 
-@dataclass
-class TrialSet:
-    """Homogeneous collection of trials sharing fs and sample count."""
-
-    trials: list
-    fs: float | None
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Controls for the synthetic slow-drift generator."""
@@ -173,7 +165,7 @@ def synth_scp(config=None):
 
     Returns
     -------
-    TrialSet
+    list of TrialRecord
     """
     cfg = config if config is not None else SynthConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -201,7 +193,7 @@ def synth_scp(config=None):
                     samples=samples,
                 )
             )
-    return TrialSet(trials=trials, fs=cfg.fs)
+    return trials
 
 
 def atomic_write_text(path, text):
@@ -271,24 +263,24 @@ def _skip_comments(handle):
             yield line
 
 
-def save_trials_csv(trial_set, path, config_note=None):
+def save_trials_csv(trials, path, config_note=None):
     """Write trials as CSV: header trial_id,session,label,fs,s0,...
 
     ``config_note`` is the leading ``#`` echo line (see ``write_csv``).
     Floats use shortest round-trip repr so a load restores values exactly.
     """
-    width = trial_set.trials[0].samples.size if trial_set.trials else 0
+    width = trials[0].samples.size if trials else 0
     header = [*_FIXED_COLUMNS, *(f"s{i}" for i in range(width))]
     rows = (
         [trial.trial_id, str(int(trial.session)), trial.label, _fmt(trial.fs)]
         + [_fmt(v) for v in trial.samples]
-        for trial in trial_set.trials
+        for trial in trials
     )
     write_csv(path, header, rows, config_note)
 
 
 def load_trials_csv(path):
-    """Parse a trials CSV written by save_trials_csv.
+    """Parse a trials CSV written by save_trials_csv into a list of TrialRecord.
 
     Raises ParseError (with the offending data row number) for malformed
     rows, non-finite samples and rates included, and FormatError when rows
@@ -300,11 +292,8 @@ def load_trials_csv(path):
             f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
         )
     trials = []
-    fs = None
     for number, row in enumerate(rows, start=1):
         trial_id, session_text, label, fs_text = row[:4]
-        if label not in CLASS_NAMES:
-            raise ParseError(f"{path}: row {number} has unknown label {label!r}")
         try:
             session = int(session_text)
             row_fs = float(fs_text)
@@ -320,14 +309,12 @@ def load_trials_csv(path):
             )
         except (InvalidConfig, InvalidLabel, ShapeMismatch) as exc:
             raise ParseError(f"{path}: row {number}: {exc}") from exc
-        if fs is None:
-            fs = row_fs
-        elif row_fs != fs:
+        if trials and row_fs != trials[0].fs:
             raise FormatError(
-                f"{path}: row {number} has fs {row_fs}, other rows use {fs}"
+                f"{path}: row {number} has fs {row_fs}, other rows use {trials[0].fs}"
             )
         trials.append(trial)
-    return TrialSet(trials=trials, fs=fs)
+    return trials
 
 
 def save_features_csv(values, layout, labels, path, config_note=None):
@@ -388,6 +375,13 @@ def read_json(path, kind, version):
     if payload.get("version") != version:
         raise FormatError(f"{path}: unsupported {kind} version {payload.get('version')!r}")
     return payload
+
+
+def _json_int(value):
+    """``value`` if it is a JSON integer; ValueError for a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 _REPORT_FORMAT = "cv-report"

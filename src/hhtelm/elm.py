@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, read_json, write_json
+from .dataio import CLASS_NAMES, _json_int, read_json, write_json
 from .errors import (
     DegenerateLabels,
     FormatError,
@@ -255,7 +255,7 @@ def load_model(path):
         betas = [np.array(entry["beta"], dtype=float) for entry in payload["layers"]]
         readout = np.array(payload["readout"], dtype=float)
         class_names = tuple(payload["class_names"])
-        seed = int(payload["seed"])
+        seed = _json_int(payload["seed"])
         activation = payload["activation"]
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc

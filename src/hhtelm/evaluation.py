@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, LABEL_POSITIVITY
+from .dataio import CLASS_NAMES, LABEL_POSITIVITY, _json_int
 from .elm import TrainConfig, deep_elm_predict, deep_elm_train
 from .errors import (
     DegenerateLabels,
@@ -80,10 +80,10 @@ class CvReport:
             folds=[_metrics_from_dict(f) for f in payload["folds"]],
             mean=_metrics_from_dict(payload["mean"]),
             std=_metrics_from_dict(payload["std"]),
-            fold_assignments=np.array(payload["fold_assignments"], dtype=int),
+            fold_assignments=np.array([_json_int(f) for f in payload["fold_assignments"]], dtype=int),
             predictions=np.array(payload["predictions"]),
-            seed=int(payload["seed"]),
-            k=int(payload["k"]),
+            seed=_json_int(payload["seed"]),
+            k=_json_int(payload["k"]),
             config=payload["config"],
         )
 

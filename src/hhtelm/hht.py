@@ -59,19 +59,22 @@ def _finite_samples(signal):
     return x
 
 
+# The SD stop rule of Huang et al. 1998 (Proc. R. Soc. A 454): sifting a
+# candidate mode stops once SD between two siftings falls below
+# _SD_THRESHOLD, or after _MAX_SIFTINGS siftings.
+_SD_THRESHOLD = 0.2
+_MAX_SIFTINGS = 100
+
+
 @dataclass(frozen=True)
 class EmdConfig:
-    """Sifting controls for the decomposition."""
+    """Decomposition control: the most modes to extract."""
 
-    sd_threshold: float = 0.2
-    max_siftings: int = 100
     max_imfs: int = 6
 
     def __post_init__(self):
-        if not self.sd_threshold > 0.0:
-            raise InvalidConfig("sd_threshold must be > 0")
-        if self.max_siftings < 1 or self.max_imfs < 1:
-            raise InvalidConfig("max_siftings and max_imfs must be >= 1")
+        if self.max_imfs < 1:
+            raise InvalidConfig("max_imfs must be >= 1")
 
 
 @dataclass
@@ -89,12 +92,6 @@ class AnalyticSeries:
     amplitude: np.ndarray
     phase: np.ndarray
     inst_freq: np.ndarray
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    layout: tuple
 
 
 def find_extrema(samples):
@@ -170,7 +167,7 @@ def emd(signal, config=None):
     signal : Signal or array_like
         The series to decompose (the sampling rate is not needed here).
     config : EmdConfig, optional
-        Sifting controls; defaults match the trial pipeline.
+        The mode cap; the default matches the trial pipeline.
 
     Returns
     -------
@@ -180,11 +177,11 @@ def emd(signal, config=None):
         accepted mode is subtracted from the running residual.
 
     Sifting of one candidate stops when SD = sum(mean^2) / sum(h^2) drops
-    below ``sd_threshold`` and the candidate is a proper mode (its extrema
-    and zero-crossing counts differ by at most one), or ``max_siftings``
-    is reached; the whole decomposition stops when the residual no longer
-    has two maxima and two minima (monotone or flat) or ``max_imfs`` modes
-    were extracted.
+    below 0.2 and the candidate is a proper mode (its extrema and
+    zero-crossing counts differ by at most one), or after 100 siftings;
+    the whole decomposition stops when the residual no longer has two
+    maxima and two minima (monotone or flat) or ``max_imfs`` modes were
+    extracted.
     """
     x = _finite_samples(signal)
     if config is None:
@@ -197,7 +194,7 @@ def emd(signal, config=None):
         if maxima.size < 2 or minima.size < 2:
             break
         h = residual.copy()
-        for _ in range(config.max_siftings):
+        for _ in range(_MAX_SIFTINGS):
             upper = spline_envelope(maxima, h[maxima], n)
             lower = spline_envelope(minima, h[minima], n)
             env_mean = 0.5 * (upper + lower)
@@ -210,7 +207,7 @@ def emd(signal, config=None):
             if maxima.size < 2 or minima.size < 2:
                 break
             counts_ok = abs(maxima.size + minima.size - _zero_crossings(h)) <= 1
-            if sd < config.sd_threshold and counts_ok:
+            if sd < _SD_THRESHOLD and counts_ok:
                 break
         imfs.append(h)
         residual = residual - h
@@ -348,11 +345,11 @@ def trial_feature_vector(signal, emd_config=None):
 
     Returns
     -------
-    FeatureVector
-        ``max_imfs * 2 * 11`` values: per mode, the statistics of the mode
-        and then of its instantaneous amplitude. Slots for modes beyond
-        what the decomposition produced stay zero, so width is fixed per
-        configuration.
+    numpy.ndarray
+        ``max_imfs * 2 * 11`` values in ``feature_layout`` order: per mode,
+        the statistics of the mode and then of its instantaneous amplitude.
+        Slots for modes beyond what the decomposition produced stay zero,
+        so width is fixed per configuration.
     """
     if emd_config is None:
         emd_config = EmdConfig()
@@ -362,4 +359,4 @@ def trial_feature_vector(signal, emd_config=None):
     for k, imf in enumerate(modes.imfs):
         values[k, 0] = stat_features(imf, x)
         values[k, 1] = stat_features(np.abs(analytic_signal(imf)), x)
-    return FeatureVector(values=values.ravel(), layout=feature_layout(emd_config.max_imfs))
+    return values.ravel()

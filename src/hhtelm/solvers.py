@@ -151,7 +151,7 @@ def lu_factor_solve(a, b):
 
 
 def random_orthogonal(rows, cols, seed):
-    """Seeded Gaussian matrix orthonormalized by QR.
+    """Seeded Gaussian matrix orthonormalized by QR, sign-canonical.
 
     Columns are orthonormal when cols <= rows, rows otherwise. ``seed``
     may be an int or an existing numpy Generator (the latter lets callers
@@ -159,14 +159,8 @@ def random_orthogonal(rows, cols, seed):
     """
     if rows < 1 or cols < 1:
         raise InvalidConfig("rows and cols must both be >= 1")
-    rng = np.random.default_rng(seed)
-    return orthonormalize(rng.standard_normal((rows, cols)))
-
-
-def orthonormalize(g):
-    """QR-orthonormalize the columns (or rows, if wide) of g, sign-canonical."""
-    g = _check_matrix(g, "g")
-    wide = g.shape[1] > g.shape[0]
+    g = np.random.default_rng(seed).standard_normal((rows, cols))
+    wide = cols > rows
     q, r = np.linalg.qr(g.T if wide else g)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0

@@ -80,12 +80,10 @@ def decomposition_corpus():
 
 
 def pipeline_features():
-    trial_set = synth_scp(PIPELINE_SYNTH)
     rows = []
     labels = []
-    for trial in trial_set.trials:
-        vector = trial_feature_vector(lowpass_filter(trial.signal()))
-        rows.append(vector.values)
+    for trial in synth_scp(PIPELINE_SYNTH):
+        rows.append(trial_feature_vector(lowpass_filter(trial.signal())))
         labels.append(trial.label)
     return np.vstack(rows), labels
 

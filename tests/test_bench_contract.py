@@ -3,24 +3,39 @@ package and reads their arguments; these tests pin that contract, so a
 rename or a dropped attribute fails here and not only in a traced run."""
 import importlib
 import inspect
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hhtelm import SolverKind, SynthConfig, TrainConfig, save_trials_csv, synth_scp
+from hhtelm.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def layers():
+def perfbench_path():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        yield importlib.import_module("layers")
+        yield
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def layers(perfbench_path):
+    return importlib.import_module("layers")
+
+
+@pytest.fixture(scope="module")
+def bench_run(perfbench_path):
+    # run.py sets the BLAS thread variables when it is imported.
+    with mock.patch.dict(os.environ):
+        return importlib.import_module("run")
 
 
 def public_function(span):
@@ -57,3 +72,16 @@ def test_annotators_accept_the_arguments_of_their_functions(layers, tmp_path):
     for span, annotate in layers.ANNOTATORS.items():
         inspect.signature(public_function(span)).bind(*calls[span])
         annotate(*calls[span])
+
+
+def test_bench_command_lines_parse(bench_run, tmp_path):
+    """Every command line the bench runs is one the CLI accepts, so removing
+    a flag the bench passes fails here and not only in a bench run."""
+    parser = build_parser()
+    kinds = set()
+    for workload in bench_run.WORKLOADS.values():
+        plan = bench_run.workload_plan(workload, str(tmp_path), 42)
+        for command in (plan.synth, *plan.features, *plan.cv):
+            parser.parse_args([*command.argv, "--quiet"])
+            kinds.add(command.kind)
+    assert kinds >= {"synth", "features", "evaluate", "sweep"}

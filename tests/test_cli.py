@@ -12,7 +12,6 @@ import pytest
 from hhtelm import (
     FilterSpec,
     SynthConfig,
-    TrialSet,
     load_features_csv,
     load_report,
     load_trials_csv,
@@ -74,7 +73,7 @@ def test_synth_writes_trials_with_config_echo(tmp_path, capsys):
     echo = json.loads(first[2:])
     assert echo["command"] == "synth"
     assert echo["seed"] == 1
-    assert len(load_trials_csv(path).trials) == 8
+    assert len(load_trials_csv(path)) == 8
 
 
 def test_synth_reruns_are_byte_identical(tmp_path):
@@ -126,6 +125,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "evaluate", "--features", "x.csv", "--kernel", "qr",
         "--out", str(tmp_path / "r.json"),
     ]) == 1
+    # The EMD stop rule is fixed, and features and decompose use no seed.
+    out = ["--in", "t.csv", "--out", str(tmp_path / "o")]
+    assert main(["features", *out, "--sd-threshold", "0.3"]) == 1
+    assert main(["features", *out, "--max-siftings", "50"]) == 1
+    assert main(["decompose", *out, "--seed", "4"]) == 1
     assert "error" in capsys.readouterr().err
 
 
@@ -139,7 +143,7 @@ def test_decompose_reconstructs_the_filtered_signal(tmp_path, trials_csv, capsys
     assert rc == 0
     log = capsys.readouterr().out
     assert "cutoff=10" in log
-    trial = load_trials_csv(trials_csv).trials[0]
+    trial = load_trials_csv(trials_csv)[0]
     lines = read_lines(os.path.join(out_dir, f"{trial.trial_id}.csv"))
     assert lines[0].startswith("# ")
     header = lines[1].split(",")
@@ -185,7 +189,7 @@ def test_features_matrix_shape(features_csv):
 
 def test_features_empty_input_exits_2(tmp_path, capsys):
     empty = str(tmp_path / "empty.csv")
-    save_trials_csv(TrialSet(trials=[], fs=None), empty)
+    save_trials_csv([], empty)
     rc = main(["features", "--in", empty, "--out", str(tmp_path / "f.csv"), "--quiet"])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
@@ -360,7 +364,7 @@ def test_solver_bench_rejects_bad_flags(tmp_path):
 
 def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_csv):
     """The leading `#` line of every artifact: full key set, values, byte form."""
-    pipeline = {"cutoff": 10.0, "taps": 65, "sd_threshold": 0.2, "max_siftings": 100, "max_imfs": 6}
+    pipeline = {"cutoff": 10.0, "taps": 65, "max_imfs": 6}
     cases = {
         "synth": (
             ["synth", *SYNTH_FLAGS, "--out", str(tmp_path / "t.csv")],
@@ -371,13 +375,13 @@ def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_c
         "features": (
             None,
             features_csv,
-            {"command": "features", **pipeline, "seed": 0},
+            {"command": "features", **pipeline},
         ),
         "decompose": (
             ["decompose", "--in", trials_csv, "--trial-id", "synth-0001", "--taps", "65",
-             "--max-imfs", "3", "--seed", "4", "--out", str(tmp_path / "d")],
+             "--max-imfs", "3", "--out", str(tmp_path / "d")],
             str(tmp_path / "d" / "synth-0001.csv"),
-            {"command": "decompose", **pipeline, "max_imfs": 3, "seed": 4},
+            {"command": "decompose", **pipeline, "max_imfs": 3},
         ),
         "sweep": (
             ["sweep", "--features", blob_csv, "--min", "4", "--max", "6", "--step", "2",

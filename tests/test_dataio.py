@@ -12,7 +12,6 @@ from hhtelm import (
     SynthConfig,
     TrainConfig,
     TrialRecord,
-    TrialSet,
     cross_validate,
     load_features_csv,
     load_report,
@@ -103,7 +102,7 @@ def test_synth_config_rejects_values_that_cannot_make_trials():
     with pytest.raises(InvalidConfig, match="fewer than 4 samples"):
         SynthConfig(fs=0.1)
     # the smallest rate that still gives a Signal-sized trial
-    trial = synth_scp(SynthConfig(n_per_class=1, fs=0.5)).trials[0]
+    trial = synth_scp(SynthConfig(n_per_class=1, fs=0.5))[0]
     assert trial.samples.size == 4
     assert trial.signal().samples.size == 4
 
@@ -112,16 +111,16 @@ def test_synth_noiseless_trials_are_exact():
     """Without noise or oscillation the active phase is exactly +-drift."""
     cfg = SynthConfig(n_per_class=2, drift_amplitude=10.0, noise_sigma=0.0,
                       alpha_amplitude=0.0, seed=7)
-    trial_set = synth_scp(cfg)
+    trials = synth_scp(cfg)
     n_flat = int(round((BASELINE_SECONDS - 0.25) * cfg.fs))
-    for trial in trial_set.trials:
+    for trial in trials:
         base, act = segment_phases(trial)
         sign = -1.0 if trial.label == NEG else 1.0
         assert np.all(act == sign * 10.0)
         assert np.all(base[:n_flat] == 0.0)
         assert abs(np.mean(base)) < 0.07 * 10.0
-    neg = [t for t in trial_set.trials if t.label == NEG][0]
-    pos = [t for t in trial_set.trials if t.label == POS][0]
+    neg = [t for t in trials if t.label == NEG][0]
+    pos = [t for t in trials if t.label == POS][0]
     assert np.array_equal(neg.samples, -pos.samples)
 
 
@@ -132,39 +131,39 @@ def test_synth_threshold_classifier_oracle():
     through any of the model code: the active-phase mean minus the baseline
     mean is negative for negativity trials and positive for positivity ones.
     """
-    trial_set = synth_scp(SynthConfig(n_per_class=50, seed=3))
+    trials = synth_scp(SynthConfig(n_per_class=50, seed=3))
     hits = 0
-    for trial in trial_set.trials:
+    for trial in trials:
         base, act = segment_phases(trial)
         shift = np.mean(act) - np.mean(base)
         predicted = NEG if shift < 0.0 else POS
         hits += predicted == trial.label
-    assert hits >= 0.99 * len(trial_set.trials)
+    assert hits >= 0.99 * len(trials)
 
 
 def test_synth_balanced_sessions_and_ids():
     cfg = SynthConfig(n_per_class=6, seed=0)
-    trial_set = synth_scp(cfg)
-    assert trial_set.fs == cfg.fs
-    labels = [t.label for t in trial_set.trials]
+    trials = synth_scp(cfg)
+    assert all(t.fs == cfg.fs for t in trials)
+    labels = [t.label for t in trials]
     assert labels.count(NEG) == 6 and labels.count(POS) == 6
-    ids = [t.trial_id for t in trial_set.trials]
+    ids = [t.trial_id for t in trials]
     assert len(set(ids)) == len(ids)
-    sessions = [t.session for t in trial_set.trials]
+    sessions = [t.session for t in trials]
     assert sessions == [i % SESSION_COUNT + 1 for i in range(12)]
     expected = int(round(TRIAL_SECONDS * cfg.fs))
-    assert all(t.samples.size == expected for t in trial_set.trials)
+    assert all(t.samples.size == expected for t in trials)
 
 
 def test_synth_seeded_determinism():
     a = synth_scp(SynthConfig(n_per_class=3, seed=5))
     b = synth_scp(SynthConfig(n_per_class=3, seed=5))
     c = synth_scp(SynthConfig(n_per_class=3, seed=6))
-    for ta, tb in zip(a.trials, b.trials):
+    for ta, tb in zip(a, b):
         assert ta.trial_id == tb.trial_id
         assert ta.label == tb.label
         assert np.array_equal(ta.samples, tb.samples)
-    assert not np.array_equal(a.trials[0].samples, c.trials[0].samples)
+    assert not np.array_equal(a[0].samples, c[0].samples)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_synth_seeded_determinism():
 
 def test_segment_phases_split_sizes():
     cfg = SynthConfig(n_per_class=1, fs=128.0, seed=0)
-    trial = synth_scp(cfg).trials[0]
+    trial = synth_scp(cfg)[0]
     base, act = segment_phases(trial)
     assert base.size == 256
     assert act.size == 768
@@ -265,9 +264,8 @@ def test_trials_csv_round_trip_exact(tmp_path):
         first = handle.readline()
     assert first.startswith("# ")
     loaded = load_trials_csv(path)
-    assert loaded.fs == original.fs
-    assert len(loaded.trials) == len(original.trials)
-    for got, want in zip(loaded.trials, original.trials):
+    assert len(loaded) == len(original)
+    for got, want in zip(loaded, original):
         assert got.trial_id == want.trial_id
         assert got.session == want.session
         assert got.label == want.label
@@ -277,17 +275,15 @@ def test_trials_csv_round_trip_exact(tmp_path):
 
 def test_trials_csv_empty_set(tmp_path):
     path = str(tmp_path / "empty.csv")
-    save_trials_csv(TrialSet(trials=[], fs=None), path)
-    loaded = load_trials_csv(path)
-    assert loaded.trials == []
-    assert loaded.fs is None
+    save_trials_csv([], path)
+    assert load_trials_csv(path) == []
 
 
 def test_trials_csv_skips_comment_lines(tmp_path):
     path = str(tmp_path / "commented.csv")
     path2 = str(tmp_path / "plain.csv")
-    trial_set = synth_scp(SynthConfig(n_per_class=1, fs=4.0, seed=0))
-    save_trials_csv(trial_set, path2)
+    trials = synth_scp(SynthConfig(n_per_class=1, fs=4.0, seed=0))
+    save_trials_csv(trials, path2)
     with open(path2) as handle:
         body = handle.read()
     lines = body.splitlines()
@@ -296,7 +292,7 @@ def test_trials_csv_skips_comment_lines(tmp_path):
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     loaded = load_trials_csv(path)
-    assert len(loaded.trials) == 2
+    assert len(loaded) == 2
 
 
 def write_lines(path, lines):
@@ -373,7 +369,7 @@ def test_trials_csv_rejects_unknown_label(tmp_path):
         "trial_id,session,label,fs,s0,s1",
         "a,1,resting,4.0,0.0,0.5",
     ])
-    with pytest.raises(ParseError, match="row 1"):
+    with pytest.raises(ParseError, match="row 1: unknown label 'resting'"):
         load_trials_csv(path)
 
 
@@ -547,6 +543,11 @@ def test_load_report_rejects_truncated_file(tmp_path):
         pytest.param(lambda d: d["std"].update(selectivity=True), "selectivity True", id="metric-bool"),
         pytest.param(lambda d: d["folds"][1].update(accuracy=100.5), "accuracy 100.5", id="metric-range"),
         pytest.param(lambda d: d["folds"][0].update(sensitivity=float("nan")), "sensitivity nan", id="metric-nan"),
+        pytest.param(lambda d: d.update(k="2"), "integer, got '2'", id="k-text"),
+        pytest.param(lambda d: d.update(k=2.0), "integer, got 2.0", id="k-float"),
+        pytest.param(lambda d: d.update(seed=1.9), "integer, got 1.9", id="seed-float"),
+        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, 0.7), "integer, got 0.7", id="assignment-float"),
+        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, True), "integer, got True", id="assignment-bool"),
     ],
 )
 def test_load_report_rejects_malformed_file(edited_report, edit, match):

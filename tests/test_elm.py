@@ -33,9 +33,9 @@ def separable_features():
     """Small synthetic trial set pushed through the feature pipeline once."""
     cfg = SynthConfig(n_per_class=60, seed=1)
     rows, labels = [], []
-    for trial in synth_scp(cfg).trials:
+    for trial in synth_scp(cfg):
         filtered = lowpass_filter(trial.signal(), FilterSpec())
-        rows.append(trial_feature_vector(filtered).values)
+        rows.append(trial_feature_vector(filtered))
         labels.append(trial.label)
     return np.vstack(rows), np.array(labels)
 
@@ -409,6 +409,13 @@ def test_load_model_rejects_other_activation(model_doc):
     _, load_edited = model_doc
     with pytest.raises(FormatError, match="activation 'tanh'"):
         load_edited(lambda d: d.update(activation="tanh"))
+
+
+@pytest.mark.parametrize("seed", [1.9, 1.0, "2", True])
+def test_load_model_rejects_non_integer_seed(model_doc, seed):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match=f"model.json: malformed model entry: expected an integer, got {seed!r}"):
+        load_edited(lambda d: d.update(seed=seed))
 
 
 def test_load_model_rejects_truncated_file(model_doc, tmp_path):
