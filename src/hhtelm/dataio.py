@@ -297,7 +297,7 @@ def load_trials_csv(path):
         try:
             session = int(session_text)
             row_fs = float(fs_text)
-            samples = np.array([float(v) for v in row[4:]])
+            samples = np.array(row[4:], dtype=float)
         except ValueError as exc:
             raise ParseError(f"{path}: row {number}: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(samples))
@@ -384,6 +384,13 @@ def _json_int(value):
     return value
 
 
+def _json_number(value):
+    """``value`` if it is a JSON number; ValueError for a bool, a string or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
 _REPORT_FORMAT = "cv-report"
 _REPORT_VERSION = 1
 
@@ -398,10 +405,11 @@ def load_report(path):
 
     Raises InvalidConfig for a file that is not a report, and FormatError
     for one that is not valid JSON, of another version, with a missing or
-    malformed entry, with fold assignments and predictions of unequal
-    length, with a fold count other than ``k``, with an assignment outside
-    ``0..k-1``, with an unknown label, or with a metric that is neither
-    None nor a finite percentage.
+    malformed entry, with a config that is not a JSON object, with fold
+    assignments and predictions of unequal length, with a fold count
+    other than ``k``, with an assignment outside ``0..k-1``, with an
+    unknown label, or with a metric that is neither None nor a finite
+    percentage.
     """
     from .evaluation import CvReport
 
@@ -412,6 +420,8 @@ def load_report(path):
         raise FormatError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed report entry: {exc}") from exc
+    if not isinstance(report.config, dict):
+        raise FormatError(f"{path}: config must be a JSON object, got {report.config!r}")
     assignments, predictions = report.fold_assignments, report.predictions
     if assignments.ndim != 1 or assignments.shape != predictions.shape:
         raise FormatError(

@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, _json_int, read_json, write_json
+from .dataio import CLASS_NAMES, _json_int, _json_number, read_json, write_json
 from .errors import (
     DegenerateLabels,
     FormatError,
@@ -241,14 +241,15 @@ def load_model(path):
 
     Raises InvalidConfig for a file that is not a model file, and
     FormatError for one that is not valid JSON, of another version, with
-    a missing key, with weights whose shapes do not chain from the feature
-    width to one readout column per class, with other class names or
-    another activation, or with non-finite numbers.
+    a missing key, with a ridge that is not a number, with weights whose
+    shapes do not chain from the feature width to one readout column per
+    class, with other class names or another activation, or with
+    non-finite numbers.
     """
     payload = read_json(path, _MODEL_FORMAT, _MODEL_VERSION)
     try:
         kernel = SolverKind(
-            variant=payload["kernel"]["variant"], ridge=payload["kernel"]["ridge"]
+            variant=payload["kernel"]["variant"], ridge=_json_number(payload["kernel"]["ridge"])
         )
         mean = np.array(payload["normalization"]["mean"], dtype=float)
         std = np.array(payload["normalization"]["std"], dtype=float)

@@ -85,3 +85,29 @@ def test_bench_command_lines_parse(bench_run, tmp_path):
             parser.parse_args([*command.argv, "--quiet"])
             kinds.add(command.kind)
     assert kinds >= {"synth", "features", "evaluate", "sweep"}
+
+
+def test_traced_pipeline_fires_every_expected_span(layers, tmp_path):
+    """A traced synth, features and evaluate per kernel record every span the
+    bench's traced run expects, so a path that routes around a traced
+    function (a batched helper called instead of ``hht.spline_envelope``,
+    say) fails here and not only in a ``--trace 1`` bench run."""
+    import hhtelm.cli as cli
+
+    tracing = importlib.import_module("tracing")
+    trials = str(tmp_path / "trials.csv")
+    features = str(tmp_path / "features.csv")
+    commands = [
+        ["synth", "--n-per-class", "4", "--seed", "3", "--out", trials],
+        ["features", "--in", trials, "--taps", "65", "--out", features],
+    ]
+    commands += [
+        ["evaluate", "--features", features, "--layers", "6,4", "--kernel", kernel, "--k", "2",
+         "--out", str(tmp_path / f"report_{kernel}.json")]
+        for kernel in layers.KERNELS
+    ]
+    with tracing.Tracer("hhtelm", layers.ANNOTATORS) as tracer:
+        for argv in commands:
+            assert cli.main([*argv, "--quiet"]) == 0
+    assert tracer.spans
+    assert layers.missing_spans(tracer.spans, ["synth", "features", "evaluate"]) == []

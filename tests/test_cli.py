@@ -187,6 +187,30 @@ def test_features_matrix_shape(features_csv):
     assert json.loads(first[2:])["command"] == "features"
 
 
+def test_features_of_chunks_join_to_the_whole(tmp_path):
+    # 80 trials make more than one block of sifted rows; chunks of 7 group
+    # the trials differently, and trials are independent.
+    trials = synth_scp(SynthConfig(n_per_class=40, fs=64.0, seed=6))
+    whole = str(tmp_path / "trials.csv")
+    save_trials_csv(trials, whole)
+    assert main(["features", "--in", whole, "--taps", "65", "--out", str(tmp_path / "all.csv"), "--quiet"]) == 0
+    joined = []
+    for start in range(0, len(trials), 7):
+        chunk = str(tmp_path / f"trials_{start}.csv")
+        out = str(tmp_path / f"features_{start}.csv")
+        save_trials_csv(trials[start : start + 7], chunk)
+        assert main(["features", "--in", chunk, "--taps", "65", "--out", out, "--quiet"]) == 0
+        joined += read_lines(out)[2:]
+    assert read_lines(str(tmp_path / "all.csv"))[2:] == joined
+    out_dir = str(tmp_path / "modes")
+    assert main(["decompose", "--in", whole, "--taps", "65", "--out", out_dir, "--quiet"]) == 0
+    alone = str(tmp_path / "alone")
+    last = trials[-1].trial_id
+    argv = ["decompose", "--in", whole, "--trial-id", last, "--taps", "65", "--out", alone, "--quiet"]
+    assert main(argv) == 0
+    assert read_lines(os.path.join(alone, f"{last}.csv")) == read_lines(os.path.join(out_dir, f"{last}.csv"))
+
+
 def test_features_empty_input_exits_2(tmp_path, capsys):
     empty = str(tmp_path / "empty.csv")
     save_trials_csv([], empty)

@@ -548,6 +548,9 @@ def test_load_report_rejects_truncated_file(tmp_path):
         pytest.param(lambda d: d.update(seed=1.9), "integer, got 1.9", id="seed-float"),
         pytest.param(lambda d: d["fold_assignments"].__setitem__(0, 0.7), "integer, got 0.7", id="assignment-float"),
         pytest.param(lambda d: d["fold_assignments"].__setitem__(0, True), "integer, got True", id="assignment-bool"),
+        pytest.param(lambda d: d.update(config=[1, 2]), r"report.json: config must be a JSON object, got \[1, 2\]", id="config-list"),
+        pytest.param(lambda d: d.update(config="40,30"), "config must be a JSON object, got '40,30'", id="config-text"),
+        pytest.param(lambda d: d.update(config=None), "config must be a JSON object, got None", id="config-null"),
     ],
 )
 def test_load_report_rejects_malformed_file(edited_report, edit, match):

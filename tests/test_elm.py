@@ -418,6 +418,13 @@ def test_load_model_rejects_non_integer_seed(model_doc, seed):
         load_edited(lambda d: d.update(seed=seed))
 
 
+@pytest.mark.parametrize("ridge", [True, False, "0.001", None])
+def test_load_model_rejects_non_number_ridge(model_doc, ridge):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match=f"model.json: malformed model entry: expected a number, got {ridge!r}"):
+        load_edited(lambda d: d["kernel"].update(ridge=ridge))
+
+
 def test_load_model_rejects_truncated_file(model_doc, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(path.read_text()[:-40])

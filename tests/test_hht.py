@@ -2,24 +2,30 @@
 
 Independent oracles used here: a scalar python extrema scan, the scipy
 Hilbert transformer (different code path than the in-package FFT gating),
-closed-form phase derivatives, and statistics recomputed inline from their
-definitions.
+scipy's natural ``CubicSpline`` for the envelopes and a sifting loop built
+on it, closed-form phase derivatives, ``np.histogram``, and statistics
+recomputed inline from their definitions.
 """
 import numpy as np
 import pytest
 import scipy.signal
+from scipy.interpolate import CubicSpline
 
 from hhtelm import (
     EmdConfig,
+    FilterSpec,
     Signal,
+    SynthConfig,
     analytic_series,
     analytic_signal,
     emd,
     feature_layout,
     find_extrema,
     instantaneous_frequency,
+    lowpass_filter,
     spline_envelope,
     stat_features,
+    synth_scp,
     trial_feature_vector,
 )
 from hhtelm.hht import STAT_NAMES
@@ -47,6 +53,65 @@ def scan_extrema(x):
             minima.append(mid)
         i = j + 1
     return np.array(maxima, dtype=int), np.array(minima, dtype=int)
+
+
+def reference_envelope(indices, values, n):
+    """The envelope as a textbook natural spline: the extrema plus the
+    mirror images of the two nearest each edge that fall beyond it,
+    through scipy's ``CubicSpline(bc_type="natural")``."""
+    idx = np.asarray(indices, dtype=float)
+    val = np.asarray(values, dtype=float)
+    xs, ys = [idx], [val]
+    for near, far, edge in ((0, 1, 0.0), (-1, -2, float(n - 1))):
+        c = val[near] + (val[far] - val[near]) * (edge - idx[near]) / (idx[far] - idx[near])
+        mx = np.array([2.0 * edge - idx[near], 2.0 * edge - idx[far]])
+        my = np.array([2.0 * c - val[near], 2.0 * c - val[far]])
+        if near == 0:
+            keep = mx < idx[0]
+            xs.insert(0, mx[keep][::-1])
+            ys.insert(0, my[keep][::-1])
+        else:
+            keep = mx > idx[-1]
+            xs.append(mx[keep])
+            ys.append(my[keep])
+    spline = CubicSpline(np.concatenate(xs), np.concatenate(ys), bc_type="natural")
+    return spline(np.arange(n, dtype=float))
+
+
+def reference_emd(x, max_imfs=6):
+    """Huang's sifting, one series at a time, on ``reference_envelope``."""
+    residual = np.array(x, dtype=float)
+    imfs = []
+    for _ in range(max_imfs):
+        maxima, minima = find_extrema(residual)
+        if maxima.size < 2 or minima.size < 2:
+            break
+        h = residual.copy()
+        for _ in range(100):
+            mean = 0.5 * (
+                reference_envelope(maxima, h[maxima], x.size)
+                + reference_envelope(minima, h[minima], x.size)
+            )
+            denom = float(np.dot(h, h))
+            if denom == 0.0:
+                break
+            sd = float(np.dot(mean, mean)) / denom
+            h = h - mean
+            maxima, minima = find_extrema(h)
+            if maxima.size < 2 or minima.size < 2:
+                break
+            signs = np.signbit(h[h != 0.0])
+            crossings = int(np.count_nonzero(signs[:-1] != signs[1:]))
+            if sd < 0.2 and abs(maxima.size + minima.size - crossings) <= 1:
+                break
+        imfs.append(h)
+        residual = residual - h
+    return imfs, residual
+
+
+def filtered_synth_trials(n_per_class, seed):
+    trials = synth_scp(SynthConfig(n_per_class=n_per_class, seed=seed))
+    return np.array([lowpass_filter(t.signal(), FilterSpec()).samples for t in trials])
 
 
 def interior(mask_len, fraction=0.9):
@@ -123,9 +188,48 @@ def test_envelope_of_sine_maxima_near_one():
     assert np.all(env[inner] < 1.02)
 
 
+def test_batched_envelopes_equal_scipy_natural_spline_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        n = int(rng.integers(8, 2500))
+        indices, values = [], []
+        for _ in range(int(rng.integers(1, 10))):
+            # Extrema anywhere, or touching either edge.
+            low = 0 if rng.random() < 0.3 else int(rng.integers(0, n // 3))
+            high = n if rng.random() < 0.3 else int(rng.integers(2 * n // 3, n + 1))
+            count = int(rng.integers(2, min(high - low, 60) + 1))
+            idx = np.sort(rng.choice(np.arange(low, high), size=count, replace=False))
+            val = rng.standard_normal(count) * 10.0 ** rng.uniform(-3, 3)
+            if rng.random() < 0.2:
+                val[:] = val[0]
+            indices.append(idx)
+            values.append(val)
+        batch = spline_envelope(indices, values, n)
+        assert batch.shape == (len(indices), n)
+        for row, idx, val in zip(batch, indices, values):
+            expected = reference_envelope(idx, val, n)
+            np.testing.assert_array_equal(row, expected)
+            np.testing.assert_array_equal(spline_envelope(idx, val, n), expected)
+
+
+def test_envelope_rejects_unordered_or_non_finite_extrema():
+    with pytest.raises(InvalidConfig, match="increasing"):
+        spline_envelope(np.array([3, 9, 6]), np.array([1.0, 2.0, 3.0]), 16)
+    with pytest.raises(InvalidConfig, match="increasing"):
+        spline_envelope([np.array([2, 9]), np.array([4, 4])], [np.ones(2), np.ones(2)], 16)
+    with pytest.raises(InvalidConfig, match="finite"):
+        spline_envelope(np.array([3.0, np.inf]), np.array([1.0, 2.0]), 16)
+    with pytest.raises(InvalidConfig, match="finite"):
+        spline_envelope(np.array([3, 9]), np.array([1.0, np.nan]), 16)
+
+
 def test_envelope_needs_two_extrema():
     with pytest.raises(InsufficientExtrema):
         spline_envelope(np.array([5]), np.array([1.0]), 20)
+    with pytest.raises(InsufficientExtrema):
+        spline_envelope([np.array([2, 9]), np.array([5])], [np.ones(2), np.ones(1)], 20)
+    with pytest.raises(ShapeMismatch):
+        spline_envelope([np.array([2, 9]), np.array([4, 8])], [np.ones(2)], 20)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +273,39 @@ def test_emd_completeness_random_signals():
         modes = emd(Signal(samples=x, fs=256.0))
         recon = np.sum(modes.imfs, axis=0) + modes.residual if modes.imfs else modes.residual
         assert np.max(np.abs(x - recon)) <= 1e-8 * np.max(np.abs(x))
+
+
+def test_batched_emd_equals_reference_sifting_bit_for_bit():
+    # The acceptance suite's decomposition corpus, then synthetic trials.
+    rng = np.random.default_rng(2024)
+    t = np.arange(2048) / 256.0
+    corpus = []
+    for _ in range(100):
+        x = np.zeros(t.size)
+        for _ in range(int(rng.integers(2, 5))):
+            amplitude = rng.uniform(0.5, 2.0)
+            freq = rng.uniform(0.5, 40.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            x += amplitude * np.sin(2.0 * np.pi * freq * t + phase)
+        x += rng.normal(0.0, 0.2, t.size)
+        corpus.append(x)
+    for batch in (np.array(corpus), filtered_synth_trials(6, 42)):
+        for x, modes in zip(batch, emd(batch)):
+            imfs, residual = reference_emd(x)
+            assert len(modes.imfs) == len(imfs)
+            for got, want in zip(modes.imfs, imfs):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(modes.residual, residual)
+
+
+def test_emd_of_one_row_equals_emd_of_the_series():
+    x = filtered_synth_trials(1, 5)[0]
+    (batched,) = emd(x[None])
+    alone = emd(x)
+    assert isinstance(alone.imfs, list) and len(alone.imfs) == len(batched.imfs)
+    for a, b in zip(alone.imfs, batched.imfs):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(alone.residual, batched.residual)
 
 
 def test_emd_imf_count_capped():
@@ -236,6 +373,15 @@ def test_analytic_matches_scipy_hilbert():
     z = analytic_signal(x)
     ref = scipy.signal.hilbert(x)
     np.testing.assert_allclose(z, ref, atol=1e-9)
+
+
+def test_analytic_rows_equal_their_own_transform():
+    rng = np.random.default_rng(47)
+    rows = rng.standard_normal((5, 301))
+    z = analytic_signal(rows)
+    assert z.shape == rows.shape
+    for row, got in zip(rows, z):
+        np.testing.assert_array_equal(got, analytic_signal(row))
 
 
 def test_inst_freq_linear_phase():
@@ -348,9 +494,46 @@ def test_stats_match_definition_oracle():
         assert abs(got["mode"] - 0.5 * (edges[top] + edges[top + 1])) < 1e-10
 
 
+def test_stats_rows_equal_their_own_statistics():
+    rng = np.random.default_rng(53)
+    rows = rng.standard_normal((6, 200)) * rng.uniform(0.1, 10.0, (6, 1))
+    rows[2] = 3.0
+    reference = rng.standard_normal(200)
+    stats = stat_features(rows, reference)
+    assert stats.shape == (6, len(STAT_NAMES))
+    for row, got in zip(rows, stats):
+        np.testing.assert_array_equal(got, stat_features(row, reference))
+
+
+def test_stats_mode_matches_np_histogram():
+    rng = np.random.default_rng(59)
+    bins = np.histogram_bin_edges(np.array([-2.0, 5.0]), bins=64)
+    rows = [
+        bins,  # every value on a bin edge, the last on the closed right end
+        rng.choice(bins, 300),
+        np.repeat(bins[[3, 40, 41]], [5, 7, 7]),  # a tie goes to the first bin
+        np.full(50, -1.25),
+        np.full(50, 0.0),
+        np.array([1e-300, 2e-300, 2e-300]),
+        rng.standard_normal(300),
+        np.round(rng.standard_normal(300), 1),
+    ]
+    for row in rows:
+        matrix = np.vstack([row, row[::-1]])
+        got = stat_features(matrix, np.arange(row.size, dtype=float))
+        for series, stats in zip(matrix, got):
+            counts, edges = np.histogram(series, bins=64)
+            top = int(np.argmax(counts))
+            assert stats[STAT_NAMES.index("mode")] == 0.5 * (edges[top] + edges[top + 1])
+
+
 def test_stats_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         stat_features(np.arange(4.0), np.arange(5.0))
+    with pytest.raises(ShapeMismatch):
+        stat_features(np.ones((3, 4)), np.ones((3, 4)))
+    with pytest.raises(ShapeMismatch):
+        stat_features(np.ones((3, 4)), np.ones(5))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +553,14 @@ def test_feature_vector_deterministic():
     a = trial_feature_vector(Signal(samples=x, fs=256.0))
     b = trial_feature_vector(Signal(samples=x, fs=256.0))
     np.testing.assert_array_equal(a, b)
+
+
+def test_feature_rows_equal_single_trial_vectors():
+    trials = filtered_synth_trials(4, 42)
+    batch = trial_feature_vector(trials)
+    assert batch.shape == (8, 132)
+    for row, trial in zip(batch, trials):
+        np.testing.assert_array_equal(row, trial_feature_vector(trial))
 
 
 def test_feature_vector_layout_and_width():
