@@ -38,7 +38,7 @@ from .errors import (
     PipelineError,
 )
 from .evaluation import cross_validate
-from .hht import EmdConfig, emd, feature_layout, trial_feature_vector
+from .hht import FEATURE_NAMES, emd, trial_feature_vector
 from .solvers import KERNELS, SolverKind, solve_output_weights
 
 _PROG = "hhtelm"
@@ -84,10 +84,6 @@ def _filter_flags(sub):
     sub.add_argument("--taps", type=int, default=257, help="FIR tap count (odd, >= 33)")
 
 
-def _emd_flags(sub):
-    sub.add_argument("--max-imfs", type=int, default=6)
-
-
 def _train_flags(sub):
     sub.add_argument("--kernel", choices=KERNELS, default="hessenberg")
     sub.add_argument("--ridge", type=float, default=1e-3)
@@ -114,14 +110,12 @@ def build_parser():
         "--trial-id", action="append", default=None, help="restrict to this trial id (repeatable)"
     )
     _filter_flags(decompose)
-    _emd_flags(decompose)
     _common_flags(decompose)
     decompose.set_defaults(func=cmd_decompose)
 
     features = commands.add_parser("features", help="trials CSV -> feature CSV")
     features.add_argument("--in", dest="input", required=True, help="trials CSV")
     _filter_flags(features)
-    _emd_flags(features)
     _common_flags(features)
     features.set_defaults(func=cmd_features)
 
@@ -170,13 +164,6 @@ def cmd_synth(args):
     return 0
 
 
-def _pipeline_configs(args):
-    return (
-        FilterSpec(cutoff=args.cutoff, taps=args.taps),
-        EmdConfig(max_imfs=args.max_imfs),
-    )
-
-
 def _filtered_blocks(trials, spec):
     """``(trials, matrix)`` per block of at most ``_BLOCK_TRIALS`` trials, the
     matrix holding their filtered samples row by row. Trials decompose
@@ -187,7 +174,7 @@ def _filtered_blocks(trials, spec):
 
 
 def cmd_decompose(args):
-    spec, emd_cfg = _pipeline_configs(args)
+    spec = FilterSpec(cutoff=args.cutoff, taps=args.taps)
     trials = load_trials_csv(args.input)
     by_id = {trial.trial_id: trial for trial in trials}
     if args.trial_id:
@@ -197,15 +184,13 @@ def cmd_decompose(args):
         selected = [by_id[tid] for tid in args.trial_id]
     else:
         selected = trials
-    note = config_note("decompose", spec, emd_cfg)
+    note = config_note("decompose", spec)
     _echo(
-        args,
-        f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} "
-        f"max_imfs={emd_cfg.max_imfs} -> {len(selected)} trial(s)",
+        args, f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} -> {len(selected)} trial(s)"
     )
     os.makedirs(args.out, exist_ok=True)
     for block, signals in _filtered_blocks(selected, spec):
-        for trial, modes in zip(block, emd(signals, emd_cfg)):
+        for trial, modes in zip(block, emd(signals)):
             columns = [f"imf_{i + 1}" for i in range(len(modes.imfs))] + ["residual"]
             rows = ([_fmt(v) for v in row] for row in zip(*modes.imfs, modes.residual))
             write_csv(os.path.join(args.out, f"{trial.trial_id}.csv"), columns, rows, note)
@@ -214,18 +199,18 @@ def cmd_decompose(args):
 
 
 def cmd_features(args):
-    spec, emd_cfg = _pipeline_configs(args)
+    spec = FilterSpec(cutoff=args.cutoff, taps=args.taps)
     trials = load_trials_csv(args.input)
     if not trials:
         raise NotFound(f"{args.input} contains no trials")
-    rows = [trial_feature_vector(signals, emd_cfg) for _, signals in _filtered_blocks(trials, spec)]
+    rows = [trial_feature_vector(signals) for _, signals in _filtered_blocks(trials, spec)]
     labels = [trial.label for trial in trials]
-    layout = feature_layout(emd_cfg.max_imfs)
-    note = config_note("features", spec, emd_cfg)
-    save_features_csv(np.vstack(rows), layout, labels, args.out, config_note=note)
+    note = config_note("features", spec)
+    save_features_csv(np.vstack(rows), FEATURE_NAMES, labels, args.out, config_note=note)
     _echo(
         args,
-        f"features: cutoff={spec.cutoff:g} Hz, {len(trials)} trials x {len(layout)} features -> {args.out}",
+        f"features: cutoff={spec.cutoff:g} Hz, "
+        f"{len(trials)} trials x {len(FEATURE_NAMES)} features -> {args.out}",
     )
     return 0
 

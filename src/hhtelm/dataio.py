@@ -50,6 +50,12 @@ class TrialRecord:
     def __post_init__(self):
         if not self.trial_id:
             raise InvalidConfig("trial_id must be non-empty")
+        # A trials CSV holds the id unquoted at the start of its line.
+        if set(self.trial_id) & set(',"\r\n') or self.trial_id.lstrip().startswith("#"):
+            raise InvalidConfig(
+                f"trial_id {self.trial_id!r} holds a comma, a quote or a line break, "
+                "or starts with '#'"
+            )
         if not 1 <= int(self.session) <= SESSION_COUNT:
             raise InvalidConfig(f"session must be in 1..{SESSION_COUNT}, got {self.session}")
         if self.label not in CLASS_NAMES:
@@ -239,22 +245,25 @@ def write_csv(path, header, rows, config_note=None):
 
 
 def _read_csv(path):
-    """Header and data rows of a CSV artifact, comment and blank lines skipped.
+    """The rows of a CSV artifact, comment and blank lines skipped, read
+    one at a time: yields the header, then ``(number, row)`` per data row,
+    so a caller parses each row before the next one is read.
 
     Raises FormatError for a file without a header row and ParseError
     (with the data row number) for a row whose field count differs.
     """
     with open(path, "r", newline="") as handle:
-        rows = [row for row in csv.reader(_skip_comments(handle)) if row]
-    if not rows:
-        raise FormatError(f"{path}: empty file, expected a header row")
-    header = rows[0]
-    for number, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
-            )
-    return header, rows[1:]
+        rows = (row for row in csv.reader(_skip_comments(handle)) if row)
+        header = next(rows, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file, expected a header row")
+        yield header
+        for number, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
+                )
+            yield number, row
 
 
 def _skip_comments(handle):
@@ -286,13 +295,13 @@ def load_trials_csv(path):
     rows, non-finite samples and rates included, and FormatError when rows
     disagree on fs.
     """
-    header, rows = _read_csv(path)
-    if header[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
+    rows = _read_csv(path)
+    if next(rows)[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
         raise FormatError(
             f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
         )
     trials = []
-    for number, row in enumerate(rows, start=1):
+    for number, row in rows:
         trial_id, session_text, label, fs_text = row[:4]
         try:
             session = int(session_text)
@@ -332,21 +341,30 @@ def save_features_csv(values, layout, labels, path, config_note=None):
 
 
 def load_features_csv(path):
-    """Read a feature CSV back as (values, layout, labels)."""
-    header, rows = _read_csv(path)
+    """Read a feature CSV back as (values, layout, labels).
+
+    Raises ParseError (with the offending data row number) for malformed
+    rows, unknown labels and non-finite values included.
+    """
+    rows = _read_csv(path)
+    header = next(rows)
     if header[-1] != "label":
         raise FormatError(f"{path}: last column must be 'label'")
     layout = tuple(header[:-1])
     values = []
     labels = []
-    for number, row in enumerate(rows, start=1):
+    for number, row in rows:
         label = row[-1]
         if label not in CLASS_NAMES:
             raise ParseError(f"{path}: row {number} has unknown label {label!r}")
         try:
-            values.append([float(v) for v in row[:-1]])
+            row_values = np.array(row[:-1], dtype=float)
         except ValueError as exc:
             raise ParseError(f"{path}: row {number}: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(row_values))
+        if bad.size:
+            raise ParseError(f"{path}: row {number} has a non-finite value in {layout[bad[0]]}")
+        values.append(row_values)
         labels.append(label)
     matrix = np.array(values) if values else np.zeros((0, len(layout)))
     return matrix, layout, labels

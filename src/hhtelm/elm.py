@@ -241,7 +241,8 @@ def load_model(path):
 
     Raises InvalidConfig for a file that is not a model file, and
     FormatError for one that is not valid JSON, of another version, with
-    a missing key, with a ridge that is not a number, with weights whose
+    a missing key, with a ridge that is not a number, with a kernel that
+    ``SolverKind`` rejects, with weights whose
     shapes do not chain from the feature width to one readout column per
     class, with other class names or another activation, or with
     non-finite numbers.
@@ -262,6 +263,8 @@ def load_model(path):
         raise FormatError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed model entry: {exc}") from exc
+    except InvalidConfig as exc:
+        raise FormatError(f"{path}: unusable kernel: {exc}") from exc
     if class_names != CLASS_NAMES:
         raise FormatError(f"{path}: class names {list(class_names)}, expected {list(CLASS_NAMES)}")
     if activation != ACTIVATION:

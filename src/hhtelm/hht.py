@@ -63,20 +63,20 @@ def _finite_samples(signal):
 
 # The SD stop rule of Huang et al. 1998 (Proc. R. Soc. A 454): sifting a
 # candidate mode stops once SD between two siftings falls below
-# _SD_THRESHOLD, or after _MAX_SIFTINGS siftings.
+# _SD_THRESHOLD, or after _MAX_SIFTINGS siftings. A decomposition stops
+# after _MAX_IMFS modes, which fixes the feature width.
 _SD_THRESHOLD = 0.2
 _MAX_SIFTINGS = 100
+_MAX_IMFS = 6
 
-
-@dataclass(frozen=True)
-class EmdConfig:
-    """Decomposition control: the most modes to extract."""
-
-    max_imfs: int = 6
-
-    def __post_init__(self):
-        if self.max_imfs < 1:
-            raise InvalidConfig("max_imfs must be >= 1")
+# Feature names in storage order: mode, then source (raw mode, then its
+# instantaneous amplitude), then statistic.
+FEATURE_NAMES = tuple(
+    f"imf{k + 1}_{source}_{stat}"
+    for k in range(_MAX_IMFS)
+    for source in ("imf", "amplitude")
+    for stat in STAT_NAMES
+)
 
 
 @dataclass
@@ -285,7 +285,7 @@ def _mirrored_pair(i0, i1, v0, v1, edge):
     )
 
 
-def emd(signal, config=None):
+def emd(signal):
     """Empirical mode decomposition by envelope-mean sifting.
 
     Parameters
@@ -293,8 +293,6 @@ def emd(signal, config=None):
     signal : Signal or array_like
         The series to decompose (the sampling rate is not needed here), or
         a ``(rows, samples)`` matrix of series decomposed together.
-    config : EmdConfig, optional
-        The mode cap; the default matches the trial pipeline.
 
     Returns
     -------
@@ -307,16 +305,14 @@ def emd(signal, config=None):
     below 0.2 and the candidate is a proper mode (its extrema and
     zero-crossing counts differ by at most one), or after 100 siftings;
     the whole decomposition stops when the residual no longer has two
-    maxima and two minima (monotone or flat) or ``max_imfs`` modes were
-    extracted. Rows are independent: each sifting step builds the
-    envelopes of every row still sifting in one ``spline_envelope`` call,
-    and a row's modes equal those of the row decomposed alone.
+    maxima and two minima (monotone or flat) or 6 modes were extracted.
+    Rows are independent: each sifting step builds the envelopes of every
+    row still sifting in one ``spline_envelope`` call, and a row's modes
+    equal those of the row decomposed alone.
     """
     x = _finite_samples(signal)
     if x.ndim not in (1, 2):
         raise ShapeMismatch("need one series or a (rows, samples) matrix")
-    if config is None:
-        config = EmdConfig()
     rows = np.atleast_2d(x)
     n = rows.shape[1]
     residuals = [np.array(row, dtype=float) for row in rows]
@@ -325,7 +321,7 @@ def emd(signal, config=None):
     sifting = {}
 
     def start_mode(r):
-        if len(imfs[r]) < config.max_imfs:
+        if len(imfs[r]) < _MAX_IMFS:
             maxima, minima = find_extrema(residuals[r])
             if maxima.size >= 2 and minima.size >= 2:
                 sifting[r] = (residuals[r].copy(), maxima, minima, 0)
@@ -511,18 +507,7 @@ def _histogram_mode(x, lo, hi):
     return 0.5 * (edges[fullest] + edges[fullest + 1])
 
 
-def feature_layout(max_imfs):
-    """Feature names in storage order: mode, then source (raw mode, then its
-    instantaneous amplitude), then statistic."""
-    return tuple(
-        f"imf{k + 1}_{source}_{stat}"
-        for k in range(max_imfs)
-        for source in ("imf", "amplitude")
-        for stat in STAT_NAMES
-    )
-
-
-def trial_feature_vector(signal, emd_config=None):
+def trial_feature_vector(signal):
     """Feature vector for one (already filtered) trial, or one per row.
 
     Parameters
@@ -531,23 +516,20 @@ def trial_feature_vector(signal, emd_config=None):
         The filtered trial, or a ``(trials, samples)`` matrix of them,
         decomposed together. A trial's samples double as the reference
         series for the correlation and covariance statistics.
-    emd_config : EmdConfig, optional
 
     Returns
     -------
     numpy.ndarray
-        ``max_imfs * 2 * 11`` values in ``feature_layout`` order, one row
-        per trial of a matrix: per mode, the statistics of the mode and
-        then of its instantaneous amplitude. Slots for modes beyond what
-        the decomposition produced stay zero, so width is fixed per
-        configuration. A row equals the vector of that trial alone.
+        132 values in ``FEATURE_NAMES`` order, one row per trial of a
+        matrix: per mode, the statistics of the mode and then of its
+        instantaneous amplitude. Slots for modes beyond what the
+        decomposition produced stay zero, so the width is fixed. A row
+        equals the vector of that trial alone.
     """
-    if emd_config is None:
-        emd_config = EmdConfig()
     x = _finite_samples(signal)
     trials = np.atleast_2d(x)
-    values = np.zeros((trials.shape[0], emd_config.max_imfs, 2, len(STAT_NAMES)))
-    for trial, modes, out in zip(trials, emd(trials, emd_config), values):
+    values = np.zeros((trials.shape[0], _MAX_IMFS, 2, len(STAT_NAMES)))
+    for trial, modes, out in zip(trials, emd(trials), values):
         k = len(modes.imfs)
         if k:
             imfs = np.array(modes.imfs)

@@ -79,10 +79,10 @@ def decomposition_corpus():
     return corpus
 
 
-def pipeline_features():
+def pipeline_features(synth=PIPELINE_SYNTH):
     rows = []
     labels = []
-    for trial in synth_scp(PIPELINE_SYNTH):
+    for trial in synth_scp(synth):
         rows.append(trial_feature_vector(lowpass_filter(trial.signal())))
         labels.append(trial.label)
     return np.vstack(rows), labels
@@ -233,3 +233,34 @@ def test_criterion_10_pipeline_is_deterministic(tmp_path):
     ok = blobs[0] == blobs[1]
     report(10, ok, f"two full reruns wrote {'identical' if ok else 'differing'} "
                    f"report files of {len(blobs[0])} bytes")
+
+
+# Criterion 7 sits near 98%, where a feature regression barely moves it.
+# With weak drift in strong noise the same pipeline scores well below
+# that, identically for every kernel (89.5% when this band was recorded);
+# with no drift there is nothing to learn, so it stays near chance
+# (53.0% when recorded).
+UNSATURATED_SYNTH = SynthConfig(n_per_class=100, seed=42, drift_amplitude=0.5, noise_sigma=3.0)
+UNSATURATED_BAND = (87.0, 92.0)
+CONTROL_SYNTH = SynthConfig(n_per_class=100, seed=42, drift_amplitude=0.0)
+CHANCE_BAND = (40.0, 60.0)
+
+
+def regime_accuracies(synth):
+    features, labels = pipeline_features(synth)
+    return {
+        variant: pipeline_cv(features, labels, variant).mean.accuracy
+        for variant in ("svd", "hessenberg", "lu")
+    }
+
+
+def test_unsaturated_regime_accuracy_stays_in_its_band():
+    low, high = UNSATURATED_BAND
+    for variant, accuracy in regime_accuracies(UNSATURATED_SYNTH).items():
+        assert low <= accuracy <= high, f"{variant}: {accuracy}% outside {UNSATURATED_BAND}"
+
+
+def test_driftless_control_stays_near_chance():
+    low, high = CHANCE_BAND
+    for variant, accuracy in regime_accuracies(CONTROL_SYNTH).items():
+        assert low <= accuracy <= high, f"{variant}: {accuracy}% outside {CHANCE_BAND}"

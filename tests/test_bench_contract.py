@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hhtelm import SolverKind, SynthConfig, TrainConfig, save_trials_csv, synth_scp
+from hhtelm import SolverKind, SynthConfig, TrainConfig, hht, save_trials_csv, synth_scp
 from hhtelm.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -85,6 +85,14 @@ def test_bench_command_lines_parse(bench_run, tmp_path):
             parser.parse_args([*command.argv, "--quiet"])
             kinds.add(command.kind)
     assert kinds >= {"synth", "features", "evaluate", "sweep"}
+
+
+def test_feature_recipe_matches_the_bench(layers, bench_run):
+    """The bench checks feature files for its width and groups their
+    columns in blocks of its statistic count, so a change to either fails
+    here and not only in a bench run."""
+    assert len(hht.FEATURE_NAMES) == bench_run.FEATURE_WIDTH
+    assert len(hht.STAT_NAMES) == layers.STAT_BLOCK
 
 
 def test_traced_pipeline_fires_every_expected_span(layers, tmp_path):

@@ -125,11 +125,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         "evaluate", "--features", "x.csv", "--kernel", "qr",
         "--out", str(tmp_path / "r.json"),
     ]) == 1
-    # The EMD stop rule is fixed, and features and decompose use no seed.
+    # The EMD stop rule and mode cap are fixed, and features and decompose
+    # use no seed.
     out = ["--in", "t.csv", "--out", str(tmp_path / "o")]
     assert main(["features", *out, "--sd-threshold", "0.3"]) == 1
     assert main(["features", *out, "--max-siftings", "50"]) == 1
+    assert main(["features", *out, "--max-imfs", "6"]) == 1
     assert main(["decompose", *out, "--seed", "4"]) == 1
+    assert main(["decompose", *out, "--max-imfs", "3"]) == 1
     assert "error" in capsys.readouterr().err
 
 
@@ -388,7 +391,7 @@ def test_solver_bench_rejects_bad_flags(tmp_path):
 
 def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_csv):
     """The leading `#` line of every artifact: full key set, values, byte form."""
-    pipeline = {"cutoff": 10.0, "taps": 65, "max_imfs": 6}
+    pipeline = {"cutoff": 10.0, "taps": 65}
     cases = {
         "synth": (
             ["synth", *SYNTH_FLAGS, "--out", str(tmp_path / "t.csv")],
@@ -403,9 +406,9 @@ def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_c
         ),
         "decompose": (
             ["decompose", "--in", trials_csv, "--trial-id", "synth-0001", "--taps", "65",
-             "--max-imfs", "3", "--out", str(tmp_path / "d")],
+             "--out", str(tmp_path / "d")],
             str(tmp_path / "d" / "synth-0001.csv"),
-            {"command": "decompose", **pipeline, "max_imfs": 3},
+            {"command": "decompose", **pipeline},
         ),
         "sweep": (
             ["sweep", "--features", blob_csv, "--min", "4", "--max", "6", "--step", "2",

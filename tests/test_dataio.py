@@ -4,8 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hhtelm import (
+    CLASS_NAMES,
     FilterSpec,
     Signal,
     SolverKind,
@@ -53,6 +56,10 @@ def test_trial_record_validation():
     assert good.samples.dtype == float
     with pytest.raises(InvalidConfig):
         make_trial([0.0], trial_id="")
+    # Ids a trials CSV line cannot hold.
+    for trial_id in ("a,b", 'a"b', "a\nb", "a\rb", "#a", " #a"):
+        with pytest.raises(InvalidConfig, match="trial_id"):
+            make_trial([0.0], trial_id=trial_id)
     with pytest.raises(InvalidConfig):
         make_trial([0.0], session=0)
     with pytest.raises(InvalidConfig):
@@ -273,6 +280,48 @@ def test_trials_csv_round_trip_exact(tmp_path):
         assert np.array_equal(got.samples, want.samples)
 
 
+@st.composite
+def trial_lists(draw):
+    """Lists of trials sharing one rate and width, with any id, session,
+    label and finite samples that a TrialRecord accepts."""
+    fs = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    width = draw(st.integers(1, 6))
+    samples = st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width
+    )
+    trials = []
+    for _ in range(draw(st.integers(0, 4))):
+        try:
+            trials.append(
+                TrialRecord(
+                    trial_id=draw(st.text(min_size=1, max_size=8)),
+                    session=draw(st.integers(1, SESSION_COUNT)),
+                    label=draw(st.sampled_from(CLASS_NAMES)),
+                    fs=fs,
+                    samples=np.array(draw(samples)),
+                )
+            )
+        except InvalidConfig:
+            assume(False)
+    return trials
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(trials=trial_lists())
+def test_trials_csv_round_trip_property(tmp_path_factory, trials):
+    path = str(tmp_path_factory.getbasetemp() / "generated_trials.csv")
+    save_trials_csv(trials, path)
+    loaded = load_trials_csv(path)
+    assert len(loaded) == len(trials)
+    for got, want in zip(loaded, trials):
+        assert got.trial_id == want.trial_id
+        assert got.session == want.session
+        assert got.label == want.label
+        assert got.fs == want.fs
+        # Bit for bit, so -0.0 stays -0.0.
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
 def test_trials_csv_empty_set(tmp_path):
     path = str(tmp_path / "empty.csv")
     save_trials_csv([], path)
@@ -448,6 +497,12 @@ def test_features_csv_load_errors(tmp_path):
     write_lines(short_row, ["a,b,label", "0.0,negativity"])
     with pytest.raises(ParseError, match="fields"):
         load_features_csv(short_row)
+
+    for bad in ("nan", "inf", "-inf"):
+        non_finite = str(tmp_path / "f5.csv")
+        write_lines(non_finite, ["a,b,label", "0.0,1.0,negativity", f"0.0,{bad},positivity"])
+        with pytest.raises(ParseError, match="row 2 has a non-finite value in b"):
+            load_features_csv(non_finite)
 
 
 # ---------------------------------------------------------------------------

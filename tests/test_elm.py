@@ -425,6 +425,15 @@ def test_load_model_rejects_non_number_ridge(model_doc, ridge):
         load_edited(lambda d: d["kernel"].update(ridge=ridge))
 
 
+@pytest.mark.parametrize(
+    "kernel", [{"ridge": -1.0}, {"variant": "qr"}, {"variant": "lu", "ridge": 0.0}]
+)
+def test_load_model_rejects_unusable_kernel(model_doc, kernel):
+    _, load_edited = model_doc
+    with pytest.raises(FormatError, match="model.json: unusable kernel"):
+        load_edited(lambda d: d["kernel"].update(kernel))
+
+
 def test_load_model_rejects_truncated_file(model_doc, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(path.read_text()[:-40])

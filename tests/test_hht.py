@@ -9,17 +9,18 @@ recomputed inline from their definitions.
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from hhtelm import (
-    EmdConfig,
+    FEATURE_NAMES,
     FilterSpec,
     Signal,
     SynthConfig,
     analytic_series,
     analytic_signal,
     emd,
-    feature_layout,
     find_extrema,
     instantaneous_frequency,
     lowpass_filter,
@@ -28,7 +29,7 @@ from hhtelm import (
     synth_scp,
     trial_feature_vector,
 )
-from hhtelm.hht import STAT_NAMES
+from hhtelm.hht import _MAX_IMFS, STAT_NAMES
 from hhtelm.errors import InsufficientExtrema, InvalidConfig, ShapeMismatch
 
 
@@ -309,11 +310,34 @@ def test_emd_of_one_row_equals_emd_of_the_series():
 
 
 def test_emd_imf_count_capped():
+    # White noise holds more than six modes, so the cap binds.
     rng = np.random.default_rng(17)
     x = rng.standard_normal(2048)
-    for cap in (1, 3):
-        modes = emd(Signal(samples=x, fs=256.0), EmdConfig(max_imfs=cap))
-        assert len(modes.imfs) <= cap
+    modes = emd(Signal(samples=x, fs=256.0))
+    assert len(modes.imfs) == 6
+    assert all(extrema.size >= 2 for extrema in find_extrema(modes.residual))
+
+
+tones = st.lists(
+    st.tuples(
+        st.floats(0.1, 2.0),  # amplitude
+        st.floats(0.2, 60.0),  # frequency in Hz at 256 Hz sampling
+        st.floats(0.0, 2.0 * np.pi),  # phase
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(tones=tones, n=st.integers(32, 2048))
+def test_emd_is_complete_and_capped_on_multi_tone_signals(tones, n):
+    t = np.arange(n) / 256.0
+    x = sum(a * np.sin(2.0 * np.pi * f * t + p) for a, f, p in tones)
+    modes = emd(x)
+    assert len(modes.imfs) <= _MAX_IMFS
+    recombined = modes.residual + sum(modes.imfs)
+    assert np.max(np.abs(x - recombined)) <= 1e-8 * np.max(np.abs(x))
 
 
 def test_emd_imfs_ordered_by_frequency():
@@ -564,7 +588,7 @@ def test_feature_rows_equal_single_trial_vectors():
 
 
 def test_feature_vector_layout_and_width():
-    layout = feature_layout(6)
+    layout = FEATURE_NAMES
     assert len(layout) == 132
     assert layout[0] == "imf1_imf_mean"
     assert layout[11] == "imf1_amplitude_mean"
@@ -579,7 +603,7 @@ def test_feature_vector_two_tone_amplitude_std():
     x = np.sin(2.0 * np.pi * 20.0 * t) + np.sin(2.0 * np.pi * 2.0 * t)
     sig = Signal(samples=x, fs=fs)
     vec = trial_feature_vector(sig)
-    slot = feature_layout(6).index("imf1_amplitude_std")
+    slot = FEATURE_NAMES.index("imf1_amplitude_std")
     modes = emd(sig)
     oracle_amp = np.abs(scipy.signal.hilbert(modes.imfs[0]))
     oracle_std = np.std(oracle_amp, ddof=1)
@@ -619,8 +643,3 @@ def test_raw_non_finite_input_is_rejected():
             emd(x)
         with pytest.raises(InvalidConfig, match="finite"):
             trial_feature_vector(x)
-
-
-def test_emd_config_validation():
-    with pytest.raises(InvalidConfig):
-        EmdConfig(max_imfs=0)
