@@ -170,7 +170,7 @@ def _filtered_blocks(trials, spec):
     independently, so the blocks only bound the memory of one batch."""
     for start in range(0, len(trials), _BLOCK_TRIALS):
         block = trials[start : start + _BLOCK_TRIALS]
-        yield block, np.array([lowpass_filter(trial.signal(), spec).samples for trial in block])
+        yield block, np.array([lowpass_filter(trial.samples, trial.fs, spec) for trial in block])
 
 
 def cmd_decompose(args):

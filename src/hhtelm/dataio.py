@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-from .hht import Signal
 
 LABEL_NEGATIVITY = "negativity"
 LABEL_POSITIVITY = "positivity"
@@ -50,10 +49,11 @@ class TrialRecord:
     def __post_init__(self):
         if not self.trial_id:
             raise InvalidConfig("trial_id must be non-empty")
-        # A trials CSV holds the id unquoted at the start of its line.
-        if set(self.trial_id) & set(',"\r\n') or self.trial_id.lstrip().startswith("#"):
+        # A trials CSV holds the id unquoted at the start of its line, and
+        # decompose names a file after it.
+        if set(self.trial_id) & set(',"\r\n/\\') or self.trial_id.lstrip().startswith("#"):
             raise InvalidConfig(
-                f"trial_id {self.trial_id!r} holds a comma, a quote or a line break, "
+                f"trial_id {self.trial_id!r} holds a comma, a quote, a slash or a line break, "
                 "or starts with '#'"
             )
         if not 1 <= int(self.session) <= SESSION_COUNT:
@@ -66,9 +66,6 @@ class TrialRecord:
         if samples.ndim != 1 or samples.size < 1:
             raise ShapeMismatch("samples must be a non-empty 1-D array")
         object.__setattr__(self, "samples", samples)
-
-    def signal(self):
-        return Signal(samples=self.samples, fs=self.fs)
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ class SynthConfig:
             raise InvalidConfig("n_per_class must be >= 1")
         if self.drift_amplitude < 0.0 or self.noise_sigma < 0.0 or self.alpha_amplitude < 0.0:
             raise InvalidConfig("amplitudes must be >= 0")
-        # A trial becomes a Signal downstream, which needs at least 4 samples.
+        # find_extrema, and so the decomposition, needs at least 4 samples.
         if int(round(TRIAL_SECONDS * self.fs)) < 4:
             raise InvalidConfig(
                 f"fs {self.fs} Hz gives fewer than 4 samples in a {TRIAL_SECONDS:g} s trial"
@@ -111,29 +108,39 @@ class FilterSpec:
             raise InvalidConfig("taps must be odd and >= 33")
 
 
-def lowpass_filter(signal, spec=None):
-    """Zero-phase windowed-sinc low-pass.
+def lowpass_filter(samples, fs, spec=None):
+    """Zero-phase windowed-sinc low-pass of one series sampled at ``fs`` Hz.
 
     Hamming-windowed sinc kernel normalized to unit DC gain, applied to a
     reflect-padded copy of the input so the output has the same length
-    with the group delay removed.
+    with the group delay removed. Raises ShapeMismatch unless ``samples``
+    is 1-D, and InvalidConfig for a rate that is not finite and positive,
+    a non-finite sample, a cutoff at or above the Nyquist rate, or a
+    series no longer than half the tap count.
     """
     if spec is None:
         spec = FilterSpec()
-    if not spec.cutoff < signal.fs / 2.0:
+    if not (math.isfinite(fs) and fs > 0.0):
+        raise InvalidConfig(f"fs must be finite and > 0, got {fs}")
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ShapeMismatch("lowpass_filter takes one 1-D series")
+    if not np.all(np.isfinite(x)):
+        raise InvalidConfig("signal samples must be finite")
+    if not spec.cutoff < fs / 2.0:
         raise InvalidConfig(
-            f"cutoff {spec.cutoff} Hz must sit below the Nyquist rate {signal.fs / 2.0} Hz"
+            f"cutoff {spec.cutoff} Hz must sit below the Nyquist rate {fs / 2.0} Hz"
         )
     mid = spec.taps // 2
-    if mid >= signal.samples.size:
+    if mid >= x.size:
         raise InvalidConfig("signal too short for the requested tap count")
     k = np.arange(spec.taps) - mid
-    fc = spec.cutoff / signal.fs
+    fc = spec.cutoff / fs
     kernel = 2.0 * fc * np.sinc(2.0 * fc * k)
     kernel *= np.hamming(spec.taps)
     kernel /= np.sum(kernel)
-    padded = np.pad(signal.samples, mid, mode="reflect")
-    return Signal(samples=np.convolve(padded, kernel, mode="valid"), fs=signal.fs)
+    padded = np.pad(x, mid, mode="reflect")
+    return np.convolve(padded, kernel, mode="valid")
 
 
 def segment_phases(trial):
@@ -293,7 +300,7 @@ def load_trials_csv(path):
 
     Raises ParseError (with the offending data row number) for malformed
     rows, non-finite samples and rates included, and FormatError when rows
-    disagree on fs.
+    disagree on fs or repeat a trial id.
     """
     rows = _read_csv(path)
     if next(rows)[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
@@ -301,6 +308,7 @@ def load_trials_csv(path):
             f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
         )
     trials = []
+    id_rows = {}
     for number, row in rows:
         trial_id, session_text, label, fs_text = row[:4]
         try:
@@ -322,6 +330,11 @@ def load_trials_csv(path):
             raise FormatError(
                 f"{path}: row {number} has fs {row_fs}, other rows use {trials[0].fs}"
             )
+        if trial_id in id_rows:
+            raise FormatError(
+                f"{path}: row {number} repeats trial_id {trial_id!r} of row {id_rows[trial_id]}"
+            )
+        id_rows[trial_id] = number
         trials.append(trial)
     return trials
 

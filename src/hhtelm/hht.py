@@ -36,26 +36,9 @@ STAT_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Signal:
-    """A uniformly sampled series with its sampling rate in Hz."""
-
-    samples: np.ndarray
-    fs: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 4:
-            raise ShapeMismatch("a signal needs at least 4 samples in one dimension")
-        _finite_samples(samples)
-        if not self.fs > 0.0:
-            raise InvalidConfig("sampling rate must be > 0")
-        object.__setattr__(self, "samples", samples)
-
-
-def _finite_samples(signal):
-    """Samples of a Signal or of raw array_like input; InvalidConfig unless all finite."""
-    x = signal.samples if isinstance(signal, Signal) else np.asarray(signal, dtype=float)
+def _finite_samples(x):
+    """``x`` as a float array; InvalidConfig unless every sample is finite."""
+    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidConfig("signal samples must be finite")
     return x
@@ -87,15 +70,6 @@ class ImfSet:
     residual: np.ndarray
 
 
-@dataclass
-class AnalyticSeries:
-    """Instantaneous amplitude/phase/frequency derived from the analytic signal."""
-
-    amplitude: np.ndarray
-    phase: np.ndarray
-    inst_freq: np.ndarray
-
-
 def find_extrema(samples):
     """Indices of strict local maxima and minima.
 
@@ -103,7 +77,7 @@ def find_extrema(samples):
     lower (or higher) neighbors contributes its midpoint index. Returns
     ``(maxima, minima)`` as int arrays.
     """
-    x = samples.samples if isinstance(samples, Signal) else np.asarray(samples, dtype=float)
+    x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ShapeMismatch("need a 1-D series of at least 4 samples")
     dx = x[1:] - x[:-1]
@@ -290,9 +264,9 @@ def emd(signal):
 
     Parameters
     ----------
-    signal : Signal or array_like
-        The series to decompose (the sampling rate is not needed here), or
-        a ``(rows, samples)`` matrix of series decomposed together.
+    signal : array_like
+        The series to decompose, or a ``(rows, samples)`` matrix of series
+        decomposed together.
 
     Returns
     -------
@@ -407,17 +381,6 @@ def instantaneous_frequency(phase, fs):
     return np.gradient(phase) * (fs / (2.0 * np.pi))
 
 
-def analytic_series(x, fs):
-    """Bundle amplitude, unwrapped phase, and instantaneous frequency."""
-    z = analytic_signal(x)
-    phase = np.unwrap(np.angle(z))
-    return AnalyticSeries(
-        amplitude=np.abs(z),
-        phase=phase,
-        inst_freq=instantaneous_frequency(phase, fs),
-    )
-
-
 def stat_features(series, reference):
     """The 11-statistic block of each series against a reference.
 
@@ -512,7 +475,7 @@ def trial_feature_vector(signal):
 
     Parameters
     ----------
-    signal : Signal or array_like
+    signal : array_like
         The filtered trial, or a ``(trials, samples)`` matrix of them,
         decomposed together. A trial's samples double as the reference
         series for the correlation and covariance statistics.

@@ -152,10 +152,10 @@ def test_decompose_reconstructs_the_filtered_signal(tmp_path, trials_csv, capsys
     header = lines[1].split(",")
     assert header[0] == "imf_1" and header[-1] == "residual"
     table = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-    filtered = lowpass_filter(trial.signal(), FilterSpec(cutoff=10.0, taps=65))
-    assert table.shape == (filtered.samples.size, len(header))
+    filtered = lowpass_filter(trial.samples, trial.fs, FilterSpec(cutoff=10.0, taps=65))
+    assert table.shape == (filtered.size, len(header))
     recombined = np.sum(table, axis=1)
-    assert np.max(np.abs(recombined - filtered.samples)) <= 1e-8 * np.max(np.abs(filtered.samples))
+    assert np.max(np.abs(recombined - filtered)) <= 1e-8 * np.max(np.abs(filtered))
 
 
 def test_decompose_trial_id_selection(tmp_path, trials_csv):
@@ -248,6 +248,36 @@ def test_non_finite_rate_exits_2(tmp_path, trials_csv, capsys):
         rc = main([command, "--in", bad, "--out", str(tmp_path / command), "--quiet"])
         assert rc == 2, command
         assert "row 2: fs must be finite" in capsys.readouterr().err
+
+
+def test_decompose_rejects_an_id_that_leaves_the_output_directory(tmp_path, capsys):
+    bad = tmp_path / "data" / "escaping.csv"
+    bad.parent.mkdir()
+    with open(bad, "w") as handle:
+        handle.write("trial_id,session,label,fs,s0,s1,s2,s3\n")
+        handle.write("../escaped,1,negativity,4.0,0.0,1.0,0.0,1.0\n")
+    out_dir = tmp_path / "found" / "out" / "modes"
+    rc = main(["decompose", "--in", str(bad), "--taps", "33", "--out", str(out_dir), "--quiet"])
+    assert rc == 2
+    assert "row 1: trial_id '../escaped'" in capsys.readouterr().err
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == [os.path.join("data", "escaping.csv")]
+
+
+def test_repeated_trial_id_exits_2(tmp_path, trials_csv, capsys):
+    lines = read_lines(trials_csv)
+    fields = lines[4].split(",")
+    fields[0] = lines[2].split(",")[0]
+    lines[4] = ",".join(fields)
+    bad = str(tmp_path / "repeated.csv")
+    with open(bad, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    for command in ("features", "decompose"):
+        out = tmp_path / command
+        rc = main([command, "--in", bad, "--taps", "65", "--out", str(out), "--quiet"])
+        assert rc == 2, command
+        assert "row 3 repeats trial_id 'synth-0001' of row 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_features_missing_input_exits_2(tmp_path):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from hhtelm import (
     CLASS_NAMES,
     FilterSpec,
-    Signal,
     SolverKind,
     SynthConfig,
     TrainConfig,
     TrialRecord,
     cross_validate,
+    find_extrema,
     load_features_csv,
     load_report,
     load_trials_csv,
@@ -56,8 +56,9 @@ def test_trial_record_validation():
     assert good.samples.dtype == float
     with pytest.raises(InvalidConfig):
         make_trial([0.0], trial_id="")
-    # Ids a trials CSV line cannot hold.
-    for trial_id in ("a,b", 'a"b', "a\nb", "a\rb", "#a", " #a"):
+    # Ids a trials CSV line cannot hold, and ids that name a file outside
+    # decompose's output directory.
+    for trial_id in ("a,b", 'a"b', "a\nb", "a\rb", "#a", " #a", "../escaped", "/abs", "a\\b"):
         with pytest.raises(InvalidConfig, match="trial_id"):
             make_trial([0.0], trial_id=trial_id)
     with pytest.raises(InvalidConfig):
@@ -72,14 +73,6 @@ def test_trial_record_validation():
         make_trial([])
     with pytest.raises(ShapeMismatch):
         make_trial([[0.0, 1.0], [2.0, 3.0]])
-
-
-def test_trial_record_signal_view():
-    trial = make_trial([0.0, 1.0, 2.0, 3.0], fs=32.0)
-    sig = trial.signal()
-    assert isinstance(sig, Signal)
-    assert sig.fs == 32.0
-    assert np.array_equal(sig.samples, trial.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +101,10 @@ def test_synth_config_rejects_values_that_cannot_make_trials():
                 SynthConfig(**{name: bad})
     with pytest.raises(InvalidConfig, match="fewer than 4 samples"):
         SynthConfig(fs=0.1)
-    # the smallest rate that still gives a Signal-sized trial
+    # the smallest rate that still gives a trial the decomposition accepts
     trial = synth_scp(SynthConfig(n_per_class=1, fs=0.5))[0]
     assert trial.samples.size == 4
-    assert trial.signal().samples.size == 4
+    find_extrema(trial.samples)
 
 
 def test_synth_noiseless_trials_are_exact():
@@ -207,11 +200,11 @@ def test_filter_spec_validation():
 
 
 def test_lowpass_unit_dc_gain():
-    sig = Signal(samples=np.full(300, 3.7), fs=128.0)
-    out = lowpass_filter(sig)
-    assert out.fs == sig.fs
-    assert out.samples.size == sig.samples.size
-    assert np.allclose(out.samples, 3.7, atol=1e-12)
+    x = np.full(300, 3.7)
+    out = lowpass_filter(x, 128.0)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == x.shape
+    assert np.allclose(out, 3.7, atol=1e-12)
 
 
 def test_lowpass_is_linear():
@@ -221,17 +214,16 @@ def test_lowpass_is_linear():
         x = rng.standard_normal(400)
         y = rng.standard_normal(400)
         a, b = rng.uniform(-2.0, 2.0, 2)
-        combined = lowpass_filter(Signal(samples=a * x + b * y, fs=64.0), spec)
-        separate = a * lowpass_filter(Signal(samples=x, fs=64.0), spec).samples \
-            + b * lowpass_filter(Signal(samples=y, fs=64.0), spec).samples
-        assert np.allclose(combined.samples, separate, atol=1e-9)
+        combined = lowpass_filter(a * x + b * y, 64.0, spec)
+        separate = a * lowpass_filter(x, 64.0, spec) + b * lowpass_filter(y, 64.0, spec)
+        assert np.allclose(combined, separate, atol=1e-9)
 
 
 def test_lowpass_passes_slow_tone_without_delay():
     fs = 256.0
     t = np.arange(1024) / fs
     x = np.sin(2.0 * np.pi * 1.0 * t)
-    out = lowpass_filter(Signal(samples=x, fs=fs)).samples
+    out = lowpass_filter(x, fs)
     core = slice(129, -129)
     err = np.sqrt(np.mean((out[core] - x[core]) ** 2))
     assert err < 0.01 * np.sqrt(np.mean(x[core] ** 2))
@@ -242,21 +234,35 @@ def test_lowpass_attenuates_fast_tone():
     fs = 256.0
     t = np.arange(1024) / fs
     x = np.sin(2.0 * np.pi * 50.0 * t)
-    out = lowpass_filter(Signal(samples=x, fs=fs)).samples
+    out = lowpass_filter(x, fs)
     core = slice(129, -129)
     assert np.sqrt(np.mean(out[core] ** 2)) < 0.01 * np.sqrt(np.mean(x[core] ** 2))
 
 
 def test_lowpass_rejects_cutoff_at_nyquist():
-    sig = Signal(samples=np.zeros(400), fs=256.0)
     with pytest.raises(InvalidConfig):
-        lowpass_filter(sig, FilterSpec(cutoff=128.0))
+        lowpass_filter(np.zeros(400), 256.0, FilterSpec(cutoff=128.0))
 
 
 def test_lowpass_rejects_short_signal():
-    sig = Signal(samples=np.zeros(50), fs=256.0)
     with pytest.raises(InvalidConfig):
-        lowpass_filter(sig, FilterSpec(taps=257))
+        lowpass_filter(np.zeros(50), 256.0, FilterSpec(taps=257))
+
+
+@pytest.mark.parametrize("fs", [np.inf, np.nan, 0.0, -256.0])
+def test_lowpass_rejects_bad_rate(fs):
+    with pytest.raises(InvalidConfig, match="fs must be finite and > 0"):
+        lowpass_filter(np.zeros(400), fs)
+
+
+def test_lowpass_rejects_bad_samples():
+    with pytest.raises(ShapeMismatch):
+        lowpass_filter(np.zeros((2, 400)), 256.0)
+    x = np.zeros(400)
+    for bad in (np.nan, np.inf):
+        x[100] = bad
+        with pytest.raises(InvalidConfig, match="samples must be finite"):
+            lowpass_filter(x, 256.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +288,19 @@ def test_trials_csv_round_trip_exact(tmp_path):
 
 @st.composite
 def trial_lists(draw):
-    """Lists of trials sharing one rate and width, with any id, session,
-    label and finite samples that a TrialRecord accepts."""
+    """Lists of trials sharing one rate and width, with distinct ids and any
+    id, session, label and finite samples that a TrialRecord accepts."""
     fs = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     width = draw(st.integers(1, 6))
     samples = st.lists(
         st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width
     )
     trials = []
-    for _ in range(draw(st.integers(0, 4))):
+    for trial_id in draw(st.lists(st.text(min_size=1, max_size=8), max_size=4, unique=True)):
         try:
             trials.append(
                 TrialRecord(
-                    trial_id=draw(st.text(min_size=1, max_size=8)),
+                    trial_id=trial_id,
                     session=draw(st.integers(1, SESSION_COUNT)),
                     label=draw(st.sampled_from(CLASS_NAMES)),
                     fs=fs,
@@ -392,6 +398,18 @@ def test_trials_csv_rejects_mixed_rates(tmp_path):
         "b,1,positivity,8.0,0.0,0.5",
     ])
     with pytest.raises(FormatError, match="row 2"):
+        load_trials_csv(path)
+
+
+def test_trials_csv_rejects_repeated_ids(tmp_path):
+    path = str(tmp_path / "repeated.csv")
+    write_lines(path, [
+        "trial_id,session,label,fs,s0,s1",
+        "a,1,negativity,4.0,0.0,0.5",
+        "b,1,positivity,4.0,0.0,0.5",
+        "a,2,positivity,4.0,0.0,0.5",
+    ])
+    with pytest.raises(FormatError, match="row 3 repeats trial_id 'a' of row 1"):
         load_trials_csv(path)
 
 

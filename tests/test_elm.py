@@ -34,7 +34,7 @@ def separable_features():
     cfg = SynthConfig(n_per_class=60, seed=1)
     rows, labels = [], []
     for trial in synth_scp(cfg):
-        filtered = lowpass_filter(trial.signal(), FilterSpec())
+        filtered = lowpass_filter(trial.samples, trial.fs, FilterSpec())
         rows.append(trial_feature_vector(filtered))
         labels.append(trial.label)
     return np.vstack(rows), np.array(labels)

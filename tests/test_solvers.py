@@ -6,6 +6,8 @@ the code under test, so agreement actually means something.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhtelm import (
     SolverKind,
@@ -15,6 +17,7 @@ from hhtelm import (
     solve_output_weights,
     svd_pseudoinverse,
 )
+from hhtelm.elm import sigmoid
 from hhtelm.errors import (
     InvalidConfig,
     InvalidMatrix,
@@ -272,21 +275,28 @@ def test_solve_kernels_agree_and_match_oracle():
         assert pair / np.linalg.norm(betas["svd"]) < 1e-8
 
 
-def test_solve_kernels_agree_random_sizes():
-    rng = np.random.default_rng(43)
-    for trial in range(12):
-        n = int(rng.integers(10, 60))
-        if trial % 3 == 2:
-            width = int(rng.integers(n + 1, 3 * n))  # wide layer: more columns than rows
-        else:
-            width = int(rng.integers(2, n))
-        h = rng.standard_normal((n, width))
-        t = rng.standard_normal((n, int(rng.integers(1, 4))))
-        ref = solve_output_weights(h, t, SolverKind("svd", ridge=1e-3))
-        for variant in ("hessenberg", "lu"):
-            beta = solve_output_weights(h, t, SolverKind(variant, ridge=1e-3))
-            rel = np.linalg.norm(beta - ref) / np.linalg.norm(ref)
-            assert rel < 1e-8, (variant, n, width, rel)
+@st.composite
+def sigmoid_systems(draw):
+    """An n-row system with L up to 3n columns of sigmoid activations, the
+    kind of H every CLI solve sees, plus targets and a ridge."""
+    n = draw(st.integers(3, 80))
+    width = draw(st.integers(2, 3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, int(rng.integers(2, 20))))
+    h = sigmoid(x @ random_orthogonal(x.shape[1], width, rng))
+    t = rng.standard_normal((n, int(rng.integers(1, 4))))
+    return h, t, draw(st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(system=sigmoid_systems())
+def test_solve_kernels_agree_random_sizes(system):
+    h, t, ridge = system
+    ref = solve_output_weights(h, t, SolverKind("svd", ridge=ridge))
+    for variant in ("hessenberg", "lu"):
+        beta = solve_output_weights(h, t, SolverKind(variant, ridge=ridge))
+        rel = np.linalg.norm(beta - ref) / np.linalg.norm(ref)
+        assert rel < 1e-8, (variant, h.shape, ridge, rel)
 
 
 def test_solve_ridge_shrinkage_monotone():
