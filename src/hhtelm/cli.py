@@ -178,10 +178,11 @@ def cmd_decompose(args):
     trials = load_trials_csv(args.input)
     by_id = {trial.trial_id: trial for trial in trials}
     if args.trial_id:
-        missing = [tid for tid in args.trial_id if tid not in by_id]
+        wanted = list(dict.fromkeys(args.trial_id))
+        missing = [tid for tid in wanted if tid not in by_id]
         if missing:
             raise NotFound(f"trial id(s) {missing} not present in {args.input}")
-        selected = [by_id[tid] for tid in args.trial_id]
+        selected = [by_id[tid] for tid in wanted]
     else:
         selected = trials
     note = config_note("decompose", spec)

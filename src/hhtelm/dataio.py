@@ -284,7 +284,16 @@ def save_trials_csv(trials, path, config_note=None):
 
     ``config_note`` is the leading ``#`` echo line (see ``write_csv``).
     Floats use shortest round-trip repr so a load restores values exactly.
+    Raises FormatError, before anything is written, when two trials share
+    an id, since ``load_trials_csv`` would refuse the file.
     """
+    id_rows = {}
+    for number, trial in enumerate(trials, start=1):
+        if trial.trial_id in id_rows:
+            raise FormatError(
+                f"{path}: row {number} repeats trial_id {trial.trial_id!r} of row {id_rows[trial.trial_id]}"
+            )
+        id_rows[trial.trial_id] = number
     width = trials[0].samples.size if trials else 0
     header = [*_FIXED_COLUMNS, *(f"s{i}" for i in range(width))]
     rows = (

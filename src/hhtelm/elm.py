@@ -99,38 +99,49 @@ def _unit_bias(rng, hidden):
     return b / norm if norm > 0.0 else b
 
 
-def elm_train(x, t, hidden, kernel, seed):
-    """Train a single ELM on targets t.
+def draw_layers(inputs, widths, seed):
+    """The fixed random layers of a stack of ELMs, drawn from one stream.
 
-    Input weights are seeded orthogonalized Gaussians and the bias vector
-    is seeded unit-norm Gaussian; only the output weights are learned.
+    Layer i maps ``widths[i - 1]`` inputs (``inputs`` for the first) to
+    ``widths[i]`` hidden units. Its input weights are seeded orthogonalized
+    Gaussians and its biases a seeded unit-norm Gaussian, drawn in layer
+    order from ``np.random.default_rng(seed)``. They depend on nothing but
+    ``inputs``, ``widths`` and ``seed``, so every fit with those shares them.
+    """
+    rng = np.random.default_rng(seed)
+    layers = []
+    for hidden in widths:
+        layers.append(
+            ElmLayer(
+                input_weights=random_orthogonal(inputs, hidden, rng),
+                biases=_unit_bias(rng, hidden),
+            )
+        )
+        inputs = hidden
+    return layers
 
-    Returns
-    -------
-    (ElmLayer, ndarray)
-        The fixed random layer and the solved output weights beta, so a
-        prediction is ``layer.hidden(x) @ beta``.
+
+def elm_train(x, t, layer, kernel):
+    """Output weights beta of a single ELM on targets t.
+
+    Only beta is learned; ``layer`` (an ``ElmLayer`` from ``draw_layers``)
+    stays fixed, so a prediction is ``layer.hidden(x) @ beta``.
     """
     x = _check_matrix(x, "x")
     t = _check_matrix(t, "t")
     if x.shape[0] != t.shape[0]:
         raise ShapeMismatch(f"x has {x.shape[0]} rows but t has {t.shape[0]}")
-    if hidden < 1:
-        raise InvalidConfig("hidden must be >= 1")
-    rng = np.random.default_rng(seed)
-    layer = ElmLayer(
-        input_weights=random_orthogonal(x.shape[1], int(hidden), rng),
-        biases=_unit_bias(rng, int(hidden)),
-    )
-    beta = solve_output_weights(layer.hidden(x), t, kernel)
-    return layer, beta
+    if layer.input_weights.shape[0] != x.shape[1]:
+        raise ShapeMismatch(
+            f"x has {x.shape[1]} columns but the layer takes {layer.input_weights.shape[0]}"
+        )
+    return solve_output_weights(layer.hidden(x), t, kernel)
 
 
-def elm_ae_train(x, hidden, kernel, seed):
-    """Train one autoencoder stage (the input is its own target)."""
+def elm_ae_train(x, layer, kernel):
+    """Train one autoencoder stage on ``layer`` (the input is its own target)."""
     x = _check_matrix(x, "x")
-    _, beta = elm_train(x, x, hidden, kernel, seed)
-    return AutoencoderLayer(beta=beta)
+    return AutoencoderLayer(beta=elm_train(x, x, layer, kernel))
 
 
 def one_hot(labels):
@@ -145,7 +156,7 @@ def one_hot(labels):
     return targets
 
 
-def deep_elm_train(x, labels, config):
+def deep_elm_train(x, labels, config, layers=None):
     """Train the stacked autoencoder classifier.
 
     Parameters
@@ -156,6 +167,10 @@ def deep_elm_train(x, labels, config):
         One class name per row; both classes must be present, with at
         least two rows each.
     config : TrainConfig
+    layers : list of ElmLayer, optional
+        The random layers ``draw_layers(d, config.layer_sizes, config.seed)``
+        returns, drawn here when omitted; callers that fit many row subsets
+        of one feature width draw them once and pass them in.
 
     Returns
     -------
@@ -183,10 +198,13 @@ def deep_elm_train(x, labels, config):
     std = x.std(axis=0)
     std[std == 0.0] = 1.0
     r = (x - mean) / std
-    rng = np.random.default_rng(config.seed)
+    if layers is None:
+        layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
+    elif tuple(layer.biases.size for layer in layers) != config.layer_sizes:
+        raise ShapeMismatch(f"layers must have the widths {config.layer_sizes}")
     ae_layers = []
-    for width in config.layer_sizes:
-        layer = elm_ae_train(r, width, config.kernel, rng)
+    for drawn in layers:
+        layer = elm_ae_train(r, drawn, config.kernel)
         ae_layers.append(layer)
         r = layer.forward(r)
     readout = solve_output_weights(r, targets, config.kernel)

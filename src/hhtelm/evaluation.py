@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import CLASS_NAMES, LABEL_POSITIVITY, _json_int
-from .elm import TrainConfig, deep_elm_predict, deep_elm_train
+from .elm import TrainConfig, deep_elm_predict, deep_elm_train, draw_layers
 from .errors import (
     DegenerateLabels,
     InsufficientClassMembers,
@@ -224,15 +224,18 @@ def cross_validate(features, labels, train_config, k=5, seed=0):
     Each fold's training portion is balanced (majority subsampled), the
     model is fit on those rows only, and the held-out rows are scored.
     Normalization happens inside the model fit, so nothing leaks from the
-    held-out fold.
+    held-out fold. The random layers depend only on the model seed and the
+    widths, so they are drawn once and every fold fits on them; each fold's
+    model equals ``deep_elm_train`` on its balanced rows.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     if not isinstance(train_config, TrainConfig):
         raise InvalidConfig("train_config must be a TrainConfig")
-    if features.ndim != 2 or features.shape[0] != labels.size:
-        raise ShapeMismatch("features must be 2-D with one row per label")
+    if features.ndim != 2 or features.shape[0] != labels.size or features.shape[1] < 1:
+        raise ShapeMismatch("features must be 2-D with one row per label and a column")
     assignment = stratified_kfold(labels, k, seed)
+    layers = draw_layers(features.shape[1], train_config.layer_sizes, train_config.seed)
     balance_seeds = np.random.SeedSequence(seed).spawn(k)
     predictions = np.empty(labels.size, dtype=labels.dtype)
     folds = []
@@ -241,7 +244,7 @@ def cross_validate(features, labels, train_config, k=5, seed=0):
         train_idx = np.flatnonzero(~held_out)
         test_idx = np.flatnonzero(held_out)
         balanced = balance_train_set(train_idx, labels, balance_seeds[fold])
-        model = deep_elm_train(features[balanced], labels[balanced], train_config)
+        model = deep_elm_train(features[balanced], labels[balanced], train_config, layers)
         fold_pred, _ = deep_elm_predict(model, features[test_idx])
         predictions[test_idx] = fold_pred
         folds.append(metrics(contingency(fold_pred, labels[test_idx])))

@@ -13,7 +13,10 @@ LAPACK does the work behind every route (through numpy and scipy.linalg).
 
 All three solve (H^T H + lambda I) beta = H^T T for lambda > 0 and agree to
 solver tolerance; ``svd`` additionally supports the exact pseudoinverse at
-lambda = 0.
+lambda = 0. When H has more columns L than rows n, the two Gram kernels
+factor the n x n dual system (H H^T + lambda I) alpha = T instead and
+return beta = H^T alpha, the same ridge solution (Huang, Zhou, Ding &
+Zhang 2012, IEEE TSMC-B 42(2)); otherwise they factor the L x L system.
 """
 from __future__ import annotations
 
@@ -173,6 +176,9 @@ def solve_output_weights(h, t, kind):
 
     With ridge lambda > 0 every variant solves (h^T h + lambda I) beta =
     h^T t; the ``svd`` variant at lambda = 0 returns pinv(h) @ t instead.
+    The Gram kernels factor the smaller Gram matrix: for an n x L ``h``
+    with L > n they solve the dual system (h h^T + lambda I) alpha = t and
+    return beta = h^T alpha, which is the same beta, from an n x n matrix.
     """
     h = _check_matrix(h, "h")
     t = _check_matrix(t, "t")
@@ -189,21 +195,26 @@ def solve_output_weights(h, t, kind):
         u, s, vt = np.linalg.svd(h, full_matrices=False)
         shrink = s / (s * s + lam)
         return (vt.T * shrink) @ (u.T @ t)
-    gram = h.T @ h + lam * np.eye(h.shape[1])
-    rhs = h.T @ t
+    dual = h.shape[1] > h.shape[0]
+    if dual:
+        gram, rhs = h @ h.T, t
+    else:
+        gram, rhs = h.T @ h, h.T @ t
+    gram += lam * np.eye(gram.shape[0])
     if kind.variant == KERNEL_LU:
-        return lu_factor_solve(gram, rhs)
-    fact = hessenberg_reduce(gram)
-    y = _solve_tridiagonal(fact.u, fact.q.T @ rhs)
-    return fact.q @ y
+        x = lu_factor_solve(gram, rhs)
+    else:
+        fact = hessenberg_reduce(gram)
+        x = fact.q @ _solve_tridiagonal(fact.u, fact.q.T @ rhs)
+    return h.T @ x if dual else x
 
 
 def _solve_tridiagonal(u, c):
     """Solve u @ y = c using only the three central diagonals of u.
 
     Valid only when u is tridiagonal up to rounding, as the Hessenberg form
-    of a symmetric matrix is; the sole caller passes that of the symmetric
-    Gram matrix h^T h + lambda I. Raises NumericalFailure when the band is
+    of a symmetric matrix is; the sole caller passes that of a symmetric
+    regularized Gram matrix. Raises NumericalFailure when the band is
     exactly singular.
     """
     band = np.zeros((3, u.shape[0]))

@@ -15,6 +15,7 @@ from hhtelm import (
     TrainConfig,
     analytic_signal,
     cross_validate,
+    draw_layers,
     elm_train,
     emd,
     hessenberg_reduce,
@@ -191,7 +192,8 @@ def test_criterion_06_elm_interpolates_when_square():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((50, 20))
     targets = rng.standard_normal((50, 3))
-    layer, beta = elm_train(x, targets, 50, SolverKind("svd", ridge=0.0), seed=1)
+    (layer,) = draw_layers(20, (50,), seed=1)
+    beta = elm_train(x, targets, layer, SolverKind("svd", ridge=0.0))
     mse = float(np.mean((layer.hidden(x) @ beta - targets) ** 2))
     report(6, mse <= 1e-6, f"training MSE {mse:.2e} with 50 samples and 50 hidden units, limit 1e-6")
 

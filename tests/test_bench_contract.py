@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -119,3 +120,28 @@ def test_traced_pipeline_fires_every_expected_span(layers, tmp_path):
             assert cli.main([*argv, "--quiet"]) == 0
     assert tracer.spans
     assert layers.missing_spans(tracer.spans, ["synth", "features", "evaluate"]) == []
+
+
+def test_traced_wide_evaluate_counts_one_span_per_fit(layers, tmp_path):
+    """The bench's ``elm.ae_calls`` and ``solvers.solve_calls`` count the
+    autoencoder fits and the solves: a 5-fold depth-2 CV on the bench's
+    ``wide`` input traces 10 of each autoencoder span and 15 solves, with
+    the folds sharing one draw of the random layers."""
+    import hhtelm.cli as cli
+
+    tracing = importlib.import_module("tracing")
+    trials = str(tmp_path / "trials.csv")
+    features = str(tmp_path / "features.csv")
+    assert cli.main(["synth", "--n-per-class", "50", "--seed", "42", "--out", trials, "--quiet"]) == 0
+    assert cli.main(["features", "--in", trials, "--out", features, "--quiet"]) == 0
+    argv = ["evaluate", "--features", features, "--layers", "200,200", "--k", "5",
+            "--out", str(tmp_path / "report.json"), "--quiet"]
+    with tracing.Tracer("hhtelm", layers.ANNOTATORS) as tracer:
+        assert cli.main(argv) == 0
+    fired = Counter(span[tracing.NAME] for span in tracer.spans)
+    assert fired["elm.elm_ae_train"] == 10
+    assert fired["elm.elm_train"] == 10
+    assert fired["solvers.solve_output_weights"] == 15
+    metrics = layers.layer_metrics(tracer.spans, [], [0])
+    assert metrics["elm.ae_calls"] == 10
+    assert metrics["solvers.solve_calls"] == 15

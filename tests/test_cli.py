@@ -168,6 +168,20 @@ def test_decompose_trial_id_selection(tmp_path, trials_csv):
     assert sorted(os.listdir(out_dir)) == ["synth-0002.csv"]
 
 
+def test_decompose_repeated_trial_id_runs_once(tmp_path, trials_csv, capsys):
+    out_dir = str(tmp_path / "once")
+    rc = main([
+        "decompose", "--in", trials_csv, "--trial-id", "synth-0002",
+        "--trial-id", "synth-0002", "--taps", "65", "--out", out_dir,
+    ])
+    assert rc == 0
+    assert sorted(os.listdir(out_dir)) == ["synth-0002.csv"]
+    assert capsys.readouterr().out.splitlines() == [
+        "decompose: cutoff=10 Hz taps=65 -> 1 trial(s)",
+        f"decompose: wrote 1 file(s) under {out_dir}",
+    ]
+
+
 def test_decompose_missing_trial_id_exits_2(tmp_path, trials_csv, capsys):
     rc = main([
         "decompose", "--in", trials_csv, "--trial-id", "nope",

@@ -413,6 +413,17 @@ def test_trials_csv_rejects_repeated_ids(tmp_path):
         load_trials_csv(path)
 
 
+def test_save_trials_csv_rejects_repeated_ids(tmp_path):
+    path = tmp_path / "repeated.csv"
+    trials = [
+        TrialRecord(trial_id=tid, session=1, label="negativity", fs=4.0, samples=np.zeros(4))
+        for tid in ("a", "b", "a")
+    ]
+    with pytest.raises(FormatError, match="row 3 repeats trial_id 'a' of row 1"):
+        save_trials_csv(trials, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trials_csv_rejects_bad_header(tmp_path):
     path = str(tmp_path / "header.csv")
     write_lines(path, ["id,session,label,fs,s0", "a,1,negativity,4.0,0.0"])

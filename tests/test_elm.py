@@ -9,6 +9,7 @@ from hhtelm import (
     TrainConfig,
     deep_elm_predict,
     deep_elm_train,
+    draw_layers,
     elm_ae_train,
     elm_train,
     load_model,
@@ -43,6 +44,12 @@ def separable_features():
 HESS = SolverKind("hessenberg", ridge=1e-3)
 
 
+def drawn(inputs, hidden, seed):
+    """The one random layer of a single ELM."""
+    (layer,) = draw_layers(inputs, (hidden,), seed)
+    return layer
+
+
 # ---------------------------------------------------------------------------
 # activation
 
@@ -63,7 +70,8 @@ def test_elm_interpolation_regime():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((50, 20))
     t = rng.standard_normal((50, 2))
-    layer, beta = elm_train(x, t, hidden=50, kernel=SolverKind("svd", ridge=0.0), seed=3)
+    layer = drawn(20, 50, seed=3)
+    beta = elm_train(x, t, layer, SolverKind("svd", ridge=0.0))
     h = layer.hidden(x)
     mse = float(np.mean((h @ beta - t) ** 2))
     assert mse <= 1e-6, mse
@@ -72,7 +80,8 @@ def test_elm_interpolation_regime():
 def test_elm_single_sample():
     x = np.array([[0.3]])
     t = np.array([[2.0]])
-    layer, beta = elm_train(x, t, hidden=1, kernel=SolverKind("svd", ridge=0.0), seed=0)
+    layer = drawn(1, 1, seed=0)
+    beta = elm_train(x, t, layer, SolverKind("svd", ridge=0.0))
     h = layer.hidden(x)
     assert h.shape == (1, 1)
     np.testing.assert_allclose(h @ beta, t, atol=1e-9)
@@ -82,7 +91,8 @@ def test_elm_xor():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     labels = np.array(["negativity", "positivity", "positivity", "negativity"])
     t = one_hot(labels)
-    layer, beta = elm_train(x, t, hidden=10, kernel=SolverKind("svd", ridge=0.0), seed=5)
+    layer = drawn(2, 10, seed=5)
+    beta = elm_train(x, t, layer, SolverKind("svd", ridge=0.0))
     scores = layer.hidden(x) @ beta
     predicted = np.where(np.argmax(scores, axis=1) == 0, "negativity", "positivity")
     assert list(predicted) == list(labels)
@@ -92,8 +102,8 @@ def test_elm_deterministic():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((20, 5))
     t = rng.standard_normal((20, 2))
-    la, ba = elm_train(x, t, hidden=8, kernel=HESS, seed=11)
-    lb, bb = elm_train(x, t, hidden=8, kernel=HESS, seed=11)
+    la, lb = drawn(5, 8, seed=11), drawn(5, 8, seed=11)
+    ba, bb = elm_train(x, t, la, HESS), elm_train(x, t, lb, HESS)
     np.testing.assert_array_equal(ba, bb)
     np.testing.assert_array_equal(la.input_weights, lb.input_weights)
     np.testing.assert_array_equal(la.biases, lb.biases)
@@ -105,7 +115,8 @@ def test_elm_layer_geometry():
     t = rng.standard_normal((12, 2))
     # more hidden units than inputs: the 4x6 weight matrix can only have
     # orthonormal rows
-    layer, beta = elm_train(x, t, hidden=6, kernel=HESS, seed=1)
+    layer = drawn(4, 6, seed=1)
+    beta = elm_train(x, t, layer, HESS)
     assert layer.input_weights.shape == (4, 6)
     assert layer.biases.shape == (6,)
     assert abs(np.linalg.norm(layer.biases) - 1.0) < 1e-12
@@ -113,7 +124,7 @@ def test_elm_layer_geometry():
     np.testing.assert_allclose(w @ w.T, np.eye(4), atol=1e-10)
     assert beta.shape == (6, 2)
     # fewer hidden units than inputs: columns are orthonormal
-    narrow, _ = elm_train(x, t, hidden=3, kernel=HESS, seed=1)
+    narrow = drawn(4, 3, seed=1)
     np.testing.assert_allclose(
         narrow.input_weights.T @ narrow.input_weights, np.eye(3), atol=1e-10
     )
@@ -121,7 +132,9 @@ def test_elm_layer_geometry():
 
 def test_elm_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        elm_train(np.zeros((4, 2)), np.zeros((5, 1)), hidden=3, kernel=HESS, seed=0)
+        elm_train(np.zeros((4, 2)), np.zeros((5, 1)), drawn(2, 3, seed=0), HESS)
+    with pytest.raises(ShapeMismatch):
+        elm_train(np.zeros((4, 2)), np.zeros((4, 1)), drawn(3, 3, seed=0), HESS)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +145,7 @@ def test_ae_exact_reconstruction_square_case():
     rng = np.random.default_rng(13)
     n = 12
     x = rng.standard_normal((n, n))
-    layer = elm_ae_train(x, hidden=n, kernel=SolverKind("svd", ridge=0.0), seed=2)
+    layer = elm_ae_train(x, drawn(n, n, seed=2), SolverKind("svd", ridge=0.0))
     # rebuild H the way training does, then check H beta == x
     from hhtelm.solvers import random_orthogonal
 
@@ -148,8 +161,8 @@ def test_ae_exact_reconstruction_square_case():
 def test_ae_deterministic():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((30, 8))
-    a = elm_ae_train(x, hidden=5, kernel=HESS, seed=21)
-    b = elm_ae_train(x, hidden=5, kernel=HESS, seed=21)
+    a = elm_ae_train(x, drawn(8, 5, seed=21), HESS)
+    b = elm_ae_train(x, drawn(8, 5, seed=21), HESS)
     np.testing.assert_array_equal(a.beta, b.beta)
 
 
@@ -158,7 +171,7 @@ def test_ae_ridge_shrinkage_hurts_reconstruction():
     x = rng.standard_normal((100, 20))
 
     def recon_error(lam):
-        layer = elm_ae_train(x, hidden=40, kernel=SolverKind("svd", ridge=lam), seed=4)
+        layer = elm_ae_train(x, drawn(20, 40, seed=4), SolverKind("svd", ridge=lam))
         rng2 = np.random.default_rng(4)
         from hhtelm.solvers import random_orthogonal
 
@@ -174,7 +187,7 @@ def test_ae_ridge_shrinkage_hurts_reconstruction():
 def test_ae_forward_width():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((15, 6))
-    layer = elm_ae_train(x, hidden=3, kernel=HESS, seed=0)
+    layer = elm_ae_train(x, drawn(6, 3, seed=0), HESS)
     assert layer.beta.shape == (3, 6)
     assert layer.forward(x).shape == (15, 3)
     assert np.all(layer.forward(x) >= 0.0) and np.all(layer.forward(x) <= 1.0)
@@ -273,6 +286,21 @@ def test_deep_width_mismatch():
     model = deep_elm_train(x, labels, TrainConfig(layer_sizes=(4,), kernel=HESS, seed=0))
     with pytest.raises(ShapeMismatch):
         deep_elm_predict(model, np.zeros((2, 5)))
+
+
+def test_deep_given_layers_must_match_the_config():
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal((10, 4))
+    labels = np.array(["negativity", "positivity"] * 5)
+    config = TrainConfig(layer_sizes=(6, 3), kernel=HESS, seed=2)
+    drawn_here = deep_elm_train(x, labels, config)
+    given = deep_elm_train(x, labels, config, draw_layers(4, (6, 3), seed=2))
+    np.testing.assert_array_equal(given.readout, drawn_here.readout)
+    for layers in (draw_layers(4, (6,), seed=2), draw_layers(4, (6, 4), seed=2)):
+        with pytest.raises(ShapeMismatch):
+            deep_elm_train(x, labels, config, layers)
+    with pytest.raises(ShapeMismatch):
+        deep_elm_train(x, labels, config, draw_layers(5, (6, 3), seed=2))
 
 
 def test_deep_constant_feature_column_is_harmless():

@@ -11,7 +11,9 @@ from hhtelm import (
     balance_train_set,
     contingency,
     cross_validate,
+    deep_elm_train,
     metrics,
+    random_orthogonal,
     stratified_kfold,
 )
 from hhtelm.errors import (
@@ -327,6 +329,54 @@ def test_cv_folds_reproducible_from_public_pieces():
         model = deep_elm_train(x[train], labels[train], config)
         predicted, _ = deep_elm_predict(model, x[~train])
         np.testing.assert_array_equal(report.predictions[~train], predicted)
+
+
+def test_cv_draws_the_random_layers_once(monkeypatch):
+    from hhtelm import elm
+
+    draws = []
+
+    def counting(rows, cols, seed):
+        draws.append((rows, cols))
+        return random_orthogonal(rows, cols, seed)
+
+    monkeypatch.setattr(elm, "random_orthogonal", counting)
+    x, labels = blob_features(20)
+    cross_validate(x, labels, TrainConfig(layer_sizes=(6, 4), kernel=HESS, seed=3), k=5, seed=1)
+    assert draws == [(10, 6), (6, 4)]
+
+
+@pytest.mark.parametrize("variant", ["svd", "hessenberg", "lu"])
+def test_cv_fold_models_equal_standalone_training(monkeypatch, variant):
+    # Unequal classes, so each fold's balancing drops rows, and a first
+    # layer wider than the ~19 training rows, so the Gram kernels take
+    # their dual path as well.
+    from hhtelm import evaluation
+
+    fits = []
+
+    def recording(x, labels, config, layers=None):
+        model = deep_elm_train(x, labels, config, layers)
+        fits.append((x, labels, model))
+        return model
+
+    monkeypatch.setattr(evaluation, "deep_elm_train", recording)
+    x, labels = blob_features(15, seed=4)
+    keep = np.ones(labels.size, dtype=bool)
+    keep[np.flatnonzero(labels == POS)[-3:]] = False
+    x, labels = x[keep], labels[keep]
+    config = TrainConfig(layer_sizes=(30, 5), kernel=SolverKind(variant, ridge=1e-3), seed=6)
+    cross_validate(x, labels, config, k=5, seed=2)
+    assert len(fits) == 5
+    for rows, row_labels, model in fits:
+        assert np.sum(row_labels == NEG) == np.sum(row_labels == POS) < 15
+        assert rows.shape[0] < 30
+        alone = deep_elm_train(rows, row_labels, config)
+        for name in ("feature_mean", "feature_std", "readout"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(alone, name))
+        assert len(model.ae_layers) == len(alone.ae_layers) == 2
+        for ours, theirs in zip(model.ae_layers, alone.ae_layers):
+            np.testing.assert_array_equal(ours.beta, theirs.beta)
 
 
 def test_cv_rejects_bad_inputs():

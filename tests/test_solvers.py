@@ -17,6 +17,7 @@ from hhtelm import (
     solve_output_weights,
     svd_pseudoinverse,
 )
+from hhtelm import solvers
 from hhtelm.elm import sigmoid
 from hhtelm.errors import (
     InvalidConfig,
@@ -258,21 +259,48 @@ def test_solve_identity_design_gram_halves():
 
 
 def test_solve_kernels_agree_and_match_oracle():
+    # A tall h takes the Gram kernels' L x L system, a wide one their n x n
+    # dual; the oracle solves the L x L normal equations for both.
     rng = np.random.default_rng(41)
-    h = rng.standard_normal((40, 12))
-    t = rng.standard_normal((40, 2))
-    for lam in (1e-6, 1e-3, 1.0):
-        betas = {
-            variant: solve_output_weights(h, t, SolverKind(variant, ridge=lam))
-            for variant in ("svd", "hessenberg", "lu")
-        }
-        expected = ridge_oracle(h, t, lam)
-        for variant, beta in betas.items():
-            rel = np.linalg.norm(beta - expected) / np.linalg.norm(expected)
-            assert rel < 1e-8, (variant, lam, rel)
-        pair = np.linalg.norm(betas["svd"] - betas["hessenberg"])
-        pair = max(pair, np.linalg.norm(betas["svd"] - betas["lu"]))
-        assert pair / np.linalg.norm(betas["svd"]) < 1e-8
+    for rows, cols in ((40, 12), (12, 40)):
+        h = rng.standard_normal((rows, cols))
+        t = rng.standard_normal((rows, 2))
+        for lam in (1e-6, 1e-3, 1.0):
+            betas = {
+                variant: solve_output_weights(h, t, SolverKind(variant, ridge=lam))
+                for variant in ("svd", "hessenberg", "lu")
+            }
+            expected = ridge_oracle(h, t, lam)
+            for variant, beta in betas.items():
+                rel = np.linalg.norm(beta - expected) / np.linalg.norm(expected)
+                assert rel < 1e-8, (variant, h.shape, lam, rel)
+            pair = np.linalg.norm(betas["svd"] - betas["hessenberg"])
+            pair = max(pair, np.linalg.norm(betas["svd"] - betas["lu"]))
+            assert pair / np.linalg.norm(betas["svd"]) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(12, 40), (40, 12), (20, 20)], ids=["wide", "tall", "square"])
+def test_gram_kernels_factor_the_smaller_gram_matrix(monkeypatch, shape):
+    rows, cols = shape
+    side = min(rows, cols)
+    seen = []
+
+    def recording(original):
+        def call(a, *rest):
+            seen.append(np.shape(a))
+            return original(a, *rest)
+
+        return call
+
+    monkeypatch.setattr(solvers, "hessenberg_reduce", recording(solvers.hessenberg_reduce))
+    monkeypatch.setattr(solvers, "lu_factor_solve", recording(solvers.lu_factor_solve))
+    rng = np.random.default_rng(43)
+    h = rng.standard_normal(shape)
+    t = rng.standard_normal((rows, 3))
+    for variant in ("hessenberg", "lu"):
+        beta = solve_output_weights(h, t, SolverKind(variant, ridge=1e-3))
+        assert beta.shape == (cols, 3)
+    assert seen == [(side, side), (side, side)]
 
 
 @st.composite
