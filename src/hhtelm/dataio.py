@@ -56,7 +56,9 @@ class TrialRecord:
                 f"trial_id {self.trial_id!r} holds a comma, a quote, a slash or a line break, "
                 "or starts with '#'"
             )
-        if not 1 <= int(self.session) <= SESSION_COUNT:
+        if isinstance(self.session, bool) or not isinstance(self.session, (int, np.integer)):
+            raise InvalidConfig(f"session must be an integer, got {self.session!r}")
+        if not 1 <= self.session <= SESSION_COUNT:
             raise InvalidConfig(f"session must be in 1..{SESSION_COUNT}, got {self.session}")
         if self.label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {self.label!r}")
@@ -141,18 +143,6 @@ def lowpass_filter(samples, fs, spec=None):
     kernel /= np.sum(kernel)
     padded = np.pad(x, mid, mode="reflect")
     return np.convolve(padded, kernel, mode="valid")
-
-
-def segment_phases(trial):
-    """Split a standard 8 s trial into (baseline, active) sample views."""
-    expected = int(round(TRIAL_SECONDS * trial.fs))
-    if trial.samples.size != expected:
-        raise FormatError(
-            f"trial {trial.trial_id!r} has {trial.samples.size} samples, "
-            f"expected {expected} for {TRIAL_SECONDS:g} s at {trial.fs:g} Hz"
-        )
-    split = int(round(BASELINE_SECONDS * trial.fs))
-    return trial.samples[:split], trial.samples[split:]
 
 
 ONSET_RAMP_SECONDS = 0.25
@@ -424,13 +414,6 @@ def _json_int(value):
     return value
 
 
-def _json_number(value):
-    """``value`` if it is a JSON number; ValueError for a bool, a string or null."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return value
-
-
 _REPORT_FORMAT = "cv-report"
 _REPORT_VERSION = 1
 
@@ -446,10 +429,10 @@ def load_report(path):
     Raises InvalidConfig for a file that is not a report, and FormatError
     for one that is not valid JSON, of another version, with a missing or
     malformed entry, with a config that is not a JSON object, with fold
-    assignments and predictions of unequal length, with a fold count
-    other than ``k``, with an assignment outside ``0..k-1``, with an
-    unknown label, or with a metric that is neither None nor a finite
-    percentage.
+    assignments and predictions of unequal length, with ``k`` below 2 or
+    a negative seed, with a fold count other than ``k``, with an
+    assignment outside ``0..k-1`` or a fold with none, with an unknown
+    label, or with a metric that is neither None nor a finite percentage.
     """
     from .evaluation import CvReport
 
@@ -467,10 +450,17 @@ def load_report(path):
         raise FormatError(
             f"{path}: {assignments.size} fold assignments but {predictions.size} predictions"
         )
+    if report.k < 2:
+        raise FormatError(f"{path}: k must be >= 2, got {report.k}")
+    if report.seed < 0:
+        raise FormatError(f"{path}: seed must be >= 0, got {report.seed}")
     if len(report.folds) != report.k:
         raise FormatError(f"{path}: {len(report.folds)} folds, expected k = {report.k}")
     if np.any((assignments < 0) | (assignments >= report.k)):
         raise FormatError(f"{path}: fold assignments must lie in 0..{report.k - 1}")
+    empty = np.flatnonzero(np.bincount(assignments, minlength=report.k) == 0)
+    if empty.size:
+        raise FormatError(f"{path}: fold {empty[0]} has no assigned trial")
     unknown = sorted({str(p) for p in predictions.tolist() if p not in CLASS_NAMES})
     if unknown:
         raise FormatError(f"{path}: unknown labels {unknown}")

@@ -4,7 +4,8 @@ A single layer maps inputs through fixed seeded weights and a sigmoid,
 then solves for output weights with one of the pluggable kernels from
 ``solvers``. Autoencoder layers reuse the same solve with the input as its
 own target; stacking them and adding a ridge readout to one-hot targets
-gives the deep classifier.
+gives the deep classifier. A trained ``DeepElmModel`` lives in memory
+only; no command saves one.
 """
 from __future__ import annotations
 
@@ -13,21 +14,17 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, _json_int, _json_number, read_json, write_json
+from .dataio import CLASS_NAMES
 from .errors import (
     DegenerateLabels,
-    FormatError,
     InvalidConfig,
     InvalidLabel,
     ShapeMismatch,
 )
 from .solvers import SolverKind, _check_matrix, random_orthogonal, solve_output_weights
 
-# The hidden activation of every layer; model files record it by this name.
+# The hidden activation of every layer; the CV report echoes it by this name.
 ACTIVATION = "sigmoid"
-
-_MODEL_FORMAT = "deep-elm-model"
-_MODEL_VERSION = 1
 
 
 def sigmoid(z):
@@ -89,8 +86,6 @@ class DeepElmModel:
     feature_std: np.ndarray
     ae_layers: list
     readout: np.ndarray
-    kernel: SolverKind
-    seed: int
 
 
 def _unit_bias(rng, hidden):
@@ -213,8 +208,6 @@ def deep_elm_train(x, labels, config, layers=None):
         feature_std=std,
         ae_layers=ae_layers,
         readout=readout,
-        kernel=config.kernel,
-        seed=config.seed,
     )
 
 
@@ -235,78 +228,3 @@ def deep_elm_predict(model, x):
     picks = np.argmax(scores, axis=1)
     labels = np.asarray(CLASS_NAMES)[picks]
     return labels, scores
-
-
-def save_model(model, path):
-    """Serialize a model to self-describing JSON; loads back bit-exact."""
-    payload = {
-        "seed": int(model.seed),
-        "kernel": {"variant": model.kernel.variant, "ridge": model.kernel.ridge},
-        "activation": ACTIVATION,
-        "class_names": list(CLASS_NAMES),
-        "normalization": {
-            "mean": model.feature_mean.tolist(),
-            "std": model.feature_std.tolist(),
-        },
-        "layers": [{"beta": layer.beta.tolist()} for layer in model.ae_layers],
-        "readout": model.readout.tolist(),
-    }
-    write_json(path, _MODEL_FORMAT, _MODEL_VERSION, payload)
-
-
-def load_model(path):
-    """Inverse of save_model.
-
-    Raises InvalidConfig for a file that is not a model file, and
-    FormatError for one that is not valid JSON, of another version, with
-    a missing key, with a ridge that is not a number, with a kernel that
-    ``SolverKind`` rejects, with weights whose
-    shapes do not chain from the feature width to one readout column per
-    class, with other class names or another activation, or with
-    non-finite numbers.
-    """
-    payload = read_json(path, _MODEL_FORMAT, _MODEL_VERSION)
-    try:
-        kernel = SolverKind(
-            variant=payload["kernel"]["variant"], ridge=_json_number(payload["kernel"]["ridge"])
-        )
-        mean = np.array(payload["normalization"]["mean"], dtype=float)
-        std = np.array(payload["normalization"]["std"], dtype=float)
-        betas = [np.array(entry["beta"], dtype=float) for entry in payload["layers"]]
-        readout = np.array(payload["readout"], dtype=float)
-        class_names = tuple(payload["class_names"])
-        seed = _json_int(payload["seed"])
-        activation = payload["activation"]
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed model entry: {exc}") from exc
-    except InvalidConfig as exc:
-        raise FormatError(f"{path}: unusable kernel: {exc}") from exc
-    if class_names != CLASS_NAMES:
-        raise FormatError(f"{path}: class names {list(class_names)}, expected {list(CLASS_NAMES)}")
-    if activation != ACTIVATION:
-        raise FormatError(f"{path}: activation {activation!r}, expected {ACTIVATION!r}")
-    if mean.ndim != 1 or mean.size < 1 or std.shape != mean.shape:
-        raise FormatError(f"{path}: normalization mean and std must be 1-D of one width")
-    width = mean.size
-    for number, beta in enumerate(betas, start=1):
-        if beta.ndim != 2 or beta.shape[1] != width:
-            raise FormatError(
-                f"{path}: layer {number} beta has shape {beta.shape}, expected (*, {width})"
-            )
-        width = beta.shape[0]
-    if readout.shape != (width, len(CLASS_NAMES)):
-        raise FormatError(
-            f"{path}: readout has shape {readout.shape}, expected {(width, len(CLASS_NAMES))}"
-        )
-    if not all(np.all(np.isfinite(a)) for a in (mean, std, readout, *betas)):
-        raise FormatError(f"{path}: model weights must be finite")
-    return DeepElmModel(
-        feature_mean=mean,
-        feature_std=std,
-        ae_layers=[AutoencoderLayer(beta=beta) for beta in betas],
-        readout=readout,
-        kernel=kernel,
-        seed=seed,
-    )

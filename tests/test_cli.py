@@ -136,6 +136,25 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--n-per-class", "2", "--seed", "-1"],
+        ["evaluate", "--seed", "-1"],
+        ["sweep", "--budget", "2", "--seed", "-3"],
+        ["solver-bench", "--sizes", "8", "--seed", "-1"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_negative_seed_exits_1(tmp_path, blob_csv, capsys, command):
+    if command[0] in ("evaluate", "sweep"):
+        command = [*command, "--features", blob_csv]
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out), "--quiet"]) == 1
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

@@ -23,7 +23,6 @@ from hhtelm import (
     save_features_csv,
     save_report,
     save_trials_csv,
-    segment_phases,
     synth_scp,
 )
 from hhtelm.dataio import (
@@ -65,6 +64,11 @@ def test_trial_record_validation():
         make_trial([0.0], session=0)
     with pytest.raises(InvalidConfig):
         make_trial([0.0], session=SESSION_COUNT + 1)
+    # A session the trials CSV would write other than as given.
+    for session in (1.5, 1.0, "1", None, True):
+        with pytest.raises(InvalidConfig, match="session must be an integer"):
+            make_trial([0.0], session=session)
+    assert make_trial([0.0], session=np.int64(3)).session == 3
     with pytest.raises(InvalidLabel):
         make_trial([0.0], label="other")
     with pytest.raises(InvalidConfig):
@@ -114,7 +118,8 @@ def test_synth_noiseless_trials_are_exact():
     trials = synth_scp(cfg)
     n_flat = int(round((BASELINE_SECONDS - 0.25) * cfg.fs))
     for trial in trials:
-        base, act = segment_phases(trial)
+        split = int(round(BASELINE_SECONDS * trial.fs))
+        base, act = trial.samples[:split], trial.samples[split:]
         sign = -1.0 if trial.label == NEG else 1.0
         assert np.all(act == sign * 10.0)
         assert np.all(base[:n_flat] == 0.0)
@@ -134,7 +139,8 @@ def test_synth_threshold_classifier_oracle():
     trials = synth_scp(SynthConfig(n_per_class=50, seed=3))
     hits = 0
     for trial in trials:
-        base, act = segment_phases(trial)
+        split = int(round(BASELINE_SECONDS * trial.fs))
+        base, act = trial.samples[:split], trial.samples[split:]
         shift = np.mean(act) - np.mean(base)
         predicted = NEG if shift < 0.0 else POS
         hits += predicted == trial.label
@@ -164,25 +170,6 @@ def test_synth_seeded_determinism():
         assert ta.label == tb.label
         assert np.array_equal(ta.samples, tb.samples)
     assert not np.array_equal(a[0].samples, c[0].samples)
-
-
-# ---------------------------------------------------------------------------
-# segment_phases
-
-
-def test_segment_phases_split_sizes():
-    cfg = SynthConfig(n_per_class=1, fs=128.0, seed=0)
-    trial = synth_scp(cfg)[0]
-    base, act = segment_phases(trial)
-    assert base.size == 256
-    assert act.size == 768
-    assert np.array_equal(np.concatenate([base, act]), trial.samples)
-
-
-def test_segment_phases_rejects_wrong_length():
-    trial = make_trial(np.zeros(100), fs=4.0)
-    with pytest.raises(FormatError):
-        segment_phases(trial)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +622,11 @@ def test_load_report_rejects_truncated_file(tmp_path):
         pytest.param(lambda d: d.update(config=[1, 2]), r"report.json: config must be a JSON object, got \[1, 2\]", id="config-list"),
         pytest.param(lambda d: d.update(config="40,30"), "config must be a JSON object, got '40,30'", id="config-text"),
         pytest.param(lambda d: d.update(config=None), "config must be a JSON object, got None", id="config-null"),
+        pytest.param(lambda d: d.update(k=0, folds=[], fold_assignments=[], predictions=[]), "k must be >= 2, got 0", id="k-zero"),
+        pytest.param(lambda d: d.update(k=1), "k must be >= 2, got 1", id="k-one"),
+        pytest.param(lambda d: d.update(fold_assignments=[], predictions=[]), "fold 0 has no assigned trial", id="no-trials"),
+        pytest.param(lambda d: d.update(fold_assignments=[0] * len(d["fold_assignments"])), "fold 1 has no assigned trial", id="empty-fold"),
+        pytest.param(lambda d: d.update(seed=-5), "seed must be >= 0, got -5", id="seed-negative"),
     ],
 )
 def test_load_report_rejects_malformed_file(edited_report, edit, match):

@@ -12,17 +12,14 @@ from hhtelm import (
     draw_layers,
     elm_ae_train,
     elm_train,
-    load_model,
     lowpass_filter,
     one_hot,
-    save_model,
     synth_scp,
     trial_feature_vector,
 )
 from hhtelm.elm import sigmoid
 from hhtelm.errors import (
     DegenerateLabels,
-    FormatError,
     InvalidConfig,
     InvalidLabel,
     ShapeMismatch,
@@ -335,141 +332,3 @@ def test_one_hot_layout():
 def test_one_hot_rejects_unknown():
     with pytest.raises(InvalidLabel):
         one_hot(np.array(["negativity", "unknown"]))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_model_round_trip(tmp_path, separable_features):
-    feats, labels = separable_features
-    config = TrainConfig(layer_sizes=(12, 7), kernel=HESS, seed=2)
-    model = deep_elm_train(feats, labels, config)
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    loaded = load_model(str(path))
-    p1, s1 = deep_elm_predict(model, feats)
-    p2, s2 = deep_elm_predict(loaded, feats)
-    np.testing.assert_array_equal(p1, p2)
-    np.testing.assert_array_equal(s1, s2)  # bit-exact, not merely close
-    assert loaded.kernel == model.kernel
-
-
-def test_model_file_is_self_describing(tmp_path, separable_features):
-    import json
-
-    feats, labels = separable_features
-    model = deep_elm_train(
-        feats, labels, TrainConfig(layer_sizes=(5,), kernel=HESS, seed=0)
-    )
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "deep-elm-model"
-    assert "readout" in doc and "normalization" in doc
-
-
-# ---------------------------------------------------------------------------
-# model file validation
-
-
-@pytest.fixture()
-def model_doc(tmp_path):
-    """A saved three-stage model as a JSON document, and a helper that
-    writes an edited copy and loads it back."""
-    import json
-
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((30, 4))
-    labels = np.array(["negativity", "positivity"] * 15)
-    x[labels == "positivity"] += 2.0
-    model = deep_elm_train(x, labels, TrainConfig(layer_sizes=(6, 5), kernel=HESS, seed=1))
-    path = tmp_path / "model.json"
-    save_model(model, str(path))
-    doc = json.loads(path.read_text())
-
-    def load_edited(edit):
-        edited = json.loads(json.dumps(doc))
-        edit(edited)
-        path.write_text(json.dumps(edited))
-        return load_model(str(path))
-
-    return doc, load_edited
-
-
-def test_load_model_rejects_other_format_marker(model_doc):
-    _, load_edited = model_doc
-    with pytest.raises(InvalidConfig, match="not a deep-elm-model file"):
-        load_edited(lambda d: d.update(format="other"))
-
-
-def test_load_model_rejects_other_version(model_doc):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match="version 99"):
-        load_edited(lambda d: d.update(version=99))
-
-
-def test_load_model_rejects_missing_keys(model_doc):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match="readout"):
-        load_edited(lambda d: d.pop("readout"))
-    with pytest.raises(FormatError, match="beta"):
-        load_edited(lambda d: d["layers"][0].pop("beta"))
-
-
-def test_load_model_rejects_broken_shape_chain(model_doc):
-    doc, load_edited = model_doc
-    with pytest.raises(FormatError, match="normalization"):
-        load_edited(lambda d: d["normalization"]["std"].pop())
-    with pytest.raises(FormatError, match="layer 2 beta"):
-        load_edited(lambda d: d["layers"][1].update(beta=doc["layers"][0]["beta"]))
-    with pytest.raises(FormatError, match="readout"):
-        load_edited(lambda d: d.update(readout=[row[:1] for row in doc["readout"]]))
-
-
-def test_load_model_rejects_other_class_names(model_doc):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match="class names"):
-        load_edited(lambda d: d.update(class_names=["negativity", "positivity", "rest"]))
-
-
-def test_load_model_rejects_other_activation(model_doc):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match="activation 'tanh'"):
-        load_edited(lambda d: d.update(activation="tanh"))
-
-
-@pytest.mark.parametrize("seed", [1.9, 1.0, "2", True])
-def test_load_model_rejects_non_integer_seed(model_doc, seed):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match=f"model.json: malformed model entry: expected an integer, got {seed!r}"):
-        load_edited(lambda d: d.update(seed=seed))
-
-
-@pytest.mark.parametrize("ridge", [True, False, "0.001", None])
-def test_load_model_rejects_non_number_ridge(model_doc, ridge):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match=f"model.json: malformed model entry: expected a number, got {ridge!r}"):
-        load_edited(lambda d: d["kernel"].update(ridge=ridge))
-
-
-@pytest.mark.parametrize(
-    "kernel", [{"ridge": -1.0}, {"variant": "qr"}, {"variant": "lu", "ridge": 0.0}]
-)
-def test_load_model_rejects_unusable_kernel(model_doc, kernel):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match="model.json: unusable kernel"):
-        load_edited(lambda d: d["kernel"].update(kernel))
-
-
-def test_load_model_rejects_truncated_file(model_doc, tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text(path.read_text()[:-40])
-    with pytest.raises(FormatError, match="not valid JSON"):
-        load_model(str(path))
-
-
-def test_load_model_rejects_non_finite_weights(model_doc):
-    _, load_edited = model_doc
-    with pytest.raises(FormatError, match="finite"):
-        load_edited(lambda d: d["layers"][0]["beta"][0].__setitem__(0, float("nan")))
