@@ -37,7 +37,7 @@ from .errors import (
     NumericalFailure,
     PipelineError,
 )
-from .evaluation import cross_validate
+from .evaluation import _cross_validate_grid, cross_validate
 from .hht import FEATURE_NAMES, emd, trial_feature_vector
 from .solvers import KERNELS, SolverKind, solve_output_weights
 
@@ -265,16 +265,21 @@ def cmd_sweep(args):
     kernel = SolverKind(variant=args.kernel, ridge=args.ridge)
     features, _, labels = load_features_csv(args.features)
     widths = range(args.min, args.max + 1, args.step)
-    grid = list(itertools.product(widths, repeat=args.depth))
-    if args.budget is not None and args.budget < len(grid):
-        rng = np.random.default_rng(args.seed)
-        picks = rng.choice(len(grid), size=args.budget, replace=False)
-        grid = [grid[i] for i in sorted(picks)]
-    results = []
-    for sizes in grid:
-        config = TrainConfig(layer_sizes=sizes, kernel=kernel, seed=args.seed)
-        report = cross_validate(features, labels, config, k=args.k, seed=args.seed)
-        results.append((sizes, report.mean, report.std))
+    grid = itertools.product(widths, repeat=args.depth)
+    count = len(widths) ** args.depth
+    if args.budget is not None and args.budget < count:
+        if count > np.iinfo(np.int64).max:
+            raise InvalidConfig(f"--budget picks from at most 2**63 - 1 configs, not {count}")
+        # Grid point i is the i-th of itertools.product, whose last width
+        # varies fastest: the digits of i in base len(widths).
+        picks = np.random.default_rng(args.seed).choice(count, size=args.budget, replace=False)
+        digits = np.unravel_index(np.sort(picks), (len(widths),) * args.depth)
+        grid = [tuple(widths[d] for d in point) for point in zip(*digits)]
+    configs = [TrainConfig(layer_sizes=sizes, kernel=kernel, seed=args.seed) for sizes in grid]
+    reports = _cross_validate_grid(features, labels, configs, args.k, args.seed)
+    results = [
+        (config.layer_sizes, report.mean, report.std) for config, report in zip(configs, reports)
+    ]
     results.sort(
         key=lambda item: (-(item[1].accuracy if item[1].accuracy is not None else -1.0), item[0])
     )
@@ -361,6 +366,10 @@ def main(argv=None):
         return args.func(args)
     except InvalidConfig as exc:
         print(f"{_PROG}: usage error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # Widths or sizes too large for the machine are a bad flag value.
+        print(f"{_PROG}: usage error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"{_PROG}: numerical failure: {exc}", file=sys.stderr)

@@ -124,6 +124,8 @@ def elm_train(x, t, layer, kernel):
     """
     x = _check_matrix(x, "x")
     t = _check_matrix(t, "t")
+    if not isinstance(layer, ElmLayer):
+        raise InvalidConfig("layer must be an ElmLayer")
     if x.shape[0] != t.shape[0]:
         raise ShapeMismatch(f"x has {x.shape[0]} rows but t has {t.shape[0]}")
     if layer.input_weights.shape[0] != x.shape[1]:
@@ -151,6 +153,11 @@ def one_hot(labels):
     return targets
 
 
+def _width(layer):
+    """Hidden units of an ``ElmLayer`` or of a fitted ``AutoencoderLayer``."""
+    return layer.beta.shape[0] if isinstance(layer, AutoencoderLayer) else layer.biases.size
+
+
 def deep_elm_train(x, labels, config, layers=None):
     """Train the stacked autoencoder classifier.
 
@@ -162,10 +169,14 @@ def deep_elm_train(x, labels, config, layers=None):
         One class name per row; both classes must be present, with at
         least two rows each.
     config : TrainConfig
-    layers : list of ElmLayer, optional
+    layers : list of ElmLayer or AutoencoderLayer, optional
         The random layers ``draw_layers(d, config.layer_sizes, config.seed)``
         returns, drawn here when omitted; callers that fit many row subsets
-        of one feature width draw them once and pass them in.
+        of one feature width draw them once and pass them in. The leading
+        entries may instead be the ``AutoencoderLayer`` stages already
+        fitted on these rows with those random layers; they are used as
+        they are, so configurations that share leading widths fit those
+        stages once.
 
     Returns
     -------
@@ -189,16 +200,24 @@ def deep_elm_train(x, labels, config, layers=None):
     if np.any(counts < 2):
         small = [name for name, c in zip(CLASS_NAMES, counts) if c < 2]
         raise DegenerateLabels(f"class(es) {small} need at least 2 samples")
+    if layers is None:
+        layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
+    elif tuple(_width(layer) for layer in layers) != config.layer_sizes:
+        raise ShapeMismatch(f"layers must have the widths {config.layer_sizes}")
+    fitted = 0
+    while fitted < len(layers) and isinstance(layers[fitted], AutoencoderLayer):
+        fitted += 1
+    inputs = (x.shape[1], *config.layer_sizes)
+    if any(stage.beta.shape[1] != inputs[i] for i, stage in enumerate(layers[:fitted])):
+        raise ShapeMismatch("a fitted stage does not take the width before it as inputs")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0.0] = 1.0
     r = (x - mean) / std
-    if layers is None:
-        layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
-    elif tuple(layer.biases.size for layer in layers) != config.layer_sizes:
-        raise ShapeMismatch(f"layers must have the widths {config.layer_sizes}")
-    ae_layers = []
-    for drawn in layers:
+    for stage in layers[:fitted]:
+        r = stage.forward(r)
+    ae_layers = list(layers[:fitted])
+    for drawn in layers[fitted:]:
         layer = elm_ae_train(r, drawn, config.kernel)
         ae_layers.append(layer)
         r = layer.forward(r)

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import CLASS_NAMES, LABEL_POSITIVITY, _json_int
-from .elm import TrainConfig, deep_elm_predict, deep_elm_train, draw_layers
+from .elm import (
+    AutoencoderLayer,
+    ElmLayer,
+    TrainConfig,
+    deep_elm_predict,
+    deep_elm_train,
+    draw_layers,
+)
 from .errors import (
     DegenerateLabels,
     InsufficientClassMembers,
@@ -226,44 +233,122 @@ def cross_validate(features, labels, train_config, k=5, seed=0):
     Normalization happens inside the model fit, so nothing leaks from the
     held-out fold. The random layers depend only on the model seed and the
     widths, so they are drawn once and every fold fits on them; each fold's
-    model equals ``deep_elm_train`` on its balanced rows.
+    model equals ``deep_elm_train`` on its balanced rows. This is the
+    one-configuration case of the grid walk that ``hhtelm sweep`` runs.
+    """
+    (report,) = _cross_validate_grid(features, labels, [train_config], k, seed)
+    return report
+
+
+@dataclass
+class _PrefixNode:
+    width: int
+    layer: ElmLayer  # drawn for the widths up to this one
+    state: dict  # the generator state its draw left
+    stage: AutoencoderLayer | None = None  # fitted on it in the current fold
+
+
+class _WidthPath:
+    """The random layers along one path of the tree of width prefixes, with
+    the stages fitted on them in the current fold.
+
+    ``draw_layers`` draws a stack's layers from one stream in layer order,
+    so a layer depends only on the widths up to its own. Drawing it from the
+    generator state that the previous layer's draw left gives, bit for bit,
+    that layer of every stack starting with those widths. Only the path to
+    the latest configuration is held; the prefix it shares with the next
+    one is reused, its random layers across folds too.
+    """
+
+    def __init__(self, inputs, seed):
+        self._rng = np.random.default_rng(seed)
+        self._inputs = inputs
+        self._start = self._rng.bit_generator.state
+        self._nodes = []
+
+    def new_fold(self):
+        """Forget the stages fitted in the last fold."""
+        for node in self._nodes:
+            node.stage = None
+
+    def layers(self, widths):
+        """The ``layers`` that ``deep_elm_train`` takes for ``widths`` on
+        this fold's rows: the stages fitted in this fold, then random layers."""
+        shared = 0
+        for node, width in zip(self._nodes, widths):
+            if node.width != width:
+                break
+            shared += 1
+        del self._nodes[shared:]
+        for width in widths[shared:]:
+            parent = self._nodes[-1] if self._nodes else None
+            self._rng.bit_generator.state = parent.state if parent else self._start
+            (drawn,) = draw_layers(parent.width if parent else self._inputs, (width,), self._rng)
+            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state))
+        return [node.layer if node.stage is None else node.stage for node in self._nodes]
+
+    def keep(self, model):
+        """Record the stages of a fit on ``layers``."""
+        for node, stage in zip(self._nodes, model.ae_layers):
+            node.stage = stage
+
+
+def _cross_validate_grid(features, labels, configs, k, seed):
+    """Stratified k-fold evaluation of configurations that share a kernel and
+    model seed; yields one ``CvReport`` per configuration, in order, equal to
+    ``cross_validate`` of it.
+
+    The walk is fold-major. Each fold's balanced training rows are found
+    once. Its configurations are fitted in the order of their
+    widths, which walks the tree of width prefixes depth-first, so an
+    autoencoder stage that several configurations share is fitted once per
+    fold and passed fitted to ``deep_elm_train``. Only the current path's
+    random layers and stages are held, and per configuration only its fold
+    metrics and the class index each trial was given.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
-    if not isinstance(train_config, TrainConfig):
+    if not all(isinstance(config, TrainConfig) for config in configs):
         raise InvalidConfig("train_config must be a TrainConfig")
     if features.ndim != 2 or features.shape[0] != labels.size or features.shape[1] < 1:
         raise ShapeMismatch("features must be 2-D with one row per label and a column")
+    if len({(config.kernel, config.seed) for config in configs}) != 1:
+        raise InvalidConfig("the configurations must share one kernel and one model seed")
     assignment = stratified_kfold(labels, k, seed)
-    layers = draw_layers(features.shape[1], train_config.layer_sizes, train_config.seed)
     balance_seeds = np.random.SeedSequence(seed).spawn(k)
-    predictions = np.empty(labels.size, dtype=labels.dtype)
-    folds = []
+    path = _WidthPath(features.shape[1], configs[0].seed)
+    order = sorted(range(len(configs)), key=lambda i: configs[i].layer_sizes)
+    folds = [[] for _ in configs]
+    picks = np.empty((len(configs), labels.size), dtype=np.int8)
     for fold in range(k):
         held_out = assignment == fold
         train_idx = np.flatnonzero(~held_out)
         test_idx = np.flatnonzero(held_out)
         balanced = balance_train_set(train_idx, labels, balance_seeds[fold])
-        model = deep_elm_train(features[balanced], labels[balanced], train_config, layers)
-        fold_pred, _ = deep_elm_predict(model, features[test_idx])
-        predictions[test_idx] = fold_pred
-        folds.append(metrics(contingency(fold_pred, labels[test_idx])))
-    config_echo = {
-        "layer_sizes": list(train_config.layer_sizes),
-        "kernel": train_config.kernel.variant,
-        "ridge": train_config.kernel.ridge,
-        "activation": train_config.activation,
-        "model_seed": int(train_config.seed),
-        "k": int(k),
-        "cv_seed": int(seed),
-    }
-    return CvReport(
-        folds=folds,
-        mean=_aggregate(folds, np.mean),
-        std=_aggregate(folds, np.std),
-        fold_assignments=assignment,
-        predictions=predictions,
-        seed=seed,
-        k=k,
-        config=config_echo,
-    )
+        rows, row_labels = features[balanced], labels[balanced]
+        path.new_fold()
+        for i in order:
+            model = deep_elm_train(rows, row_labels, configs[i], path.layers(configs[i].layer_sizes))
+            path.keep(model)
+            fold_pred, scores = deep_elm_predict(model, features[test_idx])
+            picks[i, test_idx] = np.argmax(scores, axis=1)
+            folds[i].append(metrics(contingency(fold_pred, labels[test_idx])))
+    for config, config_folds, config_picks in zip(configs, folds, picks):
+        yield CvReport(
+            folds=config_folds,
+            mean=_aggregate(config_folds, np.mean),
+            std=_aggregate(config_folds, np.std),
+            fold_assignments=assignment,
+            predictions=np.asarray(CLASS_NAMES)[config_picks].astype(labels.dtype),
+            seed=seed,
+            k=k,
+            config={
+                "layer_sizes": list(config.layer_sizes),
+                "kernel": config.kernel.variant,
+                "ridge": config.kernel.ridge,
+                "activation": config.activation,
+                "model_seed": int(config.seed),
+                "k": int(k),
+                "cv_seed": int(seed),
+            },
+        )

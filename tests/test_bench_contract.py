@@ -115,11 +115,15 @@ def test_traced_pipeline_fires_every_expected_span(layers, tmp_path):
          "--out", str(tmp_path / f"report_{kernel}.json")]
         for kernel in layers.KERNELS
     ]
+    commands.append(
+        ["sweep", "--features", features, "--min", "4", "--max", "6", "--step", "2", "--k", "2",
+         "--out", str(tmp_path / "sweep.csv")]
+    )
     with tracing.Tracer("hhtelm", layers.ANNOTATORS) as tracer:
         for argv in commands:
             assert cli.main([*argv, "--quiet"]) == 0
     assert tracer.spans
-    assert layers.missing_spans(tracer.spans, ["synth", "features", "evaluate"]) == []
+    assert layers.missing_spans(tracer.spans, ["synth", "features", "evaluate", "sweep"]) == []
 
 
 def test_traced_wide_evaluate_counts_one_span_per_fit(layers, tmp_path):
@@ -145,3 +149,34 @@ def test_traced_wide_evaluate_counts_one_span_per_fit(layers, tmp_path):
     metrics = layers.layer_metrics(tracer.spans, [], [0])
     assert metrics["elm.ae_calls"] == 10
     assert metrics["solvers.solve_calls"] == 15
+
+
+def test_traced_sweep_fits_each_shared_stage_once_per_fold(layers, tmp_path):
+    """A depth-2 sweep over widths W in k folds fits each first stage once per
+    fold and each configuration's second stage once per fold:
+    k * (|W| + |W|**2) autoencoder spans, against k * 2 * |W|**2 when every
+    configuration refitted its first stage. The sweep runs outside
+    ``evaluation.cross_validate``, so the bench's fold metrics count only
+    ``evaluate`` commands."""
+    import hhtelm.cli as cli
+
+    tracing = importlib.import_module("tracing")
+    trials = str(tmp_path / "trials.csv")
+    features = str(tmp_path / "features.csv")
+    assert cli.main(["synth", "--n-per-class", "4", "--seed", "3", "--out", trials, "--quiet"]) == 0
+    assert cli.main(["features", "--in", trials, "--taps", "65", "--out", features, "--quiet"]) == 0
+    widths, k = 3, 2  # 4, 6 and 8
+    argv = ["sweep", "--features", features, "--min", "4", "--max", "8", "--step", "2",
+            "--depth", "2", "--k", str(k), "--out", str(tmp_path / "sweep.csv"), "--quiet"]
+    with tracing.Tracer("hhtelm", layers.ANNOTATORS) as tracer:
+        assert cli.main(argv) == 0
+    fired = Counter(span[tracing.NAME] for span in tracer.spans)
+    stages = k * (widths + widths**2)
+    assert fired["elm.elm_ae_train"] == fired["elm.elm_train"] == stages
+    assert fired["elm.deep_elm_train"] == fired["evaluation.metrics"] == k * widths**2
+    assert fired["evaluation.balance_train_set"] == k
+    assert fired["evaluation.cross_validate"] == 0
+    metrics = layers.layer_metrics(tracer.spans, [], [0])
+    assert metrics["elm.ae_calls"] == stages
+    assert metrics["solvers.solve_calls"] == stages + k * widths**2
+    assert metrics["evaluation.folds"] == 0

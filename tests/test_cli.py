@@ -155,6 +155,30 @@ def test_negative_seed_exits_1(tmp_path, blob_csv, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        # a 6 x 10**15 first layer: 42.6 PiB of float64
+        ["evaluate", "--layers", "1000000000000000", "--k", "2"],
+        # a 10**8 x 5 * 10**7 system: 35.5 PiB of float64
+        ["solver-bench", "--sizes", "100000000"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_allocation_too_large_exits_1(tmp_path, blob_csv, capsys, command):
+    """Both arrays exceed the 128 TiB user address space of a 64-bit
+    machine, so numpy refuses them before any memory is touched."""
+    if command[0] == "evaluate":
+        command = [*command, "--features", blob_csv]
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hhtelm: usage error: out of memory: Unable to allocate")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -412,6 +436,36 @@ def test_sweep_budget_limits_the_grid(tmp_path, blob_csv):
     ])
     assert rc == 0
     assert len(read_lines(out)) == 2 + 3
+
+
+def test_sweep_budget_picks_match_the_materialized_grid(tmp_path, blob_csv):
+    """A budget draws its picks by index into the 64000-point grid and decodes
+    them in itertools.product order; the file is the one the same flags gave
+    when the whole grid was built as a list first."""
+    out = str(tmp_path / "sweep.csv")
+    rc = main([
+        "sweep", "--features", blob_csv, "--min", "1", "--max", "40", "--step", "1",
+        "--depth", "3", "--k", "2", "--budget", "4", "--seed", "9", "--out", out, "--quiet",
+    ])
+    assert rc == 0
+    assert read_lines(out)[1:] == [
+        "layers,accuracy_mean,accuracy_std,sensitivity_mean,selectivity_mean",
+        "12-19-37,100.0,0.0,100.0,100.0",
+        "17-35-18,100.0,0.0,100.0,100.0",
+        "35-33-15,100.0,0.0,100.0,100.0",
+        "39-18-26,100.0,0.0,100.0,100.0",
+    ]
+
+
+def test_sweep_budget_rejects_a_grid_too_large_to_index(tmp_path, blob_csv, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--features", blob_csv, "--min", "1", "--max", "10000000", "--step", "1",
+        "--depth", "3", "--budget", "2", "--out", str(out), "--quiet",
+    ])
+    assert rc == 1
+    assert "--budget picks from at most 2**63 - 1 configs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_grid(tmp_path, blob_csv):

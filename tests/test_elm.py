@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from hhtelm import (
+    AutoencoderLayer,
     FilterSpec,
     SolverKind,
     SynthConfig,
@@ -298,6 +299,27 @@ def test_deep_given_layers_must_match_the_config():
             deep_elm_train(x, labels, config, layers)
     with pytest.raises(ShapeMismatch):
         deep_elm_train(x, labels, config, draw_layers(5, (6, 3), seed=2))
+
+
+def test_deep_fitted_stages_are_used_as_given():
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((12, 4))
+    labels = np.array(["negativity", "positivity"] * 6)
+    config = TrainConfig(layer_sizes=(6, 3), kernel=HESS, seed=2)
+    whole = deep_elm_train(x, labels, config)
+    first, second = draw_layers(4, (6, 3), seed=2)
+    resumed = deep_elm_train(x, labels, config, [whole.ae_layers[0], second])
+    for name in ("feature_mean", "feature_std", "readout"):
+        np.testing.assert_array_equal(getattr(resumed, name), getattr(whole, name))
+    for ours, theirs in zip(resumed.ae_layers, whole.ae_layers):
+        np.testing.assert_array_equal(ours.beta, theirs.beta)
+    assert resumed.ae_layers[0] is whole.ae_layers[0]
+    with pytest.raises(ShapeMismatch):  # a stage fitted on 5 inputs, not the 4 features
+        deep_elm_train(x, labels, config, [AutoencoderLayer(beta=np.ones((6, 5))), second])
+    with pytest.raises(ShapeMismatch):  # a stage 5 wide where the config asks for 6
+        deep_elm_train(x, labels, config, [AutoencoderLayer(beta=np.ones((5, 4))), second])
+    with pytest.raises(InvalidConfig):  # a fitted stage after a random layer
+        deep_elm_train(x, labels, config, [first, whole.ae_layers[1]])
 
 
 def test_deep_constant_feature_column_is_harmless():

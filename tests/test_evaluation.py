@@ -1,4 +1,6 @@
 """Tests for metrics, balancing, fold construction, and cross-validation."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,14 @@ from hhtelm import (
     balance_train_set,
     contingency,
     cross_validate,
+    deep_elm_predict,
     deep_elm_train,
+    draw_layers,
     metrics,
     random_orthogonal,
     stratified_kfold,
 )
+from hhtelm.evaluation import _cross_validate_grid
 from hhtelm.errors import (
     DegenerateLabels,
     InsufficientClassMembers,
@@ -394,3 +399,77 @@ def test_cv_report_round_trip():
     assert clone.to_dict() == report.to_dict()
     assert clone.mean == report.mean
     np.testing.assert_array_equal(clone.predictions, report.predictions)
+
+
+# ---------------------------------------------------------------------------
+# the grid walk behind sweep
+
+
+def cross_validate_one_at_a_time(x, labels, config, k, seed):
+    """Fold metrics and predictions of one configuration, every fold fitted
+    from scratch on one draw of the random layers: the reference the grid
+    walk must match bit for bit."""
+    assignment = stratified_kfold(labels, k, seed)
+    layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
+    balance_seeds = np.random.SeedSequence(seed).spawn(k)
+    predictions = np.empty(labels.size, dtype=labels.dtype)
+    folds = []
+    for fold in range(k):
+        held_out = assignment == fold
+        balanced = balance_train_set(np.flatnonzero(~held_out), labels, balance_seeds[fold])
+        model = deep_elm_train(x[balanced], labels[balanced], config, layers)
+        predicted, _ = deep_elm_predict(model, x[held_out])
+        predictions[held_out] = predicted
+        folds.append(metrics(contingency(predicted, labels[held_out])))
+    return folds, predictions
+
+
+def _budget_subset():
+    # A shuffled pick from a larger depth-3 grid, as a --budget subset is
+    # (cmd_sweep passes its picks sorted; the walk sorts them itself).
+    grid = list(itertools.product(range(2, 30, 3), repeat=3))
+    picks = np.random.default_rng(11).choice(len(grid), size=6, replace=False)
+    return [grid[i] for i in picks]
+
+
+# 30 rows in 3 folds leave 20 training rows, so width 25 takes the dual path.
+# "shared" gives every configuration one first width, so a fold starts on
+# the path the previous fold ended on, and mixes depths.
+GRIDS = {
+    "depth2": list(itertools.product((3, 25, 8), repeat=2)),
+    "depth3": list(itertools.product((4, 25), repeat=3)),
+    "budget": _budget_subset(),
+    "shared": [(25, 8, 3), (25,), (25, 3), (25, 8), (25, 8)],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("variant", ["svd", "hessenberg", "lu"])
+def test_grid_equals_per_config_cross_validation(variant, grid):
+    x, labels = blob_features(15, sep=0.4, seed=5)
+    kernel = SolverKind(variant, ridge=1e-3)
+    configs = [TrainConfig(layer_sizes=sizes, kernel=kernel, seed=4) for sizes in GRIDS[grid]]
+    reports = list(_cross_validate_grid(x, labels, configs, 3, 8))
+    assert len(reports) == len(configs)
+    accuracies = set()
+    for config, report in zip(configs, reports):
+        folds, predictions = cross_validate_one_at_a_time(x, labels, config, 3, 8)
+        assert report.folds == folds
+        np.testing.assert_array_equal(report.predictions, predictions)
+        assert report.predictions.dtype == predictions.dtype
+        assert report.to_dict() == cross_validate(x, labels, config, k=3, seed=8).to_dict()
+        accuracies.add(report.mean.accuracy)
+    assert len(accuracies) > 1  # the configurations are told apart
+
+
+def test_grid_rejects_configs_that_differ_beyond_their_widths():
+    x, labels = blob_features(10)
+    base = TrainConfig(layer_sizes=(4,), kernel=HESS, seed=0)
+    for other in (
+        TrainConfig(layer_sizes=(5,), kernel=SolverKind("lu", ridge=1e-3), seed=0),
+        TrainConfig(layer_sizes=(5,), kernel=HESS, seed=1),
+    ):
+        with pytest.raises(InvalidConfig):
+            list(_cross_validate_grid(x, labels, [base, other], 3, 0))
+    with pytest.raises(InvalidConfig):
+        list(_cross_validate_grid(x, labels, [], 3, 0))
