@@ -70,6 +70,11 @@ def _echo(args, text):
         print(text)
 
 
+def _percent(value):
+    """A metric for a log line: two decimals, or ``undefined`` for None."""
+    return "undefined" if value is None else f"{value:.2f}"
+
+
 def _seed(text):
     try:
         seed = int(text)
@@ -244,15 +249,11 @@ def cmd_evaluate(args):
     report = cross_validate(features, labels, train_config, k=args.k, seed=args.seed)
     save_report(report, args.out)
     mean = report.mean
-
-    def show(value):
-        return "undefined" if value is None else f"{value:.2f}"
-
     _echo(
         args,
         "evaluate: mean accuracy "
-        f"{show(mean.accuracy)} / sensitivity {show(mean.sensitivity)} / "
-        f"selectivity {show(mean.selectivity)} over {args.k} folds -> {args.out}",
+        f"{_percent(mean.accuracy)} / sensitivity {_percent(mean.sensitivity)} / "
+        f"selectivity {_percent(mean.selectivity)} over {args.k} folds -> {args.out}",
     )
     return 0
 
@@ -307,11 +308,10 @@ def cmd_sweep(args):
     header = ["layers", "accuracy_mean", "accuracy_std", "sensitivity_mean", "selectivity_mean"]
     write_csv(args.out, header, rows, note)
     best_sizes, best_mean, _ = results[0]
-    best_acc = "undefined" if best_mean.accuracy is None else f"{best_mean.accuracy:.2f}"
     _echo(
         args,
-        f"sweep: {len(results)} config(s), best layers "
-        f"{'-'.join(str(s) for s in best_sizes)} at mean accuracy {best_acc} -> {args.out}",
+        f"sweep: {len(results)} config(s), best layers {'-'.join(str(s) for s in best_sizes)} "
+        f"at mean accuracy {_percent(best_mean.accuracy)} -> {args.out}",
     )
     return 0
 

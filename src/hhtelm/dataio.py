@@ -1,10 +1,12 @@
-"""Trial records, the synthetic generator, filtering, and file formats.
+"""Trial and report records, the synthetic generator, filtering, and file formats.
 
 Trials are slow-cortical-potential style: 8 s at a fixed sampling rate,
 a 2 s baseline followed by a 6 s active phase, one of two labels. The
 synthetic generator produces class-separable trials for pipeline checks;
 all file formats round-trip exactly (floats are written with shortest
-round-trip repr) and writes are atomic (temp file + rename).
+round-trip repr) and writes are atomic (temp file + rename). The
+cross-validation report records live here with their JSON file, so
+``save_report`` and ``load_report`` are the only code that knows it.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -68,6 +70,45 @@ class TrialRecord:
         if samples.ndim != 1 or samples.size < 1:
             raise ShapeMismatch("samples must be a non-empty 1-D array")
         object.__setattr__(self, "samples", samples)
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """Percentages; None marks a metric whose denominator was zero."""
+
+    selectivity: float | None
+    sensitivity: float | None
+    accuracy: float | None
+
+
+@dataclass
+class CvReport:
+    """Cross-validation outcome: per-fold metrics plus aggregates.
+
+    ``fold_assignments`` maps every trial to its held-out fold and
+    ``predictions`` holds the label each trial received when tested.
+    """
+
+    folds: list
+    mean: MetricsReport
+    std: MetricsReport
+    fold_assignments: np.ndarray
+    predictions: np.ndarray
+    seed: int
+    k: int
+    config: dict
+
+    def to_dict(self):
+        return {
+            "seed": int(self.seed),
+            "k": int(self.k),
+            "config": self.config,
+            "fold_assignments": [int(f) for f in self.fold_assignments],
+            "predictions": [str(p) for p in self.predictions],
+            "folds": [asdict(f) for f in self.folds],
+            "mean": asdict(self.mean),
+            "std": asdict(self.std),
+        }
 
 
 @dataclass(frozen=True)
@@ -246,21 +287,25 @@ def _read_csv(path):
     one at a time: yields the header, then ``(number, row)`` per data row,
     so a caller parses each row before the next one is read.
 
-    Raises FormatError for a file without a header row and ParseError
-    (with the data row number) for a row whose field count differs.
+    Raises FormatError for a file without a header row, and ParseError for
+    bytes that do not decode as text or (with the data row number) for a
+    row whose field count differs.
     """
     with open(path, "r", newline="") as handle:
-        rows = (row for row in csv.reader(_skip_comments(handle)) if row)
-        header = next(rows, None)
-        if header is None:
-            raise FormatError(f"{path}: empty file, expected a header row")
-        yield header
-        for number, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
-                )
-            yield number, row
+        try:
+            rows = (row for row in csv.reader(_skip_comments(handle)) if row)
+            header = next(rows, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected a header row")
+            yield header
+            for number, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
+                    )
+                yield number, row
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not a text file: {exc}") from exc
 
 
 def _skip_comments(handle):
@@ -382,31 +427,6 @@ def load_features_csv(path):
     return matrix, layout, labels
 
 
-def write_json(path, kind, version, payload):
-    """Write ``payload`` atomically as a JSON artifact marked with its
-    ``format`` (``kind``) and ``version``; sorted keys keep the bytes stable."""
-    document = {"format": kind, "version": version, **payload}
-    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path, kind, version):
-    """The top-level object of a JSON artifact written by ``write_json``.
-
-    Raises InvalidConfig for a file without the ``kind`` format marker, and
-    FormatError for one that is not valid JSON or is of another version.
-    """
-    try:
-        with open(path, "r") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != kind:
-        raise InvalidConfig(f"{path}: not a {kind} file")
-    if payload.get("version") != version:
-        raise FormatError(f"{path}: unsupported {kind} version {payload.get('version')!r}")
-    return payload
-
-
 def _json_int(value):
     """``value`` if it is a JSON integer; ValueError for a bool, a float or a string."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -419,8 +439,10 @@ _REPORT_VERSION = 1
 
 
 def save_report(report, path):
-    """Serialize a cross-validation report to stable, exact JSON."""
-    write_json(path, _REPORT_FORMAT, _REPORT_VERSION, report.to_dict())
+    """Serialize a cross-validation report to stable, exact JSON: the format
+    marker, the version and ``report.to_dict()``, keys sorted."""
+    document = {"format": _REPORT_FORMAT, "version": _REPORT_VERSION, **report.to_dict()}
+    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def load_report(path):
@@ -434,14 +456,37 @@ def load_report(path):
     assignment outside ``0..k-1`` or a fold with none, with an unknown
     label, or with a metric that is neither None nor a finite percentage.
     """
-    from .evaluation import CvReport
-
-    payload = read_json(path, _REPORT_FORMAT, _REPORT_VERSION)
     try:
-        report = CvReport.from_dict(payload)
+        with open(path, "r") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != _REPORT_FORMAT:
+        raise InvalidConfig(f"{path}: not a {_REPORT_FORMAT} file")
+    if payload.get("version") != _REPORT_VERSION:
+        raise FormatError(
+            f"{path}: unsupported {_REPORT_FORMAT} version {payload.get('version')!r}"
+        )
+    names = [field.name for field in fields(MetricsReport)]
+
+    def metrics_of(entry):
+        return MetricsReport(**{name: entry[name] for name in names})
+
+    try:
+        report = CvReport(
+            folds=[metrics_of(entry) for entry in payload["folds"]],
+            mean=metrics_of(payload["mean"]),
+            std=metrics_of(payload["std"]),
+            fold_assignments=np.array([_json_int(f) for f in payload["fold_assignments"]], dtype=int),
+            predictions=np.array(payload["predictions"]),
+            seed=_json_int(payload["seed"]),
+            k=_json_int(payload["k"]),
+            config=payload["config"],
+        )
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    # OverflowError: a fold assignment beyond int64.
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed report entry: {exc}") from exc
     if not isinstance(report.config, dict):
         raise FormatError(f"{path}: config must be a JSON object, got {report.config!r}")

@@ -123,11 +123,8 @@ def elm_train(x, t, layer, kernel):
     stays fixed, so a prediction is ``layer.hidden(x) @ beta``.
     """
     x = _check_matrix(x, "x")
-    t = _check_matrix(t, "t")
     if not isinstance(layer, ElmLayer):
         raise InvalidConfig("layer must be an ElmLayer")
-    if x.shape[0] != t.shape[0]:
-        raise ShapeMismatch(f"x has {x.shape[0]} rows but t has {t.shape[0]}")
     if layer.input_weights.shape[0] != x.shape[1]:
         raise ShapeMismatch(
             f"x has {x.shape[1]} columns but the layer takes {layer.input_weights.shape[0]}"
@@ -137,7 +134,6 @@ def elm_train(x, t, layer, kernel):
 
 def elm_ae_train(x, layer, kernel):
     """Train one autoencoder stage on ``layer`` (the input is its own target)."""
-    x = _check_matrix(x, "x")
     return AutoencoderLayer(beta=elm_train(x, x, layer, kernel))
 
 

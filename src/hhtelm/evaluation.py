@@ -7,11 +7,11 @@ reported as undefined (None), never clamped to 0 or 100.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, LABEL_POSITIVITY, _json_int
+from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport
 from .elm import (
     AutoencoderLayer,
     ElmLayer,
@@ -28,8 +28,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-_METRIC_FIELDS = ("selectivity", "sensitivity", "accuracy")
-
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -41,66 +39,6 @@ class ContingencyTable:
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise InvalidConfig("contingency counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Percentages; None marks a metric whose denominator was zero."""
-
-    selectivity: float | None
-    sensitivity: float | None
-    accuracy: float | None
-
-
-@dataclass
-class CvReport:
-    """Cross-validation outcome: per-fold metrics plus aggregates.
-
-    ``fold_assignments`` maps every trial to its held-out fold and
-    ``predictions`` holds the label each trial received when tested.
-    """
-
-    folds: list
-    mean: MetricsReport
-    std: MetricsReport
-    fold_assignments: np.ndarray
-    predictions: np.ndarray
-    seed: int
-    k: int
-    config: dict
-
-    def to_dict(self):
-        return {
-            "seed": int(self.seed),
-            "k": int(self.k),
-            "config": self.config,
-            "fold_assignments": [int(f) for f in self.fold_assignments],
-            "predictions": [str(p) for p in self.predictions],
-            "folds": [_metrics_to_dict(f) for f in self.folds],
-            "mean": _metrics_to_dict(self.mean),
-            "std": _metrics_to_dict(self.std),
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            folds=[_metrics_from_dict(f) for f in payload["folds"]],
-            mean=_metrics_from_dict(payload["mean"]),
-            std=_metrics_from_dict(payload["std"]),
-            fold_assignments=np.array([_json_int(f) for f in payload["fold_assignments"]], dtype=int),
-            predictions=np.array(payload["predictions"]),
-            seed=_json_int(payload["seed"]),
-            k=_json_int(payload["k"]),
-            config=payload["config"],
-        )
-
-
-def _metrics_to_dict(report):
-    return {name: getattr(report, name) for name in _METRIC_FIELDS}
-
-
-def _metrics_from_dict(payload):
-    return MetricsReport(**{name: payload[name] for name in _METRIC_FIELDS})
 
 
 def contingency(predicted, actual):
@@ -205,9 +143,9 @@ def balance_train_set(train_indices, labels, seed):
 
 def _aggregate(folds, reducer):
     values = {}
-    for name in _METRIC_FIELDS:
-        defined = [getattr(f, name) for f in folds if getattr(f, name) is not None]
-        values[name] = float(reducer(defined)) if defined else None
+    for field in fields(MetricsReport):
+        defined = [getattr(f, field.name) for f in folds if getattr(f, field.name) is not None]
+        values[field.name] = float(reducer(defined)) if defined else None
     return MetricsReport(**values)
 
 

@@ -36,14 +36,6 @@ STAT_NAMES = (
 )
 
 
-def _finite_samples(x):
-    """``x`` as a float array; InvalidConfig unless every sample is finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidConfig("signal samples must be finite")
-    return x
-
-
 # The SD stop rule of Huang et al. 1998 (Proc. R. Soc. A 454): sifting a
 # candidate mode stops once SD between two siftings falls below
 # _SD_THRESHOLD, or after _MAX_SIFTINGS siftings. A decomposition stops
@@ -284,7 +276,9 @@ def emd(signal):
     row still sifting in one ``spline_envelope`` call, and a row's modes
     equal those of the row decomposed alone.
     """
-    x = _finite_samples(signal)
+    x = np.asarray(signal, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidConfig("signal samples must be finite")
     if x.ndim not in (1, 2):
         raise ShapeMismatch("need one series or a (rows, samples) matrix")
     rows = np.atleast_2d(x)
@@ -489,7 +483,7 @@ def trial_feature_vector(signal):
         decomposition produced stay zero, so the width is fixed. A row
         equals the vector of that trial alone.
     """
-    x = _finite_samples(signal)
+    x = np.asarray(signal, dtype=float)
     trials = np.atleast_2d(x)
     values = np.zeros((trials.shape[0], _MAX_IMFS, 2, len(STAT_NAMES)))
     for trial, modes, out in zip(trials, emd(trials), values):

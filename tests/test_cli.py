@@ -337,6 +337,20 @@ def test_repeated_trial_id_exits_2(tmp_path, trials_csv, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["features", "decompose", "evaluate", "sweep"])
+def test_input_that_is_not_text_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "binary.csv"
+    bad.write_bytes(b"\xfftrial_id,session,label,fs,s0\n")
+    source = "--features" if command in ("evaluate", "sweep") else "--in"
+    out = tmp_path / "out"
+    assert main([command, source, str(bad), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hhtelm: data error: {bad}: not a text file: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_features_missing_input_exits_2(tmp_path):
     rc = main([
         "features", "--in", str(tmp_path / "absent.csv"),

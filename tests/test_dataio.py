@@ -428,6 +428,22 @@ def test_trials_csv_rejects_short_row(tmp_path):
         load_trials_csv(path)
 
 
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_trials_csv, b"trial_id,session,label,fs,s0\na,1,negativity,4.0,0.0\n"),
+        (load_features_csv, b"f0,label\n0.5,negativity\n"),
+    ],
+    ids=["trials", "features"],
+)
+@pytest.mark.parametrize("at", ["start", "later-row"])
+def test_csv_readers_reject_bytes_that_are_not_text(tmp_path, load, text, at):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff" + text if at == "start" else text + b"\xff\n")
+    with pytest.raises(ParseError, match="binary.csv: not a text file: .*byte 0xff"):
+        load(str(path))
+
+
 def test_trials_csv_rejects_unknown_label(tmp_path):
     path = str(tmp_path / "label.csv")
     write_lines(path, [
@@ -541,6 +557,8 @@ def test_report_round_trip(tmp_path):
     save_report(report, path)
     loaded = load_report(path)
     assert loaded.to_dict() == report.to_dict()
+    assert loaded.mean == report.mean
+    np.testing.assert_array_equal(loaded.predictions, report.predictions)
     with open(path) as handle:
         payload = json.load(handle)
     assert isinstance(payload, dict)
@@ -619,6 +637,7 @@ def test_load_report_rejects_truncated_file(tmp_path):
         pytest.param(lambda d: d.update(seed=1.9), "integer, got 1.9", id="seed-float"),
         pytest.param(lambda d: d["fold_assignments"].__setitem__(0, 0.7), "integer, got 0.7", id="assignment-float"),
         pytest.param(lambda d: d["fold_assignments"].__setitem__(0, True), "integer, got True", id="assignment-bool"),
+        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, 2**70), "malformed report entry: .*too large", id="assignment-huge"),
         pytest.param(lambda d: d.update(config=[1, 2]), r"report.json: config must be a JSON object, got \[1, 2\]", id="config-list"),
         pytest.param(lambda d: d.update(config="40,30"), "config must be a JSON object, got '40,30'", id="config-text"),
         pytest.param(lambda d: d.update(config=None), "config must be a JSON object, got None", id="config-null"),

@@ -18,11 +18,14 @@ from hhtelm import (
     synth_scp,
     trial_feature_vector,
 )
+from hhtelm import elm as elm_module
+from hhtelm import solvers
 from hhtelm.elm import sigmoid
 from hhtelm.errors import (
     DegenerateLabels,
     InvalidConfig,
     InvalidLabel,
+    InvalidMatrix,
     ShapeMismatch,
 )
 
@@ -135,6 +138,19 @@ def test_elm_shape_mismatch():
         elm_train(np.zeros((4, 2)), np.zeros((4, 1)), drawn(3, 3, seed=0), HESS)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_elm_rejects_non_finite_inputs_and_targets(bad):
+    layer = drawn(2, 3, seed=0)
+    spoiled = np.ones((4, 2))
+    spoiled[1, 0] = bad
+    with pytest.raises(InvalidMatrix, match="x contains non-finite"):
+        elm_train(spoiled, np.ones((4, 1)), layer, HESS)
+    with pytest.raises(InvalidMatrix, match="t contains non-finite"):
+        elm_train(np.ones((4, 2)), spoiled, layer, HESS)
+    with pytest.raises(InvalidMatrix, match="x contains non-finite"):
+        elm_ae_train(spoiled, layer, HESS)
+
+
 # ---------------------------------------------------------------------------
 # elm_ae_train
 
@@ -154,6 +170,21 @@ def test_ae_exact_reconstruction_square_case():
     h = sigmoid(x @ w + b)
     rel = np.linalg.norm(h @ layer.beta - x) / np.linalg.norm(x)
     assert rel <= 1e-6, rel
+
+
+def test_ae_fit_checks_its_input_once_and_the_solve_once(monkeypatch):
+    calls = []
+    check = solvers._check_matrix
+
+    def counted(a, name="matrix"):
+        calls.append(name)
+        return check(a, name)
+
+    monkeypatch.setattr(elm_module, "_check_matrix", counted)
+    monkeypatch.setattr(solvers, "_check_matrix", counted)
+    # svd with a ridge factors h itself, so no kernel adds a check of its own.
+    elm_ae_train(np.ones((4, 2)), drawn(2, 3, seed=0), SolverKind("svd", ridge=1e-3))
+    assert calls == ["x", "h", "t"]
 
 
 def test_ae_deterministic():

@@ -6,8 +6,6 @@ import pytest
 
 from hhtelm import (
     ContingencyTable,
-    CvReport,
-    MetricsReport,
     SolverKind,
     TrainConfig,
     balance_train_set,
@@ -390,15 +388,6 @@ def test_cv_rejects_bad_inputs():
         cross_validate(x, labels, "not a config", k=3, seed=0)
     with pytest.raises(ShapeMismatch):
         cross_validate(x[:5], labels, TrainConfig(layer_sizes=(4,), kernel=HESS), k=3, seed=0)
-
-
-def test_cv_report_round_trip():
-    x, labels = blob_features(10)
-    report = cross_validate(x, labels, TrainConfig(layer_sizes=(4,), kernel=HESS, seed=0), k=2, seed=0)
-    clone = CvReport.from_dict(report.to_dict())
-    assert clone.to_dict() == report.to_dict()
-    assert clone.mean == report.mean
-    np.testing.assert_array_equal(clone.predictions, report.predictions)
 
 
 # ---------------------------------------------------------------------------
