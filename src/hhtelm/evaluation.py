@@ -13,7 +13,6 @@ import numpy as np
 
 from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport
 from .elm import (
-    AutoencoderLayer,
     ElmLayer,
     TrainConfig,
     deep_elm_predict,
@@ -183,19 +182,30 @@ class _PrefixNode:
     width: int
     layer: ElmLayer  # drawn for the widths up to this one
     state: dict  # the generator state its draw left
-    stage: AutoencoderLayer | None = None  # fitted on it in the current fold
+    stages: dict  # fold -> the stage fitted on it there, while the walk needs it
+
+
+def _shared_depth(widths, other):
+    """How many leading widths two configurations share."""
+    depth = 0
+    for width, theirs in zip(widths, other):
+        if width != theirs:
+            break
+        depth += 1
+    return depth
 
 
 class _WidthPath:
     """The random layers along one path of the tree of width prefixes, with
-    the stages fitted on them in the current fold.
+    the stages fitted on them that the walk still needs, one per fold.
 
     ``draw_layers`` draws a stack's layers from one stream in layer order,
     so a layer depends only on the widths up to its own. Drawing it from the
     generator state that the previous layer's draw left gives, bit for bit,
     that layer of every stack starting with those widths. Only the path to
-    the latest configuration is held; the prefix it shares with the next
-    one is reused, its random layers across folds too.
+    the current configuration is held; walking to the next one keeps the
+    prefix the two share and draws the rest, so a walk over configurations
+    in the order of their widths draws each layer of the tree once.
     """
 
     def __init__(self, inputs, seed):
@@ -204,31 +214,25 @@ class _WidthPath:
         self._start = self._rng.bit_generator.state
         self._nodes = []
 
-    def new_fold(self):
-        """Forget the stages fitted in the last fold."""
-        for node in self._nodes:
-            node.stage = None
-
-    def layers(self, widths):
-        """The ``layers`` that ``deep_elm_train`` takes for ``widths`` on
-        this fold's rows: the stages fitted in this fold, then random layers."""
-        shared = 0
-        for node, width in zip(self._nodes, widths):
-            if node.width != width:
-                break
-            shared += 1
-        del self._nodes[shared:]
-        for width in widths[shared:]:
+    def walk(self, widths):
+        """Hold the path to ``widths``: keep the prefix shared with the
+        current path, with its stages, and draw the layers after it."""
+        del self._nodes[_shared_depth([node.width for node in self._nodes], widths):]
+        for width in widths[len(self._nodes):]:
             parent = self._nodes[-1] if self._nodes else None
             self._rng.bit_generator.state = parent.state if parent else self._start
             (drawn,) = draw_layers(parent.width if parent else self._inputs, (width,), self._rng)
-            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state))
-        return [node.layer if node.stage is None else node.stage for node in self._nodes]
+            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}))
 
-    def keep(self, model):
-        """Record the stages of a fit on ``layers``."""
-        for node, stage in zip(self._nodes, model.ae_layers):
-            node.stage = stage
+    def layers(self, fold):
+        """The ``layers`` that ``deep_elm_train`` takes for the current path
+        on ``fold``'s rows: the stages kept for that fold, then random layers."""
+        return [node.stages.get(fold, node.layer) for node in self._nodes]
+
+    def keep(self, fold, model, depth):
+        """Record the first ``depth`` stages of a fit on ``layers(fold)``."""
+        for node, stage in zip(self._nodes[:depth], model.ae_layers):
+            node.stages[fold] = stage
 
 
 def _cross_validate_grid(features, labels, configs, k, seed):
@@ -236,13 +240,16 @@ def _cross_validate_grid(features, labels, configs, k, seed):
     model seed; yields one ``CvReport`` per configuration, in order, equal to
     ``cross_validate`` of it.
 
-    The walk is fold-major. Each fold's balanced training rows are found
-    once. Its configurations are fitted in the order of their
-    widths, which walks the tree of width prefixes depth-first, so an
+    The k folds' balanced training rows are found first and held as
+    indices. The configurations are then visited in the order of their
+    widths, which walks the tree of width prefixes depth-first and draws
+    each of its random layers once, and each is fitted in every fold in
+    turn. The stages a configuration shares with the next one are kept,
+    one per fold, and passed fitted to ``deep_elm_train``, so an
     autoencoder stage that several configurations share is fitted once per
-    fold and passed fitted to ``deep_elm_train``. Only the current path's
-    random layers and stages are held, and per configuration only its fold
-    metrics and the class index each trial was given.
+    fold. A single configuration keeps nothing across folds. Besides the
+    current path and those stages, only each configuration's fold metrics
+    and the class index each trial was given are held.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
@@ -254,20 +261,26 @@ def _cross_validate_grid(features, labels, configs, k, seed):
         raise InvalidConfig("the configurations must share one kernel and one model seed")
     assignment = stratified_kfold(labels, k, seed)
     balance_seeds = np.random.SeedSequence(seed).spawn(k)
+    plan = [
+        (
+            balance_train_set(np.flatnonzero(assignment != fold), labels, balance_seeds[fold]),
+            np.flatnonzero(assignment == fold),
+        )
+        for fold in range(k)
+    ]
     path = _WidthPath(features.shape[1], configs[0].seed)
     order = sorted(range(len(configs)), key=lambda i: configs[i].layer_sizes)
     folds = [[] for _ in configs]
     picks = np.empty((len(configs), labels.size), dtype=np.int8)
-    for fold in range(k):
-        held_out = assignment == fold
-        train_idx = np.flatnonzero(~held_out)
-        test_idx = np.flatnonzero(held_out)
-        balanced = balance_train_set(train_idx, labels, balance_seeds[fold])
-        rows, row_labels = features[balanced], labels[balanced]
-        path.new_fold()
-        for i in order:
-            model = deep_elm_train(rows, row_labels, configs[i], path.layers(configs[i].layer_sizes))
-            path.keep(model)
+    for i, after in zip(order, order[1:] + [None]):
+        sizes = configs[i].layer_sizes
+        path.walk(sizes)
+        depth = 0 if after is None else _shared_depth(sizes, configs[after].layer_sizes)
+        for fold, (train_idx, test_idx) in enumerate(plan):
+            model = deep_elm_train(
+                features[train_idx], labels[train_idx], configs[i], path.layers(fold)
+            )
+            path.keep(fold, model, depth)
             fold_pred, scores = deep_elm_predict(model, features[test_idx])
             picks[i, test_idx] = np.argmax(scores, axis=1)
             folds[i].append(metrics(contingency(fold_pred, labels[test_idx])))

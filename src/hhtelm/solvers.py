@@ -9,7 +9,11 @@ hidden activations H and targets T:
                    banded system
 * ``lu``         - LU factorization with partial pivoting of the same system
 
-LAPACK does the work behind every route (through numpy and scipy.linalg).
+LAPACK does the work behind every route: through numpy and scipy.linalg for
+``svd`` and ``lu``, while the ``hessenberg`` route calls ``gehrd``, ``orghr``
+and ``gtsv`` through ``scipy.linalg.lapack`` directly, which skips the
+argument handling of ``scipy.linalg.hessenberg`` and ``solve_banded`` on
+every solve and gives the same bits.
 
 All three solve (H^T H + lambda I) beta = H^T T for lambda > 0 and agree to
 solver tolerance; ``svd`` additionally supports the exact pseudoinverse at
@@ -23,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, hessenberg, lu_solve, solve_banded
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg import lu_solve
+from scipy.linalg.lapack import dgehrd, dgehrd_lwork, dgetrf, dgtsv, dorghr, dorghr_lwork
 
 from .errors import (
     InvalidConfig,
@@ -119,9 +123,12 @@ def hessenberg_reduce(a):
     n, m = a.shape
     if n != m:
         raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
-    # scipy returns its input itself as u for n <= 2; the copy keeps u
-    # from aliasing the caller's array.
-    u, q = hessenberg(a.copy(), calc_q=True, overwrite_a=True, check_finite=False)
+    if n == 1:  # the wrappers reject the empty tau of a 1x1 matrix
+        return HessenbergFactorization(q=np.ones((1, 1)), u=a.copy())
+    # Without overwrite_a, dgehrd works on a copy and leaves the caller's array alone.
+    reflectors, tau, _ = dgehrd(a, lwork=int(dgehrd_lwork(n)[0]))
+    u = np.triu(reflectors, -1)
+    q, _ = dorghr(reflectors, tau, lwork=int(dorghr_lwork(n)[0]), overwrite_a=1)
     return HessenbergFactorization(q=q, u=u)
 
 
@@ -200,7 +207,7 @@ def solve_output_weights(h, t, kind):
         gram, rhs = h @ h.T, t
     else:
         gram, rhs = h.T @ h, h.T @ t
-    gram += lam * np.eye(gram.shape[0])
+    gram.flat[:: gram.shape[0] + 1] += lam
     if kind.variant == KERNEL_LU:
         x = lu_factor_solve(gram, rhs)
     else:
@@ -214,14 +221,12 @@ def _solve_tridiagonal(u, c):
 
     Valid only when u is tridiagonal up to rounding, as the Hessenberg form
     of a symmetric matrix is; the sole caller passes that of a symmetric
-    regularized Gram matrix. Raises NumericalFailure when the band is
-    exactly singular.
+    regularized Gram matrix. Raises NumericalFailure when a band of two or
+    more rows is exactly singular. ``c`` is 2-D and may be overwritten.
     """
-    band = np.zeros((3, u.shape[0]))
-    band[0, 1:] = np.diagonal(u, 1)
-    band[1] = np.diagonal(u)
-    band[2, :-1] = np.diagonal(u, -1)
-    try:
-        return solve_banded((1, 1), band, c, check_finite=False)
-    except LinAlgError as exc:
-        raise NumericalFailure(f"regularized system is singular: {exc}") from exc
+    if u.shape[0] == 1:  # the wrapper rejects the empty off-diagonals of a 1x1 band
+        return c / u[0, 0]
+    *_, y, info = dgtsv(np.diagonal(u, -1), np.diagonal(u), np.diagonal(u, 1), c, overwrite_b=1)
+    if info > 0:
+        raise NumericalFailure("regularized system is singular: singular matrix")
+    return y

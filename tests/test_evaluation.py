@@ -451,6 +451,52 @@ def test_grid_equals_per_config_cross_validation(variant, grid):
     assert len(accuracies) > 1  # the configurations are told apart
 
 
+def test_grid_draws_each_layer_of_the_tree_once(monkeypatch):
+    # A depth-2 grid over widths W has |W| first layers and |W|**2 second
+    # ones; each is drawn once, however many folds are fitted on it.
+    from hhtelm import elm
+
+    draws = []
+
+    def counting(rows, cols, seed):
+        draws.append((rows, cols))
+        return random_orthogonal(rows, cols, seed)
+
+    monkeypatch.setattr(elm, "random_orthogonal", counting)
+    x, labels = blob_features(15, seed=5)
+    widths = (3, 25, 8)
+    grid = list(itertools.product(widths, repeat=2))
+    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in grid]
+    list(_cross_validate_grid(x, labels, configs, 3, 8))
+    assert len(draws) == len(widths) + len(widths) ** 2
+    assert sorted(draws) == sorted([(10, w) for w in widths] + grid)
+
+
+def test_grid_passes_each_fit_the_stages_it_shares_with_the_last(monkeypatch):
+    # Configurations are fitted in width order, each in every fold before
+    # the next; a fit gets fitted stages for the widths it shares with the
+    # configuration before it, and a lone configuration gets none.
+    from hhtelm import evaluation
+    from hhtelm.elm import AutoencoderLayer
+
+    given = []
+
+    def recording(x, labels, config, layers=None):
+        fitted = [isinstance(layer, AutoencoderLayer) for layer in layers]
+        given.append((config.layer_sizes, sum(fitted)))
+        return deep_elm_train(x, labels, config, layers)
+
+    monkeypatch.setattr(evaluation, "deep_elm_train", recording)
+    x, labels = blob_features(15, seed=5)
+    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in GRIDS["shared"]]
+    list(_cross_validate_grid(x, labels, configs, 3, 8))
+    shared = [((25,), 0), ((25, 3), 1), ((25, 8), 1), ((25, 8), 2), ((25, 8, 3), 2)]
+    assert given == [fit for fit in shared for _ in range(3)]
+    given.clear()
+    cross_validate(x, labels, configs[0], k=3, seed=8)
+    assert given == [((25, 8, 3), 0)] * 3
+
+
 def test_grid_rejects_configs_that_differ_beyond_their_widths():
     x, labels = blob_features(10)
     base = TrainConfig(layer_sizes=(4,), kernel=HESS, seed=0)

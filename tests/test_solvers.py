@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hessenberg, solve_banded
 
 from hhtelm import (
     SolverKind,
@@ -189,6 +190,53 @@ def test_hessenberg_random_structure():
 def test_hessenberg_rejects_nonsquare():
     with pytest.raises(ShapeMismatch):
         hessenberg_reduce(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+def test_hessenberg_matches_scipy_bit_for_bit(symmetric):
+    # hessenberg_reduce calls LAPACK gehrd and orghr itself; scipy's
+    # hessenberg runs a gebal that neither permutes nor scales, then the
+    # same two routines, so every bit of q and u must agree.
+    rng = np.random.default_rng(23)
+    for n in range(1, 41):
+        a = rng.standard_normal((n, n))
+        if symmetric:
+            a = a + a.T
+        before = a.copy()
+        fact = hessenberg_reduce(a)
+        u, q = hessenberg(a, calc_q=True)
+        np.testing.assert_array_equal(fact.u, u)
+        np.testing.assert_array_equal(fact.q, q)
+        np.testing.assert_array_equal(a, before)
+        assert not np.shares_memory(fact.u, a)
+
+
+def _band(u):
+    """The (1, 1) diagonal-ordered form that solve_banded takes."""
+    band = np.zeros((3, u.shape[0]))
+    band[0, 1:] = np.diagonal(u, 1)
+    band[1] = np.diagonal(u)
+    band[2, :-1] = np.diagonal(u, -1)
+    return band
+
+
+def test_tridiagonal_solve_matches_solve_banded_bit_for_bit():
+    # The bands the hessenberg kernel solves: Hessenberg forms of
+    # regularized Gram matrices, against several right-hand sides.
+    rng = np.random.default_rng(29)
+    for n in range(1, 41):
+        h = rng.standard_normal((n + 3, n))
+        u = hessenberg_reduce(h.T @ h + 1e-3 * np.eye(n)).u
+        c = rng.standard_normal((n, 3))
+        expected = solve_banded((1, 1), _band(u), c)
+        np.testing.assert_array_equal(solvers._solve_tridiagonal(u, c.copy()), expected)
+
+
+def test_tridiagonal_solve_rejects_an_exactly_singular_band():
+    # A zero leading pivot with a zero below it: no row swap can help.
+    u = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]])
+    with pytest.raises(NumericalFailure, match="singular"):
+        solvers._solve_tridiagonal(u, np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------
