@@ -54,6 +54,16 @@ class AutoencoderLayer:
         return sigmoid(x @ self.beta.T)
 
 
+def _check_int(value, name, minimum):
+    """``value`` as an int; InvalidConfig unless it is an integer, not a bool,
+    and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Deep model recipe: stacked layer widths, solver kernel, seed."""
@@ -64,14 +74,13 @@ class TrainConfig:
     activation: ClassVar[str] = ACTIVATION
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(_check_int(s, "every layer width", 1) for s in self.layer_sizes)
         if not 1 <= len(sizes) <= 8:
             raise InvalidConfig("layer_sizes must contain 1 to 8 widths")
-        if any(s < 1 for s in sizes):
-            raise InvalidConfig("every layer width must be >= 1")
         if not isinstance(self.kernel, SolverKind):
             raise InvalidConfig("kernel must be a SolverKind")
         object.__setattr__(self, "layer_sizes", sizes)
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
 
 
 @dataclass

@@ -15,6 +15,7 @@ from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport
 from .elm import (
     ElmLayer,
     TrainConfig,
+    _check_int,
     deep_elm_predict,
     deep_elm_train,
     draw_layers,
@@ -88,7 +89,7 @@ def stratified_kfold(labels, k, seed):
     Each class is shuffled with the seeded generator and dealt round-robin;
     the deal offset carries over between classes so total fold sizes match
     the ceil/floor partition of n exactly. Per-class fold counts differ by
-    at most one.
+    at most one. ``k`` must be an integer >= 2 and ``seed`` an integer >= 0.
 
     Returns
     -------
@@ -98,9 +99,8 @@ def stratified_kfold(labels, k, seed):
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 1:
         raise ShapeMismatch("labels must be a non-empty 1-D sequence")
-    if k < 2:
-        raise InvalidConfig("k must be >= 2")
-    rng = np.random.default_rng(seed)
+    k = _check_int(k, "k", 2)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     assignment = np.empty(labels.size, dtype=int)
     offset = 0
     for cls in np.unique(labels):

@@ -9,11 +9,13 @@ hidden activations H and targets T:
                    banded system
 * ``lu``         - LU factorization with partial pivoting of the same system
 
-LAPACK does the work behind every route: through numpy and scipy.linalg for
-``svd`` and ``lu``, while the ``hessenberg`` route calls ``gehrd``, ``orghr``
-and ``gtsv`` through ``scipy.linalg.lapack`` directly, which skips the
-argument handling of ``scipy.linalg.hessenberg`` and ``solve_banded`` on
-every solve and gives the same bits.
+LAPACK does the work behind every route. ``svd`` goes through numpy. The
+other two call ``scipy.linalg.lapack`` directly, which skips scipy's
+argument handling on every solve: ``lu`` calls ``gesv``, and ``hessenberg``
+reduces the symmetric matrix to its tridiagonal form with ``sytrd``, forms
+the orthogonal factor with ``orgqr`` and solves the band with ``gtsv``
+(Golub & Van Loan, Matrix Computations, section 8.3). ``sytrd`` takes about
+half the flops of the general Hessenberg reduction ``gehrd``.
 
 All three solve (H^T H + lambda I) beta = H^T T for lambda > 0 and agree to
 solver tolerance; ``svd`` additionally supports the exact pseudoinverse at
@@ -25,10 +27,10 @@ Zhang 2012, IEEE TSMC-B 42(2)); otherwise they factor the L x L system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
-from scipy.linalg import lu_solve
-from scipy.linalg.lapack import dgehrd, dgehrd_lwork, dgetrf, dgtsv, dorghr, dorghr_lwork
+from scipy.linalg.lapack import dgesv, dgtsv, dorgqr, dsytrd, dsytrd_lwork
 
 from .errors import (
     InvalidConfig,
@@ -49,6 +51,12 @@ _PIVOT_FLOOR = 1e-300
 # Singular values below this fraction of the largest are treated as exact zeros.
 _SVD_TOL = 1e-12
 
+# The size from which hessenberg_reduce gives dsytrd the workspace for its
+# blocked code. With one OpenBLAS 0.3.31 thread the unblocked reduction took
+# 0.72-0.98 of the blocked one's time at n = 40-100, and 1.04, 1.10 and 1.21
+# of it at n = 128, 200 and 320.
+_BLOCKED_FROM = 128
+
 
 @dataclass(frozen=True)
 class SolverKind:
@@ -67,6 +75,8 @@ class SolverKind:
             raise InvalidConfig(
                 f"unknown solver variant {self.variant!r}, expected one of {KERNELS}"
             )
+        if isinstance(self.ridge, bool) or not isinstance(self.ridge, Real):
+            raise InvalidConfig(f"ridge must be a real number, got {self.ridge!r}")
         if not np.isfinite(self.ridge) or self.ridge < 0.0:
             raise InvalidConfig("ridge must be finite and >= 0")
         if self.ridge == 0.0 and self.variant != KERNEL_SVD:
@@ -77,10 +87,26 @@ class SolverKind:
 
 @dataclass(frozen=True)
 class HessenbergFactorization:
-    """Similarity factorization a = q @ u @ q.T with q orthogonal, u upper Hessenberg."""
+    """Similarity factorization a = q @ u @ q.T of a symmetric matrix.
+
+    ``q`` is orthogonal and ``u`` is symmetric tridiagonal, the Hessenberg
+    form of a symmetric matrix. Only its two bands are held: ``diagonal``
+    (n entries) and ``offdiagonal`` (n - 1 entries, the sub- and
+    superdiagonal alike).
+    """
 
     q: np.ndarray
-    u: np.ndarray
+    diagonal: np.ndarray
+    offdiagonal: np.ndarray
+
+    @property
+    def u(self):
+        """The dense n x n tridiagonal matrix the two bands describe."""
+        return (
+            np.diag(self.diagonal)
+            + np.diag(self.offdiagonal, -1)
+            + np.diag(self.offdiagonal, 1)
+        )
 
 
 def _check_matrix(a, name="matrix"):
@@ -89,7 +115,7 @@ def _check_matrix(a, name="matrix"):
         raise ShapeMismatch(
             f"{name} must be 2-D with at least one row and column, got shape {np.shape(a)}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidMatrix(f"{name} contains non-finite entries")
     return arr
 
@@ -111,29 +137,42 @@ def svd_pseudoinverse(h):
 
 
 def hessenberg_reduce(a):
-    """Reduce a square matrix to upper Hessenberg form (LAPACK ``gehrd``).
+    """Reduce a symmetric matrix to its tridiagonal Hessenberg form.
 
-    Returns ``HessenbergFactorization(q, u)`` with ``a = q @ u @ q.T``.
-    Entries of ``u`` below the subdiagonal are exact zeros. When the input
-    is symmetric, ``u`` is tridiagonal up to rounding. A matrix that is
-    already upper Hessenberg is a fixed point (``q`` comes back as the
-    identity).
+    LAPACK ``sytrd`` reduces the lower triangle of ``a`` and ``orgqr``
+    forms ``q`` from its reflectors, so that ``a = q @ u @ q.T`` with ``u``
+    symmetric tridiagonal; the first row and column of ``q`` are those of
+    the identity. Returns a ``HessenbergFactorization`` holding ``q`` and
+    the two bands of ``u``. The input is left unmodified. Raises
+    InvalidMatrix when ``a`` is not exactly symmetric.
     """
     a = _check_matrix(a, "a")
     n, m = a.shape
     if n != m:
         raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
+    # The Gram products h.T @ h and h @ h.T come out exactly symmetric, so
+    # an exact check refuses nothing the solve path builds.
+    if not (a == a.T).all():
+        raise InvalidMatrix("a must be symmetric")
     if n == 1:  # the wrappers reject the empty tau of a 1x1 matrix
-        return HessenbergFactorization(q=np.ones((1, 1)), u=a.copy())
-    # Without overwrite_a, dgehrd works on a copy and leaves the caller's array alone.
-    reflectors, tau, _ = dgehrd(a, lwork=int(dgehrd_lwork(n)[0]))
-    u = np.triu(reflectors, -1)
-    q, _ = dorghr(reflectors, tau, lwork=int(dorghr_lwork(n)[0]), overwrite_a=1)
-    return HessenbergFactorization(q=q, u=u)
+        return HessenbergFactorization(
+            q=np.ones((1, 1)), diagonal=a[0].copy(), offdiagonal=np.empty(0)
+        )
+    # Without overwrite_a, dsytrd works on a copy and leaves the caller's array alone.
+    # The minimum workspace, n, makes it run unblocked. Its optimal one, n times
+    # LAPACK's block size, also gives dorgqr its full block size: dorgqr's
+    # default of 3(n - 1) limits it to blocks of three reflectors, which took
+    # 2.4x as long at n = 500 (below n = 130 dorgqr runs unblocked anyway).
+    lwork = int(dsytrd_lwork(n, lower=1)[0]) if n >= _BLOCKED_FROM else n
+    reflectors, diagonal, offdiagonal, tau, _ = dsytrd(a, lower=1, lwork=lwork)
+    q = np.zeros((n, n))
+    q[0, 0] = 1.0
+    q[1:, 1:], _, _ = dorgqr(reflectors[1:, :-1], tau, lwork=lwork)
+    return HessenbergFactorization(q=q, diagonal=diagonal, offdiagonal=offdiagonal)
 
 
 def lu_factor_solve(a, b):
-    """Solve a @ x = b by LU factorization with partial pivoting (LAPACK ``getrf``).
+    """Solve a @ x = b by LU factorization with partial pivoting (LAPACK ``gesv``).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result matches its shape. Raises SingularMatrix when no usable pivot
@@ -152,11 +191,12 @@ def lu_factor_solve(a, b):
         raise ShapeMismatch(
             f"right-hand side has {b_arr.shape[0]} rows, expected {n}"
         )
-    lu, piv, _ = dgetrf(a)
+    lu, _, x, info = dgesv(a, b_arr)
+    if info > 0:
+        raise SingularMatrix(f"no usable pivot in column {info - 1}")
     weak = np.flatnonzero(np.abs(np.diagonal(lu)) < _PIVOT_FLOOR)
     if weak.size:
         raise SingularMatrix(f"no usable pivot in column {weak[0]}")
-    x = lu_solve((lu, piv), b_arr, check_finite=False)
     return x[:, 0] if vector else x
 
 
@@ -212,21 +252,20 @@ def solve_output_weights(h, t, kind):
         x = lu_factor_solve(gram, rhs)
     else:
         fact = hessenberg_reduce(gram)
-        x = fact.q @ _solve_tridiagonal(fact.u, fact.q.T @ rhs)
+        x = fact.q @ _solve_tridiagonal(fact.diagonal, fact.offdiagonal, fact.q.T @ rhs)
     return h.T @ x if dual else x
 
 
-def _solve_tridiagonal(u, c):
-    """Solve u @ y = c using only the three central diagonals of u.
+def _solve_tridiagonal(diagonal, offdiagonal, c):
+    """Solve u @ y = c for the symmetric tridiagonal u with these bands.
 
-    Valid only when u is tridiagonal up to rounding, as the Hessenberg form
-    of a symmetric matrix is; the sole caller passes that of a symmetric
+    The sole caller passes the bands of the Hessenberg form of a symmetric
     regularized Gram matrix. Raises NumericalFailure when a band of two or
     more rows is exactly singular. ``c`` is 2-D and may be overwritten.
     """
-    if u.shape[0] == 1:  # the wrapper rejects the empty off-diagonals of a 1x1 band
-        return c / u[0, 0]
-    *_, y, info = dgtsv(np.diagonal(u, -1), np.diagonal(u), np.diagonal(u, 1), c, overwrite_b=1)
+    if diagonal.size == 1:  # the wrapper rejects the empty off-diagonals of a 1x1 band
+        return c / diagonal[0]
+    *_, y, info = dgtsv(offdiagonal, diagonal, offdiagonal, c, overwrite_b=1)
     if info > 0:
         raise NumericalFailure("regularized system is singular: singular matrix")
     return y

@@ -258,6 +258,23 @@ def test_deep_too_many_layers_rejected():
         TrainConfig(layer_sizes=(4,) * 9, kernel=HESS, seed=0)
 
 
+@pytest.mark.parametrize(
+    "sizes, seed",
+    [((4.7,), 0), ((4, 3.0), 0), ((True,), 0), (("4",), 0), ((4,), -1), ((4,), True), ((4,), 1.0), ((4,), "1")],
+    ids=["float-width", "integral-float-width", "bool-width", "str-width",
+         "negative-seed", "bool-seed", "float-seed", "str-seed"],
+)
+def test_train_config_rejects_non_integer_widths_and_bad_seeds(sizes, seed):
+    with pytest.raises(InvalidConfig):
+        TrainConfig(layer_sizes=sizes, kernel=HESS, seed=seed)
+
+
+def test_train_config_takes_numpy_integers_as_ints():
+    config = TrainConfig(layer_sizes=(np.int64(4), np.int32(3)), kernel=HESS, seed=np.int64(7))
+    assert config.layer_sizes == (4, 3) and config.seed == 7
+    assert all(type(value) is int for value in (*config.layer_sizes, config.seed))
+
+
 def test_deep_single_class_rejected():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((10, 4))

@@ -390,6 +390,17 @@ def test_cv_rejects_bad_inputs():
         cross_validate(x[:5], labels, TrainConfig(layer_sizes=(4,), kernel=HESS), k=3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "k, seed",
+    [(2.5, 0), (3.0, 0), (True, 0), ("3", 0), (3, -1), (3, 1.5), (3, False)],
+    ids=["float-k", "integral-float-k", "bool-k", "str-k", "negative-seed", "float-seed", "bool-seed"],
+)
+def test_cv_rejects_non_integer_k_and_bad_seeds(k, seed):
+    x, labels = blob_features(10)
+    with pytest.raises(InvalidConfig):
+        cross_validate(x, labels, TrainConfig(layer_sizes=(4,), kernel=HESS), k=k, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # the grid walk behind sweep
 
