@@ -377,11 +377,3 @@ def main(argv=None):
     except (PipelineError, OSError) as exc:
         print(f"{_PROG}: data error: {exc}", file=sys.stderr)
         return 2
-
-
-def run():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

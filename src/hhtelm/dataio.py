@@ -4,13 +4,14 @@ Trials are slow-cortical-potential style: 8 s at a fixed sampling rate,
 a 2 s baseline followed by a 6 s active phase, one of two labels. The
 synthetic generator produces class-separable trials for pipeline checks;
 all file formats round-trip exactly (floats are written with shortest
-round-trip repr) and writes are atomic (temp file + rename). The
-cross-validation report records live here with their JSON file, so
-``save_report`` and ``load_report`` are the only code that knows it.
+round-trip repr) and writes are atomic (temp file + rename). A CSV row is
+its fields joined by commas and never quoted, so a reader splits each line
+on commas. The cross-validation report records live here with their JSON
+file, so ``save_report`` and ``load_report`` are the only code that knows
+it.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -287,13 +288,17 @@ def _read_csv(path):
     one at a time: yields the header, then ``(number, row)`` per data row,
     so a caller parses each row before the next one is read.
 
+    A row is its line split on commas. No writer of this package quotes a
+    field, so a quote is an ordinary character here.
+
     Raises FormatError for a file without a header row, and ParseError for
     bytes that do not decode as text or (with the data row number) for a
     row whose field count differs.
     """
     with open(path, "r", newline="") as handle:
         try:
-            rows = (row for row in csv.reader(_skip_comments(handle)) if row)
+            lines = (line.rstrip("\r\n") for line in handle)
+            rows = (line.split(",") for line in lines if line and not line.lstrip().startswith("#"))
             header = next(rows, None)
             if header is None:
                 raise FormatError(f"{path}: empty file, expected a header row")
@@ -306,12 +311,6 @@ def _read_csv(path):
                 yield number, row
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not a text file: {exc}") from exc
-
-
-def _skip_comments(handle):
-    for line in handle:
-        if not line.lstrip().startswith("#"):
-            yield line
 
 
 def save_trials_csv(trials, path, config_note=None):
@@ -361,9 +360,9 @@ def load_trials_csv(path):
             samples = np.array(row[4:], dtype=float)
         except ValueError as exc:
             raise ParseError(f"{path}: row {number}: {exc}") from exc
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise ParseError(f"{path}: row {number} has a non-finite sample s{bad[0]}")
+        if not np.isfinite(samples).all():
+            bad = np.flatnonzero(~np.isfinite(samples))[0]
+            raise ParseError(f"{path}: row {number} has a non-finite sample s{bad}")
         try:
             trial = TrialRecord(
                 trial_id=trial_id, session=session, label=label, fs=row_fs, samples=samples
@@ -418,9 +417,9 @@ def load_features_csv(path):
             row_values = np.array(row[:-1], dtype=float)
         except ValueError as exc:
             raise ParseError(f"{path}: row {number}: {exc}") from exc
-        bad = np.flatnonzero(~np.isfinite(row_values))
-        if bad.size:
-            raise ParseError(f"{path}: row {number} has a non-finite value in {layout[bad[0]]}")
+        if not np.isfinite(row_values).all():
+            bad = np.flatnonzero(~np.isfinite(row_values))[0]
+            raise ParseError(f"{path}: row {number} has a non-finite value in {layout[bad]}")
         values.append(row_values)
         labels.append(label)
     matrix = np.array(values) if values else np.zeros((0, len(layout)))

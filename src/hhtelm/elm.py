@@ -74,7 +74,13 @@ class TrainConfig:
     activation: ClassVar[str] = ACTIVATION
 
     def __post_init__(self):
-        sizes = tuple(_check_int(s, "every layer width", 1) for s in self.layer_sizes)
+        try:
+            widths = tuple(self.layer_sizes)
+        except TypeError:
+            raise InvalidConfig(
+                f"layer_sizes must be a sequence of widths, got {self.layer_sizes!r}"
+            ) from None
+        sizes = tuple(_check_int(s, "every layer width", 1) for s in widths)
         if not 1 <= len(sizes) <= 8:
             raise InvalidConfig("layer_sizes must contain 1 to 8 widths")
         if not isinstance(self.kernel, SolverKind):

@@ -103,7 +103,7 @@ def stratified_kfold(labels, k, seed):
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     assignment = np.empty(labels.size, dtype=int)
     offset = 0
-    for cls in np.unique(labels):
+    for cls in np.unique(labels).tolist():
         members = np.flatnonzero(labels == cls)
         if members.size < k:
             raise InsufficientClassMembers(

@@ -413,12 +413,13 @@ def test_evaluate_bad_layers_exits_1(tmp_path, blob_csv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_evaluate_too_many_folds_exits_2(tmp_path, blob_csv):
+def test_evaluate_too_many_folds_exits_2(tmp_path, blob_csv, capsys):
     rc = main([
         "evaluate", "--features", blob_csv, "--layers", "8",
         "--k", "30", "--out", str(tmp_path / "r.json"), "--quiet",
     ])
     assert rc == 2
+    assert "data error: class 'negativity' has 24 members but k=30" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Tests for trial records, the synthetic generator, filtering, and file I/O."""
+import csv
 import json
 import os
 
@@ -29,7 +30,9 @@ from hhtelm.dataio import (
     BASELINE_SECONDS,
     SESSION_COUNT,
     TRIAL_SECONDS,
+    _read_csv,
     atomic_write_text,
+    write_csv,
 )
 from hhtelm.errors import (
     FormatError,
@@ -467,6 +470,86 @@ def test_trials_csv_rejects_out_of_range_session(tmp_path):
 def test_trials_csv_missing_file_is_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_trials_csv(str(tmp_path / "nope.csv"))
+
+
+# ---------------------------------------------------------------------------
+# the CSV line reader
+
+
+def read_rows(path):
+    """What ``_read_csv`` yields, as the header followed by the data rows."""
+    rows = _read_csv(path)
+    header = next(rows)
+    return [header, *(row for _, row in rows)]
+
+
+# Fields write_csv can write: text (no lone surrogate) without a comma, a
+# quote or a line break.
+csv_fields = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'), max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), width=st.integers(1, 4))
+def test_read_csv_splits_what_write_csv_wrote_as_csv_reader_does(tmp_path_factory, data, width):
+    rows = data.draw(st.lists(st.lists(csv_fields, min_size=width, max_size=width), min_size=1, max_size=5))
+    note = data.draw(st.none() | csv_fields)
+    path = str(tmp_path_factory.getbasetemp() / "generated.csv")
+    write_csv(path, rows[0], rows[1:], note)
+    with open(path, newline="") as handle:
+        comments_skipped = (line for line in handle if not line.lstrip().startswith("#"))
+        expected = [row for row in csv.reader(comments_skipped) if row]
+    if expected:
+        assert read_rows(path) == expected
+    else:
+        with pytest.raises(FormatError, match="empty file"):
+            read_rows(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\r\n1,2\r\n3,4\r\n",
+        "a,b\n1,2\n3,4",
+        "\n\na,b\n\n1,2\n\n\n3,4\n\n",
+        "  # note\na,b\n\t# note\n1,2\n   #3,4\n3,4\n",
+        "# note\r\na,b\r\n\r\n1,2\r\n3,4",
+    ],
+    ids=["crlf", "no-final-newline", "blank-lines", "indented-comments", "crlf-comment-blank"],
+)
+def test_read_csv_line_forms(tmp_path, text):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text.encode())
+    assert read_rows(str(path)) == [["a", "b"], ["1", "2"], ["3", "4"]]
+
+
+def test_read_csv_counts_a_whitespace_only_line_as_a_row(tmp_path):
+    path = str(tmp_path / "spaces.csv")
+    write_lines(path, ["a,b", "1,2", "   ", "3,4"])
+    with pytest.raises(ParseError, match="row 2 has 1 fields, expected 2"):
+        read_rows(path)
+
+
+def test_read_csv_has_no_field_size_limit(tmp_path):
+    # Python's csv module refuses fields over 131072 characters.
+    path = str(tmp_path / "long.csv")
+    write_lines(path, ["a,b,label", "0." + "0" * 200_000 + "1,2.0,negativity"])
+    values, _, _ = load_features_csv(path)
+    assert values.tolist() == [[0.0, 2.0]]
+
+
+def test_read_csv_keeps_quotes_as_ordinary_characters(tmp_path):
+    # No writer quotes a field, so a quote is part of its field and a
+    # quoted number does not parse.
+    path = str(tmp_path / "quoted.csv")
+    write_lines(path, ["a,b,label", '"0.5",1.0,negativity'])
+    assert read_rows(path)[1] == ['"0.5"', "1.0", "negativity"]
+    with pytest.raises(ParseError, match="row 1: could not convert"):
+        load_features_csv(path)
+    write_lines(path, ["a,b,label", '"0,5",1.0,negativity'])
+    with pytest.raises(ParseError, match="row 1 has 4 fields, expected 3"):
+        load_features_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -260,9 +260,10 @@ def test_deep_too_many_layers_rejected():
 
 @pytest.mark.parametrize(
     "sizes, seed",
-    [((4.7,), 0), ((4, 3.0), 0), ((True,), 0), (("4",), 0), ((4,), -1), ((4,), True), ((4,), 1.0), ((4,), "1")],
-    ids=["float-width", "integral-float-width", "bool-width", "str-width",
-         "negative-seed", "bool-seed", "float-seed", "str-seed"],
+    [((4.7,), 0), ((4, 3.0), 0), ((True,), 0), (("4",), 0), (4, 0), (None, 0),
+     ((4,), -1), ((4,), True), ((4,), 1.0), ((4,), "1")],
+    ids=["float-width", "integral-float-width", "bool-width", "str-width", "int-widths",
+         "none-widths", "negative-seed", "bool-seed", "float-seed", "str-seed"],
 )
 def test_train_config_rejects_non_integer_widths_and_bad_seeds(sizes, seed):
     with pytest.raises(InvalidConfig):

@@ -211,6 +211,13 @@ def test_kfold_small_class_rejected():
         stratified_kfold(labels, 5, seed=0)
 
 
+@pytest.mark.parametrize("dtype", [object, str], ids=["object", "unicode"])
+def test_kfold_small_class_message_names_the_plain_class(dtype):
+    labels = np.array(["negativity"] * 10 + ["positivity"] * 3, dtype=dtype)
+    with pytest.raises(InsufficientClassMembers, match=r"^class 'positivity' has 3 members but k=5$"):
+        stratified_kfold(labels, 5, seed=0)
+
+
 def test_kfold_k_validation():
     labels = np.array([NEG] * 5 + [POS] * 5)
     with pytest.raises(InvalidConfig):
