@@ -1,6 +1,6 @@
 """Command-line front end for the trial classification pipeline.
 
-Subcommands: synth, decompose, features, evaluate, sweep, solver-bench.
+Subcommands: synth, decompose, features, evaluate, sweep.
 Every command is deterministic given its flags (randomness flows through
 the explicit seeds), echoes its effective configuration into the output
 artifact, and writes files atomically. Exit codes: 0 success, 1 usage
@@ -12,7 +12,6 @@ import argparse
 import itertools
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -39,13 +38,9 @@ from .errors import (
 )
 from .evaluation import _cross_validate_grid, cross_validate
 from .hht import FEATURE_NAMES, emd, trial_feature_vector
-from .solvers import KERNELS, SolverKind, solve_output_weights
+from .solvers import KERNELS, SolverKind
 
 _PROG = "hhtelm"
-
-# solver-bench times this many warm calls per kernel and size and reports
-# their median.
-_BENCH_REPEATS = 7
 
 # features and decompose sift this many trials together and hold the
 # modes of a block at once (about 80 KB a trial). On a shared 2-vCPU
@@ -153,13 +148,6 @@ def build_parser():
     _seed_flag(sweep)
     _common_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
-
-    bench = commands.add_parser("solver-bench", help="time the solver kernels")
-    bench.add_argument("--sizes", default="50,100,200", help="comma-separated system sizes")
-    bench.add_argument("--ridge", type=float, default=1e-3)
-    _seed_flag(bench)
-    _common_flags(bench)
-    bench.set_defaults(func=cmd_solver_bench)
 
     return parser
 
@@ -316,45 +304,6 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_solver_bench(args):
-    try:
-        sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    except ValueError as exc:
-        raise InvalidConfig(f"bad --sizes value {args.sizes!r}: {exc}") from exc
-    if not sizes or any(s < 4 for s in sizes):
-        raise InvalidConfig("--sizes needs integers >= 4")
-    if not args.ridge > 0.0:
-        raise InvalidConfig("--ridge must be > 0 for the Gram kernels")
-    rng = np.random.default_rng(args.seed)
-    problems = {}
-    for size in sizes:
-        h = rng.standard_normal((size, max(2, size // 2)))
-        t = rng.standard_normal((size, 2))
-        problems[size] = (h, t)
-    rows = []
-    for variant in KERNELS:
-        kind = SolverKind(variant=variant, ridge=args.ridge)
-        for size in sizes:
-            h, t = problems[size]
-            reference = solve_output_weights(h, t, SolverKind(variant="svd", ridge=args.ridge))
-            beta = solve_output_weights(h, t, kind)  # untimed warm-up call
-            times = []
-            for _ in range(_BENCH_REPEATS):
-                start = time.perf_counter()
-                solve_output_weights(h, t, kind)
-                times.append(time.perf_counter() - start)
-            elapsed = float(np.median(times))
-            deviation = np.linalg.norm(beta - reference) / max(np.linalg.norm(reference), 1e-30)
-            rows.append([variant, str(size), _fmt(elapsed), _fmt(deviation)])
-            _echo(
-                args,
-                f"solver-bench: {variant} size={size} {elapsed * 1e3:.2f} ms deviation={deviation:.2e}",
-            )
-    note = config_note("solver-bench", sizes=sizes, ridge=args.ridge, seed=args.seed)
-    write_csv(args.out, ["kernel", "size", "seconds", "deviation"], rows, note)
-    return 0
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -368,7 +317,7 @@ def main(argv=None):
         print(f"{_PROG}: usage error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # Widths or sizes too large for the machine are a bad flag value.
+        # Widths too large for the machine are a bad flag value.
         print(f"{_PROG}: usage error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -39,6 +40,22 @@ SESSION_COUNT = 8
 _FIXED_COLUMNS = ("trial_id", "session", "label", "fs")
 
 
+def _check_int(value, name, minimum):
+    """``value`` as an int; InvalidConfig unless it is an integer, not a bool,
+    and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_real(value, name):
+    """InvalidConfig unless ``value`` is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One recorded trial: id, session 1-8, class label, rate, samples."""
@@ -50,6 +67,8 @@ class TrialRecord:
     samples: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.trial_id, str):
+            raise InvalidConfig(f"trial_id must be a string, got {self.trial_id!r}")
         if not self.trial_id:
             raise InvalidConfig("trial_id must be non-empty")
         # A trials CSV holds the id unquoted at the start of its line, and
@@ -59,12 +78,16 @@ class TrialRecord:
                 f"trial_id {self.trial_id!r} holds a comma, a quote, a slash or a line break, "
                 "or starts with '#'"
             )
-        if isinstance(self.session, bool) or not isinstance(self.session, (int, np.integer)):
-            raise InvalidConfig(f"session must be an integer, got {self.session!r}")
-        if not 1 <= self.session <= SESSION_COUNT:
+        # Artifacts are UTF-8, which cannot hold a lone surrogate.
+        try:
+            self.trial_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidConfig(f"trial_id {self.trial_id!r} does not encode as UTF-8") from None
+        if _check_int(self.session, "session", 1) > SESSION_COUNT:
             raise InvalidConfig(f"session must be in 1..{SESSION_COUNT}, got {self.session}")
         if self.label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {self.label!r}")
+        _check_real(self.fs, "fs")
         if not (math.isfinite(self.fs) and self.fs > 0.0):
             raise InvalidConfig("fs must be finite and > 0")
         samples = np.asarray(self.samples, dtype=float)
@@ -124,11 +147,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
+        for name in ("drift_amplitude", "noise_sigma", "alpha_amplitude", "fs"):
+            value = getattr(self, name)
+            _check_real(value, name)
+            if not math.isfinite(value):
                 raise InvalidConfig(f"{name} must be finite, got {value}")
-        if self.n_per_class < 1:
-            raise InvalidConfig("n_per_class must be >= 1")
+        object.__setattr__(self, "n_per_class", _check_int(self.n_per_class, "n_per_class", 1))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
         if self.drift_amplitude < 0.0 or self.noise_sigma < 0.0 or self.alpha_amplitude < 0.0:
             raise InvalidConfig("amplitudes must be >= 0")
         # find_extrema, and so the decomposition, needs at least 4 samples.
@@ -146,9 +171,11 @@ class FilterSpec:
     taps: int = 257
 
     def __post_init__(self):
+        _check_real(self.cutoff, "cutoff")
         if not self.cutoff > 0.0:
             raise InvalidConfig("cutoff must be > 0")
-        if self.taps < 33 or self.taps % 2 == 0:
+        object.__setattr__(self, "taps", _check_int(self.taps, "taps", 33))
+        if self.taps % 2 == 0:
             raise InvalidConfig("taps must be odd and >= 33")
 
 
@@ -247,7 +274,7 @@ def atomic_write_text(path, text):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -295,7 +322,7 @@ def _read_csv(path):
     bytes that do not decode as text or (with the data row number) for a
     row whose field count differs.
     """
-    with open(path, "r", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             lines = (line.rstrip("\r\n") for line in handle)
             rows = (line.split(",") for line in lines if line and not line.lstrip().startswith("#"))
@@ -456,7 +483,7 @@ def load_report(path):
     label, or with a metric that is neither None nor a finite percentage.
     """
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except ValueError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc

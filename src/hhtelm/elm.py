@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES
+from .dataio import CLASS_NAMES, _check_int
 from .errors import (
     DegenerateLabels,
     InvalidConfig,
@@ -52,16 +52,6 @@ class AutoencoderLayer:
 
     def forward(self, x):
         return sigmoid(x @ self.beta.T)
-
-
-def _check_int(value, name, minimum):
-    """``value`` as an int; InvalidConfig unless it is an integer, not a bool,
-    and at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport
+from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport, _check_int
 from .elm import (
     ElmLayer,
     TrainConfig,
-    _check_int,
     deep_elm_predict,
     deep_elm_train,
     draw_layers,

@@ -3,6 +3,7 @@
 Everything runs in-process through cli.main(argv) so exit codes and
 stdout/stderr can be checked directly against temp-directory artifacts.
 """
+import argparse
 import json
 import os
 
@@ -20,7 +21,7 @@ from hhtelm import (
     save_trials_csv,
     synth_scp,
 )
-from hhtelm.cli import main
+from hhtelm.cli import build_parser, main
 
 NEG, POS = "negativity", "positivity"
 
@@ -76,18 +77,6 @@ def test_synth_writes_trials_with_config_echo(tmp_path, capsys):
     assert len(load_trials_csv(path)) == 8
 
 
-def test_synth_reruns_are_byte_identical(tmp_path):
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
-    assert main(["synth", *SYNTH_FLAGS, "--out", a, "--quiet"]) == 0
-    assert main(["synth", *SYNTH_FLAGS, "--out", b, "--quiet"]) == 0
-    with open(a, "rb") as handle:
-        blob_a = handle.read()
-    with open(b, "rb") as handle:
-        blob_b = handle.read()
-    assert blob_a == blob_b
-
-
 def test_synth_quiet_suppresses_log(tmp_path, capsys):
     path = str(tmp_path / "t.csv")
     assert main(["synth", *SYNTH_FLAGS, "--out", path, "--quiet"]) == 0
@@ -134,6 +123,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["decompose", *out, "--seed", "4"]) == 1
     assert main(["decompose", *out, "--max-imfs", "3"]) == 1
     assert "error" in capsys.readouterr().err
+    # No command times the kernels; perfbench does.
+    assert main(["solver-bench", "--sizes", "8", "--out", str(tmp_path / "b.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hhtelm: error: argument command: invalid choice: 'solver-bench'")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -142,7 +136,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["synth", "--n-per-class", "2", "--seed", "-1"],
         ["evaluate", "--seed", "-1"],
         ["sweep", "--budget", "2", "--seed", "-3"],
-        ["solver-bench", "--sizes", "8", "--seed", "-1"],
     ],
     ids=lambda command: command[0],
 )
@@ -160,16 +153,13 @@ def test_negative_seed_exits_1(tmp_path, blob_csv, capsys, command):
     [
         # a 6 x 10**15 first layer: 42.6 PiB of float64
         ["evaluate", "--layers", "1000000000000000", "--k", "2"],
-        # a 10**8 x 5 * 10**7 system: 35.5 PiB of float64
-        ["solver-bench", "--sizes", "100000000"],
     ],
     ids=lambda command: command[0],
 )
 def test_allocation_too_large_exits_1(tmp_path, blob_csv, capsys, command):
-    """Both arrays exceed the 128 TiB user address space of a 64-bit
-    machine, so numpy refuses them before any memory is touched."""
-    if command[0] == "evaluate":
-        command = [*command, "--features", blob_csv]
+    """The array exceeds the 128 TiB user address space of a 64-bit
+    machine, so numpy refuses it before any memory is touched."""
+    command = [*command, "--features", blob_csv]
     out = tmp_path / "out"
     assert main([*command, "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -376,20 +366,6 @@ def test_evaluate_separable_features(tmp_path, blob_csv, capsys):
     assert report.mean.accuracy >= 95.0
 
 
-def test_evaluate_rerun_byte_identical(tmp_path, blob_csv):
-    flags = ["evaluate", "--features", blob_csv, "--layers", "6,4",
-             "--k", "2", "--seed", "3", "--quiet"]
-    a = str(tmp_path / "a.json")
-    b = str(tmp_path / "b.json")
-    assert main([*flags, "--out", a]) == 0
-    assert main([*flags, "--out", b]) == 0
-    with open(a, "rb") as handle:
-        blob_a = handle.read()
-    with open(b, "rb") as handle:
-        blob_b = handle.read()
-    assert blob_a == blob_b
-
-
 def test_evaluate_full_pipeline_chain(tmp_path, features_csv):
     """synth -> features -> evaluate wiring at a deliberately tiny size."""
     report_path = str(tmp_path / "report.json")
@@ -492,29 +468,41 @@ def test_sweep_rejects_bad_grid(tmp_path, blob_csv):
 
 
 # ---------------------------------------------------------------------------
-# solver-bench
+# determinism
+
+# Flags for a tiny run of every subcommand; "{trials}" and "{blobs}" stand
+# for the module's trials and blob feature files.
+RERUNS = {
+    "synth": ["synth", *SYNTH_FLAGS],
+    "decompose": ["decompose", "--in", "{trials}", "--taps", "65"],
+    "features": ["features", "--in", "{trials}", "--taps", "65"],
+    "evaluate": ["evaluate", "--features", "{blobs}", "--layers", "6,4", "--k", "2", "--seed", "3"],
+    "sweep": ["sweep", "--features", "{blobs}", "--min", "4", "--max", "6", "--step", "2",
+              "--k", "2", "--budget", "2", "--seed", "5"],
+}
 
 
-def test_solver_bench_reports_matching_kernels(tmp_path, capsys):
-    out = str(tmp_path / "bench.csv")
-    rc = main(["solver-bench", "--sizes", "8,12", "--out", out])
-    assert rc == 0
-    assert "solver-bench: svd size=8" in capsys.readouterr().out
-    lines = read_lines(out)
-    assert lines[1] == "kernel,size,seconds,deviation"
-    rows = [line.split(",") for line in lines[2:]]
-    assert len(rows) == 6
-    for kernel, size, seconds, deviation in rows:
-        assert kernel in ("svd", "hessenberg", "lu")
-        assert int(size) in (8, 12)
-        assert float(seconds) >= 0.0
-        assert float(deviation) < 1e-8
+def artifact_bytes(path):
+    """The bytes of a file, or of every file of a directory by name."""
+    if os.path.isdir(path):
+        return {name: artifact_bytes(os.path.join(path, name)) for name in os.listdir(path)}
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
-def test_solver_bench_rejects_bad_flags(tmp_path):
-    out = str(tmp_path / "bench.csv")
-    assert main(["solver-bench", "--sizes", "2,8", "--out", out, "--quiet"]) == 1
-    assert main(["solver-bench", "--ridge", "0.0", "--out", out, "--quiet"]) == 1
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_every_command_reruns_byte_identical(tmp_path, trials_csv, blob_csv, command):
+    (subcommands,) = (
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(RERUNS) == set(subcommands)
+    argv = [arg.format(trials=trials_csv, blobs=blob_csv) for arg in RERUNS[command]]
+    outputs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    for out in outputs:
+        assert main([*argv, "--out", out, "--quiet"]) == 0
+    first, second = (artifact_bytes(out) for out in outputs)
+    assert first and first == second
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +536,6 @@ def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_c
             str(tmp_path / "s.csv"),
             {"command": "sweep", "min": 4, "max": 6, "step": 2, "depth": 2, "budget": 2,
              "kernel": "hessenberg", "ridge": 0.001, "k": 2, "seed": 5},
-        ),
-        "solver-bench": (
-            ["solver-bench", "--sizes", "8,12", "--ridge", "0.01", "--out", str(tmp_path / "b.csv")],
-            str(tmp_path / "b.csv"),
-            {"command": "solver-bench", "sizes": [8, 12], "ridge": 0.01, "seed": 0},
         ),
     }
     for command, (argv, path, expected) in cases.items():

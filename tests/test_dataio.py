@@ -63,6 +63,12 @@ def test_trial_record_validation():
     for trial_id in ("a,b", 'a"b', "a\nb", "a\rb", "#a", " #a", "../escaped", "/abs", "a\\b"):
         with pytest.raises(InvalidConfig, match="trial_id"):
             make_trial([0.0], trial_id=trial_id)
+    for trial_id in (5, b"ab", ("a",), None):
+        with pytest.raises(InvalidConfig, match="trial_id must be a string"):
+            make_trial([0.0], trial_id=trial_id)
+    # A lone surrogate has no UTF-8 form, so no trials CSV can hold it.
+    with pytest.raises(InvalidConfig, match="does not encode as UTF-8"):
+        make_trial([0.0], trial_id="a\ud800")
     with pytest.raises(InvalidConfig):
         make_trial([0.0], session=0)
     with pytest.raises(InvalidConfig):
@@ -76,6 +82,10 @@ def test_trial_record_validation():
         make_trial([0.0], label="other")
     with pytest.raises(InvalidConfig):
         make_trial([0.0], fs=0.0)
+    for fs in ("256", None, True, 1j):
+        with pytest.raises(InvalidConfig, match="fs must be a real number"):
+            make_trial([0.0], fs=fs)
+    assert make_trial([0.0], fs=np.float32(4.0)).fs == 4.0
     with pytest.raises(ShapeMismatch):
         make_trial([])
     with pytest.raises(ShapeMismatch):
@@ -97,8 +107,21 @@ def test_synth_config_validation():
         SynthConfig(alpha_amplitude=-2.0)
     with pytest.raises(InvalidConfig):
         SynthConfig(fs=0.0)
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        SynthConfig(seed=-1)
+    for bad in (2.5, "3", None, True):
+        with pytest.raises(InvalidConfig, match="n_per_class must be an integer"):
+            SynthConfig(n_per_class=bad)
+    with pytest.raises(InvalidConfig, match="seed must be an integer"):
+        SynthConfig(seed=1.0)
+    for name in ("drift_amplitude", "noise_sigma", "alpha_amplitude", "fs"):
+        with pytest.raises(InvalidConfig, match=f"{name} must be a real number"):
+            SynthConfig(**{name: "1"})
     # zero amplitudes are degenerate but allowed
     SynthConfig(drift_amplitude=0.0, noise_sigma=0.0, alpha_amplitude=0.0)
+    # numpy integers are held as ints, so the config echo stays JSON
+    cfg = SynthConfig(n_per_class=np.int64(3), seed=np.int64(4))
+    assert type(cfg.n_per_class) is int and type(cfg.seed) is int
 
 
 def test_synth_config_rejects_values_that_cannot_make_trials():
@@ -186,7 +209,14 @@ def test_filter_spec_validation():
         FilterSpec(taps=31)
     with pytest.raises(InvalidConfig):
         FilterSpec(taps=256)
+    for taps in (33.0, "33", True):
+        with pytest.raises(InvalidConfig, match="taps must be an integer"):
+            FilterSpec(taps=taps)
+    for cutoff in ("a", None, False):
+        with pytest.raises(InvalidConfig, match="cutoff must be a real number"):
+            FilterSpec(cutoff=cutoff)
     FilterSpec(cutoff=10.0, taps=33)
+    assert type(FilterSpec(taps=np.int64(65)).taps) is int
 
 
 def test_lowpass_unit_dc_gain():
