@@ -47,7 +47,7 @@ _PROG = "hhtelm"
 # machine with one BLAS thread, `features` on the 400 trials of
 # SynthConfig(n_per_class=200, seed=42) took 2.4, 2.4 and 2.2 s in blocks
 # of 20, 32 and 64, and 2.1 s in one block, which peaked at 68 MB of
-# allocations, above the 66 MB that reading their CSV takes.
+# allocations, ten times the 7 MB that reading their CSV takes.
 _BLOCK_TRIALS = 64
 
 
@@ -266,9 +266,7 @@ def cmd_sweep(args):
         grid = [tuple(widths[d] for d in point) for point in zip(*digits)]
     configs = [TrainConfig(layer_sizes=sizes, kernel=kernel, seed=args.seed) for sizes in grid]
     reports = _cross_validate_grid(features, labels, configs, args.k, args.seed)
-    results = [
-        (config.layer_sizes, report.mean, report.std) for config, report in zip(configs, reports)
-    ]
+    results = [(config.layer_sizes, report.mean, report.std) for config, report in reports]
     results.sort(
         key=lambda item: (-(item[1].accuracy if item[1].accuracy is not None else -1.0), item[0])
     )

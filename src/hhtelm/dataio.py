@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     InvalidConfig,
     InvalidLabel,
+    InvalidMatrix,
     ParseError,
     ShapeMismatch,
 )
@@ -56,6 +57,25 @@ def _check_real(value, name):
         raise InvalidConfig(f"{name} must be a real number, got {value!r}")
 
 
+def _check_field(value, name):
+    """InvalidConfig unless ``value`` can stand unquoted as a CSV field at
+    the start of a line: a non-empty string without a comma, a quote or a
+    line break, not starting with '#', that encodes as UTF-8."""
+    if not isinstance(value, str):
+        raise InvalidConfig(f"{name} must be a string, got {value!r}")
+    if not value:
+        raise InvalidConfig(f"{name} must be non-empty")
+    if set(value) & set(',"\r\n') or value.lstrip().startswith("#"):
+        raise InvalidConfig(
+            f"{name} {value!r} holds a comma, a quote or a line break, or starts with '#'"
+        )
+    # Artifacts are UTF-8, which cannot hold a lone surrogate.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InvalidConfig(f"{name} {value!r} does not encode as UTF-8") from None
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """One recorded trial: id, session 1-8, class label, rate, samples."""
@@ -67,22 +87,10 @@ class TrialRecord:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.trial_id, str):
-            raise InvalidConfig(f"trial_id must be a string, got {self.trial_id!r}")
-        if not self.trial_id:
-            raise InvalidConfig("trial_id must be non-empty")
-        # A trials CSV holds the id unquoted at the start of its line, and
-        # decompose names a file after it.
-        if set(self.trial_id) & set(',"\r\n/\\') or self.trial_id.lstrip().startswith("#"):
-            raise InvalidConfig(
-                f"trial_id {self.trial_id!r} holds a comma, a quote, a slash or a line break, "
-                "or starts with '#'"
-            )
-        # Artifacts are UTF-8, which cannot hold a lone surrogate.
-        try:
-            self.trial_id.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidConfig(f"trial_id {self.trial_id!r} does not encode as UTF-8") from None
+        _check_field(self.trial_id, "trial_id")
+        # decompose names a file after the id.
+        if set(self.trial_id) & set("/\\"):
+            raise InvalidConfig(f"trial_id {self.trial_id!r} holds a slash")
         if _check_int(self.session, "session", 1) > SESSION_COUNT:
             raise InvalidConfig(f"session must be in 1..{SESSION_COUNT}, got {self.session}")
         if self.label not in CLASS_NAMES:
@@ -340,21 +348,57 @@ def _read_csv(path):
             raise ParseError(f"{path}: not a text file: {exc}") from exc
 
 
+def _checked_trials(path, rows):
+    """Each ``(number, trial_id, session, label, fs, samples)`` of ``rows`` as a
+    TrialRecord, held to the rules of a trials CSV, so that what
+    ``save_trials_csv`` writes ``load_trials_csv`` reads. Raises ParseError
+    for a row of another sample count than the first, a non-finite sample
+    or a field ``TrialRecord`` refuses, and FormatError for a row of
+    another fs than the first or a repeated id, each naming the row.
+    """
+    first = None
+    id_rows = {}
+    for number, trial_id, session, label, fs, samples in rows:
+        if first is not None and samples.size != first.samples.size:
+            fixed = len(_FIXED_COLUMNS)
+            raise ParseError(
+                f"{path}: row {number} has {fixed + samples.size} fields, "
+                f"expected {fixed + first.samples.size}"
+            )
+        if not np.isfinite(samples).all():
+            bad = np.flatnonzero(~np.isfinite(samples))[0]
+            raise ParseError(f"{path}: row {number} has a non-finite sample s{bad}")
+        try:
+            trial = TrialRecord(
+                trial_id=trial_id, session=session, label=label, fs=fs, samples=samples
+            )
+        except (InvalidConfig, InvalidLabel, ShapeMismatch) as exc:
+            raise ParseError(f"{path}: row {number}: {exc}") from exc
+        if first is None:
+            first = trial
+        elif fs != first.fs:
+            raise FormatError(f"{path}: row {number} has fs {fs}, other rows use {first.fs}")
+        if trial_id in id_rows:
+            raise FormatError(
+                f"{path}: row {number} repeats trial_id {trial_id!r} of row {id_rows[trial_id]}"
+            )
+        id_rows[trial_id] = number
+        yield trial
+
+
 def save_trials_csv(trials, path, config_note=None):
     """Write trials as CSV: header trial_id,session,label,fs,s0,...
 
     ``config_note`` is the leading ``#`` echo line (see ``write_csv``).
     Floats use shortest round-trip repr so a load restores values exactly.
-    Raises FormatError, before anything is written, when two trials share
-    an id, since ``load_trials_csv`` would refuse the file.
+    Raises, before anything is written, what ``load_trials_csv`` would
+    raise for the file.
     """
-    id_rows = {}
-    for number, trial in enumerate(trials, start=1):
-        if trial.trial_id in id_rows:
-            raise FormatError(
-                f"{path}: row {number} repeats trial_id {trial.trial_id!r} of row {id_rows[trial.trial_id]}"
-            )
-        id_rows[trial.trial_id] = number
+    given = (
+        (number, trial.trial_id, trial.session, trial.label, float(trial.fs), trial.samples)
+        for number, trial in enumerate(trials, start=1)
+    )
+    trials = list(_checked_trials(path, given))
     width = trials[0].samples.size if trials else 0
     header = [*_FIXED_COLUMNS, *(f"s{i}" for i in range(width))]
     rows = (
@@ -377,45 +421,38 @@ def load_trials_csv(path):
         raise FormatError(
             f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
         )
-    trials = []
-    id_rows = {}
-    for number, row in rows:
-        trial_id, session_text, label, fs_text = row[:4]
-        try:
-            session = int(session_text)
-            row_fs = float(fs_text)
-            samples = np.array(row[4:], dtype=float)
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {number}: {exc}") from exc
-        if not np.isfinite(samples).all():
-            bad = np.flatnonzero(~np.isfinite(samples))[0]
-            raise ParseError(f"{path}: row {number} has a non-finite sample s{bad}")
-        try:
-            trial = TrialRecord(
-                trial_id=trial_id, session=session, label=label, fs=row_fs, samples=samples
-            )
-        except (InvalidConfig, InvalidLabel, ShapeMismatch) as exc:
-            raise ParseError(f"{path}: row {number}: {exc}") from exc
-        if trials and row_fs != trials[0].fs:
-            raise FormatError(
-                f"{path}: row {number} has fs {row_fs}, other rows use {trials[0].fs}"
-            )
-        if trial_id in id_rows:
-            raise FormatError(
-                f"{path}: row {number} repeats trial_id {trial_id!r} of row {id_rows[trial_id]}"
-            )
-        id_rows[trial_id] = number
-        trials.append(trial)
-    return trials
+
+    def parsed():
+        for number, row in rows:
+            trial_id, session_text, label, fs_text = row[:4]
+            try:
+                session = int(session_text)
+                row_fs = float(fs_text)
+                samples = np.array(row[4:], dtype=float)
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {number}: {exc}") from exc
+            yield number, trial_id, session, label, row_fs, samples
+
+    return list(_checked_trials(path, parsed()))
 
 
 def save_features_csv(values, layout, labels, path, config_note=None):
-    """Write a feature matrix with a trailing label column."""
+    """Write a feature matrix with a trailing label column.
+
+    Raises, before anything is written, for a table ``load_features_csv``
+    would not read back: InvalidConfig for a name that is empty, holds a
+    comma, a quote or a line break, or starts with '#', and InvalidMatrix
+    for a non-finite value.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != len(labels):
         raise ShapeMismatch("values must be 2-D with one row per label")
     if values.shape[1] != len(layout):
         raise ShapeMismatch("layout length must match the feature width")
+    for name in layout:
+        _check_field(name, "feature name")
+    if not np.isfinite(values).all():
+        raise InvalidMatrix("values contains non-finite entries")
     for label in labels:
         if label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {label!r}")

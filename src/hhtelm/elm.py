@@ -145,6 +145,8 @@ def elm_ae_train(x, layer, kernel):
 def one_hot(labels):
     """0/1 target matrix with one column per class of ``CLASS_NAMES``, in that order."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeMismatch(f"labels must be 1-D, got shape {labels.shape}")
     targets = np.zeros((labels.size, len(CLASS_NAMES)))
     for column, name in enumerate(CLASS_NAMES):
         targets[labels == name, column] = 1.0
@@ -203,6 +205,10 @@ def deep_elm_train(x, labels, config, layers=None):
         raise DegenerateLabels(f"class(es) {small} need at least 2 samples")
     if layers is None:
         layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
+    elif not isinstance(layers, (list, tuple)) or not all(
+        isinstance(layer, (ElmLayer, AutoencoderLayer)) for layer in layers
+    ):
+        raise InvalidConfig("layers must be a list of ElmLayer or AutoencoderLayer")
     elif tuple(_width(layer) for layer in layers) != config.layer_sizes:
         raise ShapeMismatch(f"layers must have the widths {config.layer_sizes}")
     fitted = 0

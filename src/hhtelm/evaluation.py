@@ -26,6 +26,7 @@ from .errors import (
     InvalidLabel,
     ShapeMismatch,
 )
+from .solvers import _check_matrix
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def cross_validate(features, labels, train_config, k=5, seed=0):
     model equals ``deep_elm_train`` on its balanced rows. This is the
     one-configuration case of the grid walk that ``hhtelm sweep`` runs.
     """
-    (report,) = _cross_validate_grid(features, labels, [train_config], k, seed)
+    ((_, report),) = _cross_validate_grid(features, labels, [train_config], k, seed)
     return report
 
 
@@ -236,26 +237,26 @@ class _WidthPath:
 
 def _cross_validate_grid(features, labels, configs, k, seed):
     """Stratified k-fold evaluation of configurations that share a kernel and
-    model seed; yields one ``CvReport`` per configuration, in order, equal to
-    ``cross_validate`` of it.
+    model seed; yields ``(config, report)`` per configuration as soon as its
+    k folds are fitted, the report equal to ``cross_validate`` of it.
 
     The k folds' balanced training rows are found first and held as
-    indices. The configurations are then visited in the order of their
-    widths, which walks the tree of width prefixes depth-first and draws
-    each of its random layers once, and each is fitted in every fold in
-    turn. The stages a configuration shares with the next one are kept,
-    one per fold, and passed fitted to ``deep_elm_train``, so an
-    autoencoder stage that several configurations share is fitted once per
-    fold. A single configuration keeps nothing across folds. Besides the
-    current path and those stages, only each configuration's fold metrics
-    and the class index each trial was given are held.
+    indices. The configurations are then visited, and their pairs yielded,
+    in the order of their widths, not in the order given: a depth-first
+    walk of the tree of width prefixes that draws each of its random layers
+    once. Each configuration is fitted in every fold in turn. The stages it
+    shares with the next one are kept, one per fold, and passed fitted to
+    ``deep_elm_train``, so an autoencoder stage that several configurations
+    share is fitted once per fold. A single configuration keeps nothing
+    across folds. Across configurations only the current path and those
+    stages are held.
     """
-    features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     if not all(isinstance(config, TrainConfig) for config in configs):
         raise InvalidConfig("train_config must be a TrainConfig")
-    if features.ndim != 2 or features.shape[0] != labels.size or features.shape[1] < 1:
-        raise ShapeMismatch("features must be 2-D with one row per label and a column")
+    features = _check_matrix(features, "features")
+    if features.shape[0] != labels.size:
+        raise ShapeMismatch("features must have one row per label")
     if len({(config.kernel, config.seed) for config in configs}) != 1:
         raise InvalidConfig("the configurations must share one kernel and one model seed")
     assignment = stratified_kfold(labels, k, seed)
@@ -268,28 +269,26 @@ def _cross_validate_grid(features, labels, configs, k, seed):
         for fold in range(k)
     ]
     path = _WidthPath(features.shape[1], configs[0].seed)
-    order = sorted(range(len(configs)), key=lambda i: configs[i].layer_sizes)
-    folds = [[] for _ in configs]
-    picks = np.empty((len(configs), labels.size), dtype=np.int8)
-    for i, after in zip(order, order[1:] + [None]):
-        sizes = configs[i].layer_sizes
-        path.walk(sizes)
-        depth = 0 if after is None else _shared_depth(sizes, configs[after].layer_sizes)
+    ordered = sorted(configs, key=lambda config: config.layer_sizes)
+    for config, after in zip(ordered, ordered[1:] + [None]):
+        path.walk(config.layer_sizes)
+        depth = 0 if after is None else _shared_depth(config.layer_sizes, after.layer_sizes)
+        folds = []
+        predictions = np.empty(labels.size, dtype=labels.dtype)
         for fold, (train_idx, test_idx) in enumerate(plan):
             model = deep_elm_train(
-                features[train_idx], labels[train_idx], configs[i], path.layers(fold)
+                features[train_idx], labels[train_idx], config, path.layers(fold)
             )
             path.keep(fold, model, depth)
-            fold_pred, scores = deep_elm_predict(model, features[test_idx])
-            picks[i, test_idx] = np.argmax(scores, axis=1)
-            folds[i].append(metrics(contingency(fold_pred, labels[test_idx])))
-    for config, config_folds, config_picks in zip(configs, folds, picks):
-        yield CvReport(
-            folds=config_folds,
-            mean=_aggregate(config_folds, np.mean),
-            std=_aggregate(config_folds, np.std),
+            fold_pred, _ = deep_elm_predict(model, features[test_idx])
+            predictions[test_idx] = fold_pred
+            folds.append(metrics(contingency(fold_pred, labels[test_idx])))
+        yield config, CvReport(
+            folds=folds,
+            mean=_aggregate(folds, np.mean),
+            std=_aggregate(folds, np.std),
             fold_assignments=assignment,
-            predictions=np.asarray(CLASS_NAMES)[config_picks].astype(labels.dtype),
+            predictions=predictions,
             seed=seed,
             k=k,
             config={

@@ -110,7 +110,10 @@ class HessenbergFactorization:
 
 
 def _check_matrix(a, name="matrix"):
-    arr = np.asarray(a, dtype=float)
+    try:
+        arr = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMatrix(f"{name} is not numeric: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(
             f"{name} must be 2-D with at least one row and column, got shape {np.shape(a)}"

@@ -38,7 +38,9 @@ from hhtelm.errors import (
     FormatError,
     InvalidConfig,
     InvalidLabel,
+    InvalidMatrix,
     ParseError,
+    PipelineError,
     ShapeMismatch,
 )
 
@@ -444,6 +446,29 @@ def test_save_trials_csv_rejects_repeated_ids(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "trials, error, match",
+    [
+        (
+            [make_trial(np.zeros(2), "a"), make_trial(np.zeros(2), "b", fs=8.0)],
+            FormatError,
+            "row 2 has fs 8.0, other rows use 4.0",
+        ),
+        (
+            [make_trial(np.zeros(2), "a"), make_trial(np.zeros(3), "b")],
+            ParseError,
+            "row 2 has 7 fields, expected 6",
+        ),
+        ([make_trial([0.0, np.nan], "a")], ParseError, "row 1 has a non-finite sample s1"),
+    ],
+    ids=["mixed-fs", "mixed-sample-counts", "nan-sample"],
+)
+def test_save_trials_csv_refuses_what_the_loader_refuses(tmp_path, trials, error, match):
+    with pytest.raises(error, match=match):
+        save_trials_csv(trials, str(tmp_path / "trials.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trials_csv_rejects_bad_header(tmp_path):
     path = str(tmp_path / "header.csv")
     write_lines(path, ["id,session,label,fs,s0", "a,1,negativity,4.0,0.0"])
@@ -620,6 +645,39 @@ def test_features_csv_save_validation(tmp_path):
         save_features_csv(values, layout, [NEG], path)
     with pytest.raises(InvalidLabel):
         save_features_csv(values, layout, [NEG, "other"], path)
+    # Names a header line cannot hold, and values the loader refuses.
+    for name in ("a,b", 'a"b', "a\nb", "a\rb", "#a", " #a", "a\ud800", "", 5):
+        with pytest.raises(InvalidConfig, match="feature name"):
+            save_features_csv(values, ("a", name, "c"), [NEG, POS], path)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            save_features_csv(np.full((1, 1), bad), ("a",), [NEG], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+# Layout names of any text, with the ones a header line cannot hold mixed in.
+feature_names = st.text(max_size=4) | st.sampled_from(
+    ["a,b", 'a"b', "a\nb", "a\rb", "a\r\nb", "#a", " #a", "a\ud800", "", "label", "\u2028", "\x85"]
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), rows=st.integers(0, 3), width=st.integers(0, 3))
+def test_features_csv_loads_back_every_table_the_writer_accepts(tmp_path_factory, data, rows, width):
+    row = st.lists(st.floats(), min_size=width, max_size=width)
+    values = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows))).reshape(rows, width)
+    layout = tuple(data.draw(st.lists(feature_names, min_size=width, max_size=width)))
+    labels = data.draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=rows, max_size=rows))
+    path = str(tmp_path_factory.getbasetemp() / "generated_features.csv")
+    try:
+        save_features_csv(values, layout, labels, path)
+    except PipelineError:
+        return
+    got_values, got_layout, got_labels = load_features_csv(path)
+    assert got_values.shape == values.shape
+    assert got_values.tobytes() == values.tobytes()  # bit for bit, so -0.0 stays -0.0
+    assert got_layout == layout
+    assert got_labels == labels
 
 
 def test_features_csv_load_errors(tmp_path):

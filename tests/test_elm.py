@@ -289,6 +289,8 @@ def test_deep_unknown_label_rejected():
     labels = np.array(["negativity", "positivity", "negativity", "artifact"])
     with pytest.raises(InvalidLabel):
         deep_elm_train(x, labels, TrainConfig(layer_sizes=(3,), kernel=HESS))
+    with pytest.raises(ShapeMismatch, match="labels must be 1-D"):
+        deep_elm_train(x, labels[:, None], TrainConfig(layer_sizes=(3,), kernel=HESS))
 
 
 def test_deep_deterministic(separable_features):
@@ -348,6 +350,9 @@ def test_deep_given_layers_must_match_the_config():
             deep_elm_train(x, labels, config, layers)
     with pytest.raises(ShapeMismatch):
         deep_elm_train(x, labels, config, draw_layers(5, (6, 3), seed=2))
+    for layers in (["x", "y"], [None, None], 5):
+        with pytest.raises(InvalidConfig, match="layers must be a list"):
+            deep_elm_train(x, labels, config, layers)
 
 
 def test_deep_fitted_stages_are_used_as_given():
@@ -403,3 +408,5 @@ def test_one_hot_layout():
 def test_one_hot_rejects_unknown():
     with pytest.raises(InvalidLabel):
         one_hot(np.array(["negativity", "unknown"]))
+    with pytest.raises(ShapeMismatch, match="labels must be 1-D"):
+        one_hot(np.array([["negativity"], ["positivity"]]))

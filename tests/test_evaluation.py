@@ -24,6 +24,7 @@ from hhtelm.errors import (
     InsufficientClassMembers,
     InvalidConfig,
     InvalidLabel,
+    InvalidMatrix,
     ShapeMismatch,
 )
 
@@ -395,6 +396,8 @@ def test_cv_rejects_bad_inputs():
         cross_validate(x, labels, "not a config", k=3, seed=0)
     with pytest.raises(ShapeMismatch):
         cross_validate(x[:5], labels, TrainConfig(layer_sizes=(4,), kernel=HESS), k=3, seed=0)
+    with pytest.raises(InvalidMatrix, match="features is not numeric"):
+        cross_validate(np.full(x.shape, "a"), labels, TrainConfig(layer_sizes=(4,), kernel=HESS))
 
 
 @pytest.mark.parametrize(
@@ -456,10 +459,10 @@ def test_grid_equals_per_config_cross_validation(variant, grid):
     x, labels = blob_features(15, sep=0.4, seed=5)
     kernel = SolverKind(variant, ridge=1e-3)
     configs = [TrainConfig(layer_sizes=sizes, kernel=kernel, seed=4) for sizes in GRIDS[grid]]
-    reports = list(_cross_validate_grid(x, labels, configs, 3, 8))
-    assert len(reports) == len(configs)
+    pairs = list(_cross_validate_grid(x, labels, configs, 3, 8))
+    assert [config for config, _ in pairs] == sorted(configs, key=lambda c: c.layer_sizes)
     accuracies = set()
-    for config, report in zip(configs, reports):
+    for config, report in pairs:
         folds, predictions = cross_validate_one_at_a_time(x, labels, config, 3, 8)
         assert report.folds == folds
         np.testing.assert_array_equal(report.predictions, predictions)
@@ -513,6 +516,25 @@ def test_grid_passes_each_fit_the_stages_it_shares_with_the_last(monkeypatch):
     given.clear()
     cross_validate(x, labels, configs[0], k=3, seed=8)
     assert given == [((25, 8, 3), 0)] * 3
+
+
+def test_grid_yields_each_configuration_when_its_folds_are_fitted(monkeypatch):
+    from hhtelm import evaluation
+
+    fits = []
+
+    def counting(x, labels, config, layers=None):
+        fits.append(config.layer_sizes)
+        return deep_elm_train(x, labels, config, layers)
+
+    monkeypatch.setattr(evaluation, "deep_elm_train", counting)
+    x, labels = blob_features(15, seed=5)
+    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in GRIDS["depth2"]]
+    walk = _cross_validate_grid(x, labels, configs, 3, 8)
+    config, report = next(walk)
+    assert config.layer_sizes == (3, 3)
+    assert fits == [(3, 3)] * 3
+    assert report.to_dict() == cross_validate(x, labels, config, k=3, seed=8).to_dict()
 
 
 def test_grid_rejects_configs_that_differ_beyond_their_widths():

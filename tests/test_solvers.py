@@ -135,6 +135,23 @@ def test_pseudoinverse_rejects_nonfinite():
         svd_pseudoinverse(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_every_matrix_check_rejects_input_that_is_not_numeric():
+    kind = SolverKind("lu", ridge=1e-3)
+    config = hhtelm.TrainConfig(layer_sizes=(1,), kernel=kind)
+    model = hhtelm.deep_elm_train(np.eye(4)[:, :1], ["negativity", "positivity"] * 2, config)
+    for call in (
+        svd_pseudoinverse,
+        hessenberg_reduce,
+        lambda a: lu_factor_solve(a, np.ones(1)),
+        lambda a: solve_output_weights(a, np.ones((1, 1)), kind),
+        lambda a: hhtelm.elm_train(a, np.ones((1, 1)), hhtelm.draw_layers(1, (1,), 0)[0], kind),
+        lambda a: hhtelm.deep_elm_train(a, ["negativity"], config),
+        lambda a: hhtelm.deep_elm_predict(model, a),
+    ):
+        with pytest.raises(InvalidMatrix, match="is not numeric"):
+            call([["a"]])
+
+
 def test_pseudoinverse_rejects_bad_shapes():
     with pytest.raises((InvalidMatrix, ShapeMismatch)):
         svd_pseudoinverse(np.array([1.0, 2.0, 3.0]))
