@@ -5,13 +5,16 @@ a 2 s baseline followed by a 6 s active phase, one of two labels. The
 synthetic generator produces class-separable trials for pipeline checks;
 all file formats round-trip exactly (floats are written with shortest
 round-trip repr) and writes are atomic (temp file + rename). A CSV row is
-its fields joined by commas and never quoted, so a reader splits each line
-on commas. The cross-validation report records live here with their JSON
-file, so ``save_report`` and ``load_report`` are the only code that knows
-it.
+its fields joined by commas and never quoted, so a reader counts a line's
+fields by its commas and hands the numeric ones to numpy's C reader
+(``np.loadtxt``), whose grammar is Python's ``float`` without digit
+underscores and non-ASCII digits. The cross-validation report records live
+here with their JSON file, so ``save_report`` and ``load_report`` are the
+only code that knows it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -37,6 +40,12 @@ CLASS_NAMES = (LABEL_NEGATIVITY, LABEL_POSITIVITY)
 TRIAL_SECONDS = 8.0
 BASELINE_SECONDS = 2.0
 SESSION_COUNT = 8
+
+# The most samples a synthetic trial may hold: 8 s at 2048 Hz, eight times
+# the default rate. `features` on 4 trials of this length peaked at 10.7 MB
+# of allocations (1.6 MB at 256 Hz), so one block of cli._BLOCK_TRIALS
+# trials stays near 170 MB.
+_MAX_TRIAL_SAMPLES = 16384
 
 _FIXED_COLUMNS = ("trial_id", "session", "label", "fs")
 
@@ -165,9 +174,15 @@ class SynthConfig:
         if self.drift_amplitude < 0.0 or self.noise_sigma < 0.0 or self.alpha_amplitude < 0.0:
             raise InvalidConfig("amplitudes must be >= 0")
         # find_extrema, and so the decomposition, needs at least 4 samples.
-        if int(round(TRIAL_SECONDS * self.fs)) < 4:
+        samples = int(round(TRIAL_SECONDS * self.fs))
+        if samples < 4:
             raise InvalidConfig(
                 f"fs {self.fs} Hz gives fewer than 4 samples in a {TRIAL_SECONDS:g} s trial"
+            )
+        if samples > _MAX_TRIAL_SAMPLES:
+            raise InvalidConfig(
+                f"fs {self.fs} Hz gives {samples} samples in a {TRIAL_SECONDS:g} s trial, "
+                f"more than {_MAX_TRIAL_SAMPLES}"
             )
 
 
@@ -319,12 +334,12 @@ def write_csv(path, header, rows, config_note=None):
 
 
 def _read_csv(path):
-    """The rows of a CSV artifact, comment and blank lines skipped, read
-    one at a time: yields the header, then ``(number, row)`` per data row,
-    so a caller parses each row before the next one is read.
-
-    A row is its line split on commas. No writer of this package quotes a
-    field, so a quote is an ordinary character here.
+    """The lines of a CSV artifact, comment and blank lines skipped, read
+    one at a time: yields the header split on commas, then ``(number,
+    line)`` per data row, so a caller parses each row before the next one
+    is read. Each line loses its line ending; its fields are what lies
+    between commas, and no writer of this package quotes a field, so a
+    quote is an ordinary character here.
 
     Raises FormatError for a file without a header row, and ParseError for
     bytes that do not decode as text or (with the data row number) for a
@@ -333,19 +348,57 @@ def _read_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             lines = (line.rstrip("\r\n") for line in handle)
-            rows = (line.split(",") for line in lines if line and not line.lstrip().startswith("#"))
-            header = next(rows, None)
+            lines = (line for line in lines if line and not line.lstrip().startswith("#"))
+            header = next(lines, None)
             if header is None:
                 raise FormatError(f"{path}: empty file, expected a header row")
+            header = header.split(",")
             yield header
-            for number, row in enumerate(rows, start=1):
-                if len(row) != len(header):
+            for number, line in enumerate(lines, start=1):
+                count = line.count(",") + 1
+                if count != len(header):
                     raise ParseError(
-                        f"{path}: row {number} has {len(row)} fields, expected {len(header)}"
+                        f"{path}: row {number} has {count} fields, expected {len(header)}"
                     )
-                yield number, row
+                yield number, line
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not a text file: {exc}") from exc
+
+
+def _parse_floats(path, rows, width):
+    """The numbers of ``rows``, pairs ``(number, text)`` whose text holds
+    ``width`` comma-separated fields, as one ``(rows, width)`` array.
+
+    numpy's C reader (``np.loadtxt``) parses the texts as ``rows`` yields
+    them, one at a time, so the checks a caller makes while yielding run in
+    row order and no row's text outlives its parse. Its grammar is Python's
+    ``float`` without digit underscores and non-ASCII digits. Raises
+    ParseError naming the first row with a field outside that grammar.
+    """
+    if width == 0:
+        return np.zeros((sum(1 for _ in rows), 0))
+    number = None
+
+    def texts():
+        nonlocal number
+        for number, text in rows:
+            # loadtxt would skip an empty line, and with it the row.
+            if not text:
+                raise ParseError(f"{path}: row {number}: could not convert string '' to float64")
+            yield text
+
+    lines = texts()
+    first = next(lines, None)
+    if first is None:  # loadtxt warns when it is handed no data
+        return np.zeros((0, width))
+    try:
+        return np.loadtxt(
+            itertools.chain((first,), lines), delimiter=",", dtype=float, comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        # loadtxt reads no line ahead, so the row that failed is the last one drawn.
+        reason = str(exc).partition(" at row ")[0]
+        raise ParseError(f"{path}: row {number}: {reason}") from exc
 
 
 def _checked_trials(path, rows):
@@ -417,21 +470,22 @@ def load_trials_csv(path):
     disagree on fs or repeat a trial id.
     """
     rows = _read_csv(path)
-    if next(rows)[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
+    header = next(rows)
+    if header[: len(_FIXED_COLUMNS)] != list(_FIXED_COLUMNS):
         raise FormatError(
             f"{path}: header must start with {','.join(_FIXED_COLUMNS)}"
         )
 
     def parsed():
-        for number, row in rows:
-            trial_id, session_text, label, fs_text = row[:4]
+        width = len(header) - len(_FIXED_COLUMNS) + 1
+        for number, line in rows:
+            trial_id, session_text, label, numbers = line.split(",", 3)
             try:
                 session = int(session_text)
-                row_fs = float(fs_text)
-                samples = np.array(row[4:], dtype=float)
             except ValueError as exc:
                 raise ParseError(f"{path}: row {number}: {exc}") from exc
-            yield number, trial_id, session, label, row_fs, samples
+            values = _parse_floats(path, ((number, numbers),), width)[0]
+            yield number, trial_id, session, label, float(values[0]), values[1:]
 
     return list(_checked_trials(path, parsed()))
 
@@ -471,23 +525,21 @@ def load_features_csv(path):
     if header[-1] != "label":
         raise FormatError(f"{path}: last column must be 'label'")
     layout = tuple(header[:-1])
-    values = []
     labels = []
-    for number, row in rows:
-        label = row[-1]
-        if label not in CLASS_NAMES:
-            raise ParseError(f"{path}: row {number} has unknown label {label!r}")
-        try:
-            row_values = np.array(row[:-1], dtype=float)
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {number}: {exc}") from exc
-        if not np.isfinite(row_values).all():
-            bad = np.flatnonzero(~np.isfinite(row_values))[0]
-            raise ParseError(f"{path}: row {number} has a non-finite value in {layout[bad]}")
-        values.append(row_values)
-        labels.append(label)
-    matrix = np.array(values) if values else np.zeros((0, len(layout)))
-    return matrix, layout, labels
+
+    def numbers():
+        for number, line in rows:
+            text, _, label = line.rpartition(",")
+            if label not in CLASS_NAMES:
+                raise ParseError(f"{path}: row {number} has unknown label {label!r}")
+            labels.append(label)
+            yield number, text
+
+    values = _parse_floats(path, numbers(), len(layout))
+    if not np.isfinite(values).all():
+        row, bad = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{path}: row {row + 1} has a non-finite value in {layout[bad]}")
+    return values, layout, labels
 
 
 def _json_int(value):

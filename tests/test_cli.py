@@ -21,6 +21,7 @@ from hhtelm import (
     save_trials_csv,
     synth_scp,
 )
+from hhtelm import cli
 from hhtelm.cli import build_parser, main
 
 NEG, POS = "negativity", "positivity"
@@ -99,6 +100,17 @@ def test_synth_rejects_values_that_cannot_make_trials(tmp_path, capsys, flags):
     path = str(tmp_path / "t.csv")
     assert main(["synth", "--n-per-class", "2", *flags, "--out", path]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not os.path.exists(path)
+
+
+def test_synth_refuses_a_rate_above_the_sample_cap(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trials were drawn")
+
+    monkeypatch.setattr(cli, "synth_scp", fail)
+    path = str(tmp_path / "t.csv")
+    assert main(["synth", "--n-per-class", "2", "--fs", "1e7", "--out", path]) == 1
+    assert "more than 16384" in capsys.readouterr().err
     assert not os.path.exists(path)
 
 
@@ -456,6 +468,23 @@ def test_sweep_budget_rejects_a_grid_too_large_to_index(tmp_path, blob_csv, caps
     ])
     assert rc == 1
     assert "--budget picks from at most 2**63 - 1 configs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_grid_above_the_cap_without_budget(tmp_path, blob_csv, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "_cross_validate_grid", fail)
+    # 101 widths at depth 2: 10,201 configurations, just above the cap.
+    assert 101**2 > cli._MAX_GRID_CONFIGS >= 1681
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--features", blob_csv, "--min", "1", "--max", "101", "--step", "1",
+        "--depth", "2", "--out", str(out), "--quiet",
+    ])
+    assert rc == 1
+    assert "--budget N evaluates N of them and lifts this cap" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hhtelm.dataio import (
     BASELINE_SECONDS,
     SESSION_COUNT,
     TRIAL_SECONDS,
+    _MAX_TRIAL_SAMPLES,
     _read_csv,
     atomic_write_text,
     write_csv,
@@ -137,6 +139,14 @@ def test_synth_config_rejects_values_that_cannot_make_trials():
     trial = synth_scp(SynthConfig(n_per_class=1, fs=0.5))[0]
     assert trial.samples.size == 4
     find_extrema(trial.samples)
+
+
+def test_synth_config_caps_the_samples_per_trial():
+    # Constructing the config draws nothing, so no test allocates a trial this long.
+    SynthConfig(fs=_MAX_TRIAL_SAMPLES / TRIAL_SECONDS)
+    for fs in (2048.1, 1e7, 1e300):
+        with pytest.raises(InvalidConfig, match=f"more than {_MAX_TRIAL_SAMPLES}"):
+            SynthConfig(fs=fs)
 
 
 def test_synth_noiseless_trials_are_exact():
@@ -373,7 +383,7 @@ def test_trials_csv_skips_comment_lines(tmp_path):
 
 
 def write_lines(path, lines):
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -532,10 +542,11 @@ def test_trials_csv_missing_file_is_oserror(tmp_path):
 
 
 def read_rows(path):
-    """What ``_read_csv`` yields, as the header followed by the data rows."""
+    """What ``_read_csv`` yields, as the header followed by the data rows,
+    each split on commas."""
     rows = _read_csv(path)
     header = next(rows)
-    return [header, *(row for _, row in rows)]
+    return [header, *(line.split(",") for _, line in rows)]
 
 
 # Fields write_csv can write: text (no lone surrogate) without a comma, a
@@ -655,6 +666,12 @@ def test_features_csv_save_validation(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# Floats whose text a looser or a stricter reader would get wrong: signed
+# zero, subnormals and the extreme exponents.
+edge_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1e-300, 1e22]
+)
+
 # Layout names of any text, with the ones a header line cannot hold mixed in.
 feature_names = st.text(max_size=4) | st.sampled_from(
     ["a,b", 'a"b', "a\nb", "a\rb", "a\r\nb", "#a", " #a", "a\ud800", "", "label", "\u2028", "\x85"]
@@ -664,7 +681,7 @@ feature_names = st.text(max_size=4) | st.sampled_from(
 @settings(max_examples=200, deadline=None, database=None)
 @given(data=st.data(), rows=st.integers(0, 3), width=st.integers(0, 3))
 def test_features_csv_loads_back_every_table_the_writer_accepts(tmp_path_factory, data, rows, width):
-    row = st.lists(st.floats(), min_size=width, max_size=width)
+    row = st.lists(st.floats() | edge_floats, min_size=width, max_size=width)
     values = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows))).reshape(rows, width)
     layout = tuple(data.draw(st.lists(feature_names, min_size=width, max_size=width)))
     labels = data.draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=rows, max_size=rows))
@@ -706,6 +723,113 @@ def test_features_csv_load_errors(tmp_path):
         write_lines(non_finite, ["a,b,label", "0.0,1.0,negativity", f"0.0,{bad},positivity"])
         with pytest.raises(ParseError, match="row 2 has a non-finite value in b"):
             load_features_csv(non_finite)
+
+
+def test_features_csv_reports_the_first_bad_row_before_reading_on(tmp_path):
+    # The number in row 1 fails before row 2's label is looked at, and an
+    # empty field of a one-column file is an error, not a skipped line.
+    path = str(tmp_path / "order.csv")
+    write_lines(path, ["a,b,label", "0.0,oops,negativity", "0.0,1.0,resting"])
+    with pytest.raises(ParseError, match="row 1: could not convert string 'oops'"):
+        load_features_csv(path)
+    write_lines(path, ["a,label", "0.5,negativity", ",positivity", "1.5,negativity"])
+    with pytest.raises(ParseError, match="row 2: could not convert string ''"):
+        load_features_csv(path)
+
+
+def test_empty_csv_files_load_without_warnings(tmp_path):
+    # numpy warns when its reader is handed no data; the loaders never do that.
+    no_rows = str(tmp_path / "no_rows.csv")
+    no_columns = str(tmp_path / "no_columns.csv")
+    no_trials = str(tmp_path / "no_trials.csv")
+    save_features_csv(np.zeros((0, 3)), ("a", "b", "c"), [], no_rows)
+    save_features_csv(np.zeros((2, 0)), (), [NEG, POS], no_columns)
+    save_trials_csv([], no_trials)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_features_csv(no_rows)[0].shape == (0, 3)
+        values, layout, labels = load_features_csv(no_columns)
+        assert values.shape == (2, 0) and layout == () and labels == [NEG, POS]
+        assert load_trials_csv(no_trials) == []
+
+
+def reference_float(field):
+    """The number grammar of the CSV readers: Python's float without digit
+    underscores and non-ASCII digits."""
+    if "_" in field or any(c.isdecimal() and not c.isascii() for c in field):
+        raise ValueError(f"could not convert {field!r}")
+    return float(field)
+
+
+def reference_features(lines):
+    """A per-row reading of the data lines of a features file: ``(kind, row)``
+    of the first error, or the values."""
+    values = []
+    for number, line in enumerate(lines, start=1):
+        *fields, label = line.split(",")
+        if label not in CLASS_NAMES:
+            return "unknown label", number
+        try:
+            row = [reference_float(field) for field in fields]
+        except ValueError:
+            return "could not convert", number
+        if not np.isfinite(row).all():
+            return "non-finite value", number
+        values.append(row)
+    return values
+
+
+CORRUPTIONS = ["oops", "", "nan", "-inf", "1_0", "\u0661\u0662", " 1.5 ", "+1.5", "1e400", "0x10"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), rows=st.integers(1, 3), width=st.integers(1, 3))
+def test_features_csv_corrupted_field_matches_a_per_row_reference(tmp_path_factory, data, rows, width):
+    values = data.draw(st.lists(st.lists(edge_floats, min_size=width, max_size=width), min_size=rows, max_size=rows))
+    lines = [",".join([*map(repr, row), NEG]) for row in values]
+    row, column = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, width - 1))
+    fields = lines[row].split(",")
+    fields[column] = data.draw(st.sampled_from(CORRUPTIONS))
+    lines[row] = ",".join(fields)
+    path = str(tmp_path_factory.getbasetemp() / "corrupted.csv")
+    write_lines(path, [",".join([*(f"f{i}" for i in range(width)), "label"]), *lines])
+    expected = reference_features(lines)
+    if isinstance(expected, tuple):
+        kind, number = expected
+        with pytest.raises(ParseError, match=f"row {number}\\b.*{kind}"):
+            load_features_csv(path)
+    else:
+        assert load_features_csv(path)[0].tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "fs, sample, match",
+    [
+        ("4.0", "1_0", "row 2: could not convert string '1_0'"),
+        ("\u0661\u0662", "0.5", "row 2: could not convert string"),
+        ("4.0", "", "row 2: could not convert string ''"),
+        ("4.0", " ", "row 2: could not convert string ' '"),
+    ],
+    ids=["underscore", "arabic-digits", "empty", "blank"],
+)
+def test_trials_csv_refuses_numbers_outside_the_grammar(tmp_path, fs, sample, match):
+    # A word, a non-finite value and a wrong field count have their own tests above.
+    path = str(tmp_path / "bad.csv")
+    write_lines(path, [
+        "trial_id,session,label,fs,s0,s1",
+        "a,1,negativity,4.0,0.0,0.5",
+        f"b,1,negativity,{fs},0.0,{sample}",
+    ])
+    with pytest.raises(ParseError, match=match):
+        load_trials_csv(path)
+
+
+def test_trials_csv_reads_signs_and_padding_as_float_does(tmp_path):
+    path = str(tmp_path / "padded.csv")
+    write_lines(path, ["trial_id,session,label,fs,s0,s1", "a,1,negativity, 4.0 ,+1.5, -0.0"])
+    trial = load_trials_csv(path)[0]
+    assert trial.fs == 4.0 and type(trial.fs) is float
+    assert trial.samples.tobytes() == np.array([1.5, -0.0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
