@@ -9,7 +9,7 @@ only; no command saves one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -21,15 +21,28 @@ from .errors import (
     InvalidLabel,
     ShapeMismatch,
 )
-from .solvers import SolverKind, _check_matrix, random_orthogonal, solve_output_weights
+from .solvers import (
+    SolverKind,
+    _check_matrix,
+    _generator,
+    random_orthogonal,
+    solve_output_weights,
+)
 
 # The hidden activation of every layer; the CV report echoes it by this name.
 ACTIVATION = "sigmoid"
 
 
 def sigmoid(z):
-    """Logistic sigmoid elementwise, clipped so exp never overflows."""
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    """Logistic sigmoid elementwise, clipped so exp never overflows.
+
+    Computed in place on the clipped copy of ``z``, the one array it allocates.
+    """
+    s = np.clip(z, -500.0, 500.0, out=np.empty(np.shape(z)))
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 @dataclass(frozen=True)
@@ -108,7 +121,11 @@ def draw_layers(inputs, widths, seed):
     order from ``np.random.default_rng(seed)``. They depend on nothing but
     ``inputs``, ``widths`` and ``seed``, so every fit with those shares them.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
+    try:
+        widths = tuple(widths)
+    except TypeError:
+        raise InvalidConfig(f"widths must be a sequence of widths, got {widths!r}") from None
     layers = []
     for hidden in widths:
         layers.append(
@@ -161,7 +178,49 @@ def _width(layer):
     return layer.beta.shape[0] if isinstance(layer, AutoencoderLayer) else layer.biases.size
 
 
-def deep_elm_train(x, labels, config, layers=None):
+@dataclass
+class _FitStart:
+    """What ``deep_elm_train`` derives from its training rows before it fits
+    a stage: the one-hot targets, the z-score statistics and, in ``hidden``,
+    the rows' activations after each of the leading fitted stages it is
+    given, as far as they are known. A fit appends the activations after
+    each later stage while ``hidden`` holds fewer than ``keep``, so a caller
+    that fits the same rows again can start from them.
+    """
+
+    targets: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    hidden: list = field(default_factory=list)
+    keep: int = 0
+
+
+def _fit_start(x, labels):
+    """The ``_FitStart`` of training rows x, refusing labels that cannot train."""
+    labels = np.asarray(labels)
+    if labels.size != x.shape[0]:
+        raise ShapeMismatch("labels and rows of x must align")
+    targets = one_hot(labels)
+    counts = targets.sum(axis=0)
+    if np.any(counts == 0):
+        missing = [name for name, c in zip(CLASS_NAMES, counts) if c == 0]
+        raise DegenerateLabels(f"missing class(es) {missing} in the training set")
+    if np.any(counts < 2):
+        small = [name for name, c in zip(CLASS_NAMES, counts) if c < 2]
+        raise DegenerateLabels(f"class(es) {small} need at least 2 samples")
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    return _FitStart(targets, mean, std)
+
+
+def _zscore(x, mean, std):
+    r = x - mean
+    r /= std
+    return r
+
+
+def deep_elm_train(x, labels, config, layers=None, *, _start=None):
     """Train the stacked autoencoder classifier.
 
     Parameters
@@ -187,22 +246,15 @@ def deep_elm_train(x, labels, config, layers=None):
 
     Features are z-scored with statistics from this training set only;
     each autoencoder stage is solved with the configured kernel and the
-    readout is a direct ridge solve to the one-hot targets.
+    readout is a direct ridge solve to the one-hot targets. The
+    cross-validation grid passes ``_start``, the ``_FitStart`` it keeps for
+    these rows, so that a fit resumes after the stages it was given fitted.
     """
     x = _check_matrix(x, "x")
     if not isinstance(config, TrainConfig):
         raise InvalidConfig("config must be a TrainConfig")
-    labels = np.asarray(labels)
-    if labels.size != x.shape[0]:
-        raise ShapeMismatch("labels and rows of x must align")
-    targets = one_hot(labels)
-    counts = targets.sum(axis=0)
-    if np.any(counts == 0):
-        missing = [name for name, c in zip(CLASS_NAMES, counts) if c == 0]
-        raise DegenerateLabels(f"missing class(es) {missing} in the training set")
-    if np.any(counts < 2):
-        small = [name for name, c in zip(CLASS_NAMES, counts) if c < 2]
-        raise DegenerateLabels(f"class(es) {small} need at least 2 samples")
+    if _start is None:
+        _start = _fit_start(x, labels)
     if layers is None:
         layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
     elif not isinstance(layers, (list, tuple)) or not all(
@@ -217,21 +269,20 @@ def deep_elm_train(x, labels, config, layers=None):
     inputs = (x.shape[1], *config.layer_sizes)
     if any(stage.beta.shape[1] != inputs[i] for i, stage in enumerate(layers[:fitted])):
         raise ShapeMismatch("a fitted stage does not take the width before it as inputs")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std[std == 0.0] = 1.0
-    r = (x - mean) / std
-    for stage in layers[:fitted]:
-        r = stage.forward(r)
+    hidden = _start.hidden
+    r = hidden[-1] if hidden else _zscore(x, _start.mean, _start.std)
     ae_layers = list(layers[:fitted])
-    for drawn in layers[fitted:]:
-        layer = elm_ae_train(r, drawn, config.kernel)
-        ae_layers.append(layer)
+    for i, layer in enumerate(layers[len(hidden):], len(hidden)):
+        if i >= fitted:
+            layer = elm_ae_train(r, layer, config.kernel)
+            ae_layers.append(layer)
         r = layer.forward(r)
-    readout = solve_output_weights(r, targets, config.kernel)
+        if len(hidden) < _start.keep:
+            hidden.append(r)
+    readout = solve_output_weights(r, _start.targets, config.kernel)
     return DeepElmModel(
-        feature_mean=mean,
-        feature_std=std,
+        feature_mean=_start.mean,
+        feature_std=_start.std,
         ae_layers=ae_layers,
         readout=readout,
     )
@@ -242,12 +293,14 @@ def deep_elm_predict(model, x):
 
     Ties in the score row go to the first class in ``CLASS_NAMES``.
     """
+    if not isinstance(model, DeepElmModel):
+        raise InvalidConfig(f"model must be a DeepElmModel, got {type(model).__name__}")
     x = _check_matrix(x, "x")
     if x.shape[1] != model.feature_mean.size:
         raise ShapeMismatch(
             f"x has {x.shape[1]} features, model expects {model.feature_mean.size}"
         )
-    r = (x - model.feature_mean) / model.feature_std
+    r = _zscore(x, model.feature_mean, model.feature_std)
     for layer in model.ae_layers:
         r = layer.forward(r)
     scores = r @ model.readout

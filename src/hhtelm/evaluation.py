@@ -7,7 +7,7 @@ reported as undefined (None), never clamped to 0 or 100.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport, _che
 from .elm import (
     ElmLayer,
     TrainConfig,
+    _fit_start,
     deep_elm_predict,
     deep_elm_train,
     draw_layers,
@@ -69,6 +70,8 @@ def metrics(table):
     Numerators are multiplied by 100 before the division so integer-exact
     cases (e.g. 45 of 50) come out as exact floats.
     """
+    if not isinstance(table, ContingencyTable):
+        raise InvalidConfig(f"table must be a ContingencyTable, got {type(table).__name__}")
     total = table.tp + table.fp + table.tn + table.fn
     if total < 1:
         raise InvalidConfig("contingency table is empty")
@@ -120,11 +123,16 @@ def balance_train_set(train_indices, labels, seed):
 
     Selection within a class is a seeded draw without replacement; the
     result is sorted, so an already-balanced input comes back unchanged.
+    ``train_indices`` must be integers in ``range(len(labels))``.
     """
-    train_indices = np.asarray(train_indices, dtype=int)
+    train_indices = np.asarray(train_indices)
     labels = np.asarray(labels)
     if train_indices.ndim != 1 or train_indices.size < 1:
         raise ShapeMismatch("train_indices must be a non-empty 1-D sequence")
+    if train_indices.dtype.kind not in "iu":
+        raise InvalidConfig(f"train_indices must be integers, got {train_indices.dtype}")
+    if train_indices.min() < 0 or train_indices.max() >= labels.size:
+        raise ShapeMismatch(f"train_indices must lie in 0..{labels.size - 1}")
     subset = labels[train_indices]
     classes = np.unique(subset)
     if classes.size < len(CLASS_NAMES):
@@ -180,9 +188,10 @@ def cross_validate(features, labels, train_config, k=5, seed=0):
 @dataclass
 class _PrefixNode:
     width: int
-    layer: ElmLayer  # drawn for the widths up to this one
+    layer: ElmLayer | None  # drawn for the widths up to this one, until every fold holds a stage
     state: dict  # the generator state its draw left
     stages: dict  # fold -> the stage fitted on it there, while the walk needs it
+    hidden: dict  # fold -> its training rows' activations after that stage, kept with it
 
 
 def _shared_depth(widths, other):
@@ -197,7 +206,8 @@ def _shared_depth(widths, other):
 
 class _WidthPath:
     """The random layers along one path of the tree of width prefixes, with
-    the stages fitted on them that the walk still needs, one per fold.
+    the stages fitted on them that the walk still needs, one per fold, and
+    each fold's training rows' activations after those stages.
 
     ``draw_layers`` draws a stack's layers from one stream in layer order,
     so a layer depends only on the widths up to its own. Drawing it from the
@@ -205,12 +215,15 @@ class _WidthPath:
     that layer of every stack starting with those widths. Only the path to
     the current configuration is held; walking to the next one keeps the
     prefix the two share and draws the rest, so a walk over configurations
-    in the order of their widths draws each layer of the tree once.
+    in the order of their widths draws each layer of the tree once. A node
+    lets go of its random layer once every fold holds its fitted stage, and
+    of its stages and activations when the walk leaves it.
     """
 
-    def __init__(self, inputs, seed):
+    def __init__(self, inputs, seed, folds):
         self._rng = np.random.default_rng(seed)
         self._inputs = inputs
+        self._folds = folds
         self._start = self._rng.bit_generator.state
         self._nodes = []
 
@@ -222,17 +235,25 @@ class _WidthPath:
             parent = self._nodes[-1] if self._nodes else None
             self._rng.bit_generator.state = parent.state if parent else self._start
             (drawn,) = draw_layers(parent.width if parent else self._inputs, (width,), self._rng)
-            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}))
+            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}, {}))
 
     def layers(self, fold):
         """The ``layers`` that ``deep_elm_train`` takes for the current path
         on ``fold``'s rows: the stages kept for that fold, then random layers."""
         return [node.stages.get(fold, node.layer) for node in self._nodes]
 
-    def keep(self, fold, model, depth):
-        """Record the first ``depth`` stages of a fit on ``layers(fold)``."""
-        for node, stage in zip(self._nodes[:depth], model.ae_layers):
+    def hidden(self, fold):
+        """``fold``'s training rows' activations after each stage kept for it."""
+        return [node.hidden[fold] for node in self._nodes if fold in node.hidden]
+
+    def keep(self, fold, model, hidden, depth):
+        """Record the first ``depth`` stages of a fit on ``layers(fold)`` and
+        the activations after them, ``hidden``."""
+        for node, stage, rows in zip(self._nodes[:depth], model.ae_layers, hidden):
             node.stages[fold] = stage
+            node.hidden[fold] = rows
+            if len(node.stages) == self._folds:
+                node.layer = None
 
 
 def _cross_validate_grid(features, labels, configs, k, seed):
@@ -241,15 +262,19 @@ def _cross_validate_grid(features, labels, configs, k, seed):
     k folds are fitted, the report equal to ``cross_validate`` of it.
 
     The k folds' balanced training rows are found first and held as
-    indices. The configurations are then visited, and their pairs yielded,
-    in the order of their widths, not in the order given: a depth-first
-    walk of the tree of width prefixes that draws each of its random layers
-    once. Each configuration is fitted in every fold in turn. The stages it
-    shares with the next one are kept, one per fold, and passed fitted to
-    ``deep_elm_train``, so an autoencoder stage that several configurations
-    share is fitted once per fold. A single configuration keeps nothing
-    across folds. Across configurations only the current path and those
-    stages are held.
+    indices, with each fold's one-hot targets and z-score statistics. The
+    configurations are then visited, and their pairs yielded, in the order
+    of their widths, not in the order given: a depth-first walk of the tree
+    of width prefixes that draws each of its random layers once. Each
+    configuration is fitted in every fold in turn. The stages it shares with
+    the next one are kept, one per fold, with the fold's training rows'
+    activations after each, and passed to ``deep_elm_train``, which starts
+    from those activations: an autoencoder stage that several
+    configurations share is fitted, and run on the training rows, once per
+    fold. Held-out rows are scored by ``deep_elm_predict`` from the features.
+    A single configuration keeps nothing across folds. Across
+    configurations only the current path, those stages and their
+    activations are held: k x training rows x width floats per kept depth.
     """
     labels = np.asarray(labels)
     if not all(isinstance(config, TrainConfig) for config in configs):
@@ -268,7 +293,8 @@ def _cross_validate_grid(features, labels, configs, k, seed):
         )
         for fold in range(k)
     ]
-    path = _WidthPath(features.shape[1], configs[0].seed)
+    starts = [_fit_start(features[train_idx], labels[train_idx]) for train_idx, _ in plan]
+    path = _WidthPath(features.shape[1], configs[0].seed, k)
     ordered = sorted(configs, key=lambda config: config.layer_sizes)
     for config, after in zip(ordered, ordered[1:] + [None]):
         path.walk(config.layer_sizes)
@@ -276,11 +302,14 @@ def _cross_validate_grid(features, labels, configs, k, seed):
         folds = []
         predictions = np.empty(labels.size, dtype=labels.dtype)
         for fold, (train_idx, test_idx) in enumerate(plan):
+            start = replace(starts[fold], hidden=path.hidden(fold), keep=depth)
             model = deep_elm_train(
-                features[train_idx], labels[train_idx], config, path.layers(fold)
+                features[train_idx], labels[train_idx], config, path.layers(fold), _start=start
             )
-            path.keep(fold, model, depth)
+            path.keep(fold, model, start.hidden, depth)
             fold_pred, _ = deep_elm_predict(model, features[test_idx])
+            # What the path lets go of must not stay held by this fold's locals.
+            del start, model
             predictions[test_idx] = fold_pred
             folds.append(metrics(contingency(fold_pred, labels[test_idx])))
         yield config, CvReport(

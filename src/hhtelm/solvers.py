@@ -9,7 +9,8 @@ hidden activations H and targets T:
                    banded system
 * ``lu``         - LU factorization with partial pivoting of the same system
 
-LAPACK does the work behind every route. ``svd`` goes through numpy. The
+LAPACK does the work behind every route. ``svd`` goes through numpy, which
+factors H or, when H is wider than tall, its transpose. The
 other two call ``scipy.linalg.lapack`` directly, which skips scipy's
 argument handling on every solve: ``lu`` calls ``gesv``, and ``hessenberg``
 reduces the symmetric matrix to its tridiagonal form with ``sytrd``, forms
@@ -32,6 +33,7 @@ from numbers import Real
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgtsv, dorgqr, dsytrd, dsytrd_lwork
 
+from .dataio import _check_int
 from .errors import (
     InvalidConfig,
     InvalidMatrix,
@@ -131,12 +133,26 @@ def svd_pseudoinverse(h):
     an explosion.
     """
     h = _check_matrix(h, "h")
-    u, s, vt = np.linalg.svd(h, full_matrices=False)
+    u, s, vt = _svd(h)
     cutoff = _SVD_TOL * s[0]
     inv = np.zeros_like(s)
     keep = s > cutoff
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
+
+
+def _svd(h):
+    """Thin SVD ``h = u @ diag(s) @ vt``, decomposed in the tall orientation.
+
+    For a wide ``h`` LAPACK factors ``h.T`` faster (at 80 x 200 with one
+    OpenBLAS thread, 1.7 ms against 2.1 ms), and the factors of ``h.T``
+    are those of ``h`` swapped. A tall ``h`` is factored as it is:
+    transposing a 320 x 30 one made it slower.
+    """
+    if h.shape[1] > h.shape[0]:
+        v, s, ut = np.linalg.svd(h.T, full_matrices=False)
+        return ut.T, s, v.T
+    return np.linalg.svd(h, full_matrices=False)
 
 
 def hessenberg_reduce(a):
@@ -203,16 +219,23 @@ def lu_factor_solve(a, b):
     return x[:, 0] if vector else x
 
 
+def _generator(seed):
+    """``np.random.default_rng(seed)`` for an integer seed >= 0 or a Generator."""
+    if not isinstance(seed, np.random.Generator):
+        seed = _check_int(seed, "seed", 0)
+    return np.random.default_rng(seed)
+
+
 def random_orthogonal(rows, cols, seed):
     """Seeded Gaussian matrix orthonormalized by QR, sign-canonical.
 
     Columns are orthonormal when cols <= rows, rows otherwise. ``seed``
-    may be an int or an existing numpy Generator (the latter lets callers
-    chain several draws off one stream).
+    may be an integer >= 0 or an existing numpy Generator (the latter lets
+    callers chain several draws off one stream).
     """
-    if rows < 1 or cols < 1:
-        raise InvalidConfig("rows and cols must both be >= 1")
-    g = np.random.default_rng(seed).standard_normal((rows, cols))
+    rows = _check_int(rows, "rows", 1)
+    cols = _check_int(cols, "cols", 1)
+    g = _generator(seed).standard_normal((rows, cols))
     wide = cols > rows
     q, r = np.linalg.qr(g.T if wide else g)
     signs = np.sign(np.diag(r))
@@ -242,20 +265,22 @@ def solve_output_weights(h, t, kind):
     if kind.variant == KERNEL_SVD:
         if lam == 0.0:
             return svd_pseudoinverse(h) @ t
-        u, s, vt = np.linalg.svd(h, full_matrices=False)
+        u, s, vt = _svd(h)
         shrink = s / (s * s + lam)
         return (vt.T * shrink) @ (u.T @ t)
     dual = h.shape[1] > h.shape[0]
-    if dual:
-        gram, rhs = h @ h.T, t
-    else:
-        gram, rhs = h.T @ h, h.T @ t
+    gram = h @ h.T if dual else h.T @ h
     gram.flat[:: gram.shape[0] + 1] += lam
     if kind.variant == KERNEL_LU:
-        x = lu_factor_solve(gram, rhs)
+        x = lu_factor_solve(gram, t if dual else h.T @ t)
     else:
+        # Each intermediate is let go of once the next is formed, so that no
+        # more than two of them are held at a time.
         fact = hessenberg_reduce(gram)
-        x = fact.q @ _solve_tridiagonal(fact.diagonal, fact.offdiagonal, fact.q.T @ rhs)
+        del gram
+        x = fact.q.T @ (t if dual else h.T @ t)
+        x = _solve_tridiagonal(fact.diagonal, fact.offdiagonal, x)
+        x = fact.q @ x
     return h.T @ x if dual else x
 
 

@@ -400,6 +400,23 @@ def test_deep_kernel_swap_labels_agree(separable_features):
 # one_hot
 
 
+@pytest.mark.parametrize(
+    "inputs, widths, seed",
+    [(4, (2.5,), 0), (4, 5, 0), (4, (3, 0), 0), (4, (3,), -1), (2.5, (3,), 0)],
+    ids=["float-width", "bare-int-widths", "zero-width", "negative-seed", "float-inputs"],
+)
+def test_draw_layers_rejects_bad_widths_and_seeds(inputs, widths, seed):
+    with pytest.raises(InvalidConfig):
+        draw_layers(inputs, widths, seed)
+
+
+def test_deep_predict_rejects_what_is_not_a_model():
+    x = np.ones((3, 4))
+    for model in (None, "model", {"feature_mean": np.zeros(4)}):
+        with pytest.raises(InvalidConfig, match="DeepElmModel"):
+            deep_elm_predict(model, x)
+
+
 def test_one_hot_layout():
     t = one_hot(np.array(["negativity", "positivity", "negativity"]))
     np.testing.assert_array_equal(t, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))

@@ -150,6 +150,12 @@ def test_metrics_empty_table_rejected():
         metrics(ContingencyTable(tp=0, fp=0, tn=0, fn=0))
 
 
+def test_metrics_rejects_what_is_not_a_table():
+    for table in ("x", 5, None, (1, 0, 1, 0)):
+        with pytest.raises(InvalidConfig, match="ContingencyTable"):
+            metrics(table)
+
+
 def test_contingency_table_rejects_negative_counts():
     with pytest.raises(InvalidConfig):
         ContingencyTable(tp=-1, fp=0, tn=0, fn=1)
@@ -272,6 +278,21 @@ def test_balance_missing_class_rejected():
         balance_train_set(np.arange(5), labels, seed=0)
 
 
+def test_balance_rejects_indices_outside_the_labels():
+    labels = np.array([NEG, POS] * 3)
+    for indices in ([0, 1, 6], [-1, 0, 1, 2]):
+        with pytest.raises(ShapeMismatch, match="0..5"):
+            balance_train_set(indices, labels, seed=0)
+
+
+def test_balance_rejects_non_integer_indices():
+    # Float indices were truncated (1.5 picked row 1); they are refused instead.
+    labels = np.array([NEG, POS] * 3)
+    for indices in ([0.0, 1.5, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], [True, False, True, True]):
+        with pytest.raises(InvalidConfig, match="integers"):
+            balance_train_set(indices, labels, seed=0)
+
+
 def test_balance_respects_subset():
     # only the passed indices participate; class counts measured inside them
     labels = np.array([NEG] * 10 + [POS] * 10)
@@ -366,8 +387,8 @@ def test_cv_fold_models_equal_standalone_training(monkeypatch, variant):
 
     fits = []
 
-    def recording(x, labels, config, layers=None):
-        model = deep_elm_train(x, labels, config, layers)
+    def recording(x, labels, config, layers=None, **private):
+        model = deep_elm_train(x, labels, config, layers, **private)
         fits.append((x, labels, model))
         return model
 
@@ -502,10 +523,10 @@ def test_grid_passes_each_fit_the_stages_it_shares_with_the_last(monkeypatch):
 
     given = []
 
-    def recording(x, labels, config, layers=None):
+    def recording(x, labels, config, layers=None, **private):
         fitted = [isinstance(layer, AutoencoderLayer) for layer in layers]
         given.append((config.layer_sizes, sum(fitted)))
-        return deep_elm_train(x, labels, config, layers)
+        return deep_elm_train(x, labels, config, layers, **private)
 
     monkeypatch.setattr(evaluation, "deep_elm_train", recording)
     x, labels = blob_features(15, seed=5)
@@ -523,9 +544,9 @@ def test_grid_yields_each_configuration_when_its_folds_are_fitted(monkeypatch):
 
     fits = []
 
-    def counting(x, labels, config, layers=None):
+    def counting(x, labels, config, layers=None, **private):
         fits.append(config.layer_sizes)
-        return deep_elm_train(x, labels, config, layers)
+        return deep_elm_train(x, labels, config, layers, **private)
 
     monkeypatch.setattr(evaluation, "deep_elm_train", counting)
     x, labels = blob_features(15, seed=5)
@@ -548,3 +569,83 @@ def test_grid_rejects_configs_that_differ_beyond_their_widths():
             list(_cross_validate_grid(x, labels, [base, other], 3, 0))
     with pytest.raises(InvalidConfig):
         list(_cross_validate_grid(x, labels, [], 3, 0))
+
+
+def _first_stage_forwards(monkeypatch, rows, inputs):
+    """Count calls of ``AutoencoderLayer.forward`` on ``rows`` rows by stages
+    that take ``inputs`` columns."""
+    from hhtelm.elm import AutoencoderLayer
+
+    calls = []
+    forward = AutoencoderLayer.forward
+
+    def counting(self, x):
+        if x.shape[0] == rows and self.beta.shape[1] == inputs:
+            calls.append(self.beta.shape[0])
+        return forward(self, x)
+
+    monkeypatch.setattr(AutoencoderLayer, "forward", counting)
+    return calls
+
+
+def test_grid_runs_each_kept_stage_once_per_fold_on_the_training_rows(monkeypatch):
+    # 30 balanced rows in 3 folds: 20 training rows, 10 held out. A kept
+    # first stage hands each later fit its activations, so it runs on the
+    # training rows k * |W| times; a fit per configuration would be k * |W|**2.
+    x, labels = blob_features(15, seed=5)
+    widths, k = (3, 25, 8), 3
+    training = _first_stage_forwards(monkeypatch, 20, x.shape[1])
+    held_out = _first_stage_forwards(monkeypatch, 10, x.shape[1])
+    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4)
+               for sizes in itertools.product(widths, repeat=2)]
+    pairs = list(_cross_validate_grid(x, labels, configs, k, 8))
+    assert sorted(training) == sorted(widths * k)
+    assert len(held_out) == k * len(widths) ** 2  # held-out rows are not cached
+    for config, report in pairs[:: len(widths) + 1]:
+        assert report.to_dict() == cross_validate(x, labels, config, k=k, seed=8).to_dict()
+
+
+def test_single_configuration_cross_validate_caches_nothing(monkeypatch):
+    from hhtelm import evaluation
+
+    starts = []
+
+    def recording(x, labels, config, layers=None, **private):
+        model = deep_elm_train(x, labels, config, layers, **private)
+        starts.append(private["_start"])
+        return model
+
+    monkeypatch.setattr(evaluation, "deep_elm_train", recording)
+    x, labels = blob_features(15, seed=5)
+    training = _first_stage_forwards(monkeypatch, 20, x.shape[1])
+    cross_validate(x, labels, TrainConfig(layer_sizes=(25, 8, 3), kernel=HESS, seed=4), k=3, seed=8)
+    assert len(starts) == 3
+    assert all(start.keep == 0 and start.hidden == [] for start in starts)
+    assert training == [25] * 3
+
+
+def test_grid_walk_to_a_new_first_width_frees_the_old_activations(monkeypatch):
+    import weakref
+
+    from hhtelm import evaluation
+
+    held = []  # (first width, weak reference to kept activations)
+    checked = []
+
+    def recording(x, labels, config, layers=None, **private):
+        first = config.layer_sizes[0]
+        alive = [width for width, ref in held if width != first and ref() is not None]
+        checked.append((first, alive))
+        model = deep_elm_train(x, labels, config, layers, **private)
+        held.extend((first, weakref.ref(rows)) for rows in private["_start"].hidden)
+        return model
+
+    monkeypatch.setattr(evaluation, "deep_elm_train", recording)
+    x, labels = blob_features(15, seed=5)
+    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in GRIDS["depth3"]]
+    for _ in _cross_validate_grid(x, labels, configs, 3, 8):
+        pass
+    assert {first for first, _ in checked} == {4, 25}
+    assert held  # activations were kept, and
+    assert all(alive == [] for _, alive in checked)  # none of another first width outlived it
+    assert all(ref() is None for _, ref in held)  # nor the walk

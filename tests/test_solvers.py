@@ -508,3 +508,27 @@ def test_random_orthogonal_sizes_loop():
             np.testing.assert_allclose(q.T @ q, np.eye(cols), atol=1e-10)
         else:
             np.testing.assert_allclose(q @ q.T, np.eye(rows), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, seed",
+    [(2.5, 3, 0), (3, 2.5, 0), (0, 3, 0), (True, 3, 0), (3, 3, -1), (3, 3, 1.5), (3, 3, "a")],
+    ids=["float-rows", "float-cols", "zero-rows", "bool-rows", "negative-seed", "float-seed", "str-seed"],
+)
+def test_random_orthogonal_rejects_bad_sizes_and_seeds(rows, cols, seed):
+    with pytest.raises(InvalidConfig):
+        random_orthogonal(rows, cols, seed)
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)], ids=["tall", "wide", "square"])
+def test_svd_factors_either_orientation(shape):
+    # A wide h is decomposed through its transpose; the factors must still
+    # be those of h itself, thin, with singular values in falling order.
+    h = np.random.default_rng(8).standard_normal(shape)
+    u, s, vt = solvers._svd(h)
+    rank = min(shape)
+    assert u.shape == (shape[0], rank) and vt.shape == (rank, shape[1])
+    np.testing.assert_allclose((u * s) @ vt, h, atol=1e-12)
+    np.testing.assert_allclose(u.T @ u, np.eye(rank), atol=1e-12)
+    np.testing.assert_allclose(vt @ vt.T, np.eye(rank), atol=1e-12)
+    np.testing.assert_allclose(s, np.linalg.svd(h, compute_uv=False), rtol=1e-12)
