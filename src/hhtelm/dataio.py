@@ -66,6 +66,15 @@ def _check_real(value, name):
         raise InvalidConfig(f"{name} must be a real number, got {value!r}")
 
 
+def _floats(values, name, error=InvalidConfig):
+    """``np.asarray(values, dtype=float)``, raising ``error`` for values that
+    are not all numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must hold numbers only") from None
+
+
 def _check_field(value, name):
     """InvalidConfig unless ``value`` can stand unquoted as a CSV field at
     the start of a line: a non-empty string without a comma, a quote or a
@@ -107,7 +116,7 @@ class TrialRecord:
         _check_real(self.fs, "fs")
         if not (math.isfinite(self.fs) and self.fs > 0.0):
             raise InvalidConfig("fs must be finite and > 0")
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _floats(self.samples, "samples")
         if samples.ndim != 1 or samples.size < 1:
             raise ShapeMismatch("samples must be a non-empty 1-D array")
         object.__setattr__(self, "samples", samples)
@@ -188,15 +197,15 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Low-pass FIR design: cutoff in Hz and an odd tap count >= 33."""
+    """Low-pass FIR design: a finite cutoff in Hz and an odd tap count >= 33."""
 
     cutoff: float = 10.0
     taps: int = 257
 
     def __post_init__(self):
         _check_real(self.cutoff, "cutoff")
-        if not self.cutoff > 0.0:
-            raise InvalidConfig("cutoff must be > 0")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0.0):
+            raise InvalidConfig(f"cutoff must be finite and > 0, got {self.cutoff}")
         object.__setattr__(self, "taps", _check_int(self.taps, "taps", 33))
         if self.taps % 2 == 0:
             raise InvalidConfig("taps must be odd and >= 33")
@@ -208,15 +217,19 @@ def lowpass_filter(samples, fs, spec=None):
     Hamming-windowed sinc kernel normalized to unit DC gain, applied to a
     reflect-padded copy of the input so the output has the same length
     with the group delay removed. Raises ShapeMismatch unless ``samples``
-    is 1-D, and InvalidConfig for a rate that is not finite and positive,
-    a non-finite sample, a cutoff at or above the Nyquist rate, or a
-    series no longer than half the tap count.
+    is 1-D, and InvalidConfig for a rate that is not a finite positive
+    number, a ``spec`` that is not a FilterSpec, a non-finite sample, a
+    cutoff at or above the Nyquist rate, or a series no longer than half
+    the tap count.
     """
     if spec is None:
         spec = FilterSpec()
+    elif not isinstance(spec, FilterSpec):
+        raise InvalidConfig(f"spec must be a FilterSpec, got {type(spec).__name__}")
+    _check_real(fs, "fs")
     if not (math.isfinite(fs) and fs > 0.0):
         raise InvalidConfig(f"fs must be finite and > 0, got {fs}")
-    x = np.asarray(samples, dtype=float)
+    x = _floats(samples, "samples")
     if x.ndim != 1:
         raise ShapeMismatch("lowpass_filter takes one 1-D series")
     if not np.all(np.isfinite(x)):
@@ -263,6 +276,8 @@ def synth_scp(config=None):
     list of TrialRecord
     """
     cfg = config if config is not None else SynthConfig()
+    if not isinstance(cfg, SynthConfig):
+        raise InvalidConfig(f"config must be a SynthConfig, got {type(cfg).__name__}")
     rng = np.random.default_rng(cfg.seed)
     n = int(round(TRIAL_SECONDS * cfg.fs))
     t = np.arange(n) / cfg.fs
@@ -496,9 +511,9 @@ def save_features_csv(values, layout, labels, path, config_note=None):
     Raises, before anything is written, for a table ``load_features_csv``
     would not read back: InvalidConfig for a name that is empty, holds a
     comma, a quote or a line break, or starts with '#', and InvalidMatrix
-    for a non-finite value.
+    for a value that is not a finite number.
     """
-    values = np.asarray(values, dtype=float)
+    values = _floats(values, "values", InvalidMatrix)
     if values.ndim != 2 or values.shape[0] != len(labels):
         raise ShapeMismatch("values must be 2-D with one row per label")
     if values.shape[1] != len(layout):
@@ -556,6 +571,8 @@ _REPORT_VERSION = 1
 def save_report(report, path):
     """Serialize a cross-validation report to stable, exact JSON: the format
     marker, the version and ``report.to_dict()``, keys sorted."""
+    if not isinstance(report, CvReport):
+        raise InvalidConfig(f"report must be a CvReport, got {type(report).__name__}")
     document = {"format": _REPORT_FORMAT, "version": _REPORT_VERSION, **report.to_dict()}
     atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 

@@ -173,25 +173,22 @@ def one_hot(labels):
     return targets
 
 
-def _width(layer):
-    """Hidden units of an ``ElmLayer`` or of a fitted ``AutoencoderLayer``."""
-    return layer.beta.shape[0] if isinstance(layer, AutoencoderLayer) else layer.biases.size
-
-
 @dataclass
 class _FitStart:
     """What ``deep_elm_train`` derives from its training rows before it fits
-    a stage: the one-hot targets, the z-score statistics and, in ``hidden``,
-    the rows' activations after each of the leading fitted stages it is
-    given, as far as they are known. A fit appends the activations after
-    each later stage while ``hidden`` holds fewer than ``keep``, so a caller
-    that fits the same rows again can start from them.
+    a stage: the one-hot targets and the z-score statistics, then where the
+    fit resumes. ``kept`` holds one ``(stage, rows)`` pair per leading stage
+    already fitted on these rows, ``rows`` being their activations after
+    it, and ``layers`` the random layers of the stages still to fit. A fit
+    appends the pair of each stage it fits while ``kept`` holds fewer than
+    ``keep``, so a caller that fits the same rows again can resume there.
     """
 
     targets: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    hidden: list = field(default_factory=list)
+    layers: list = field(default_factory=list)
+    kept: list = field(default_factory=list)
     keep: int = 0
 
 
@@ -220,7 +217,7 @@ def _zscore(x, mean, std):
     return r
 
 
-def deep_elm_train(x, labels, config, layers=None, *, _start=None):
+def deep_elm_train(x, labels, config, *, _start=None):
     """Train the stacked autoencoder classifier.
 
     Parameters
@@ -231,54 +228,33 @@ def deep_elm_train(x, labels, config, layers=None, *, _start=None):
         One class name per row; both classes must be present, with at
         least two rows each.
     config : TrainConfig
-    layers : list of ElmLayer or AutoencoderLayer, optional
-        The random layers ``draw_layers(d, config.layer_sizes, config.seed)``
-        returns, drawn here when omitted; callers that fit many row subsets
-        of one feature width draw them once and pass them in. The leading
-        entries may instead be the ``AutoencoderLayer`` stages already
-        fitted on these rows with those random layers; they are used as
-        they are, so configurations that share leading widths fit those
-        stages once.
 
     Returns
     -------
     DeepElmModel
 
-    Features are z-scored with statistics from this training set only;
-    each autoencoder stage is solved with the configured kernel and the
-    readout is a direct ridge solve to the one-hot targets. The
-    cross-validation grid passes ``_start``, the ``_FitStart`` it keeps for
-    these rows, so that a fit resumes after the stages it was given fitted.
+    The random layers are ``draw_layers(d, config.layer_sizes,
+    config.seed)``. Features are z-scored with statistics from this
+    training set only; each autoencoder stage is solved with the configured
+    kernel and the readout is a direct ridge solve to the one-hot targets.
+    The cross-validation grid passes ``_start``, the ``_FitStart`` it keeps
+    for these rows, so that a fit resumes after the stages kept in it.
     """
     x = _check_matrix(x, "x")
     if not isinstance(config, TrainConfig):
         raise InvalidConfig("config must be a TrainConfig")
     if _start is None:
         _start = _fit_start(x, labels)
-    if layers is None:
-        layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
-    elif not isinstance(layers, (list, tuple)) or not all(
-        isinstance(layer, (ElmLayer, AutoencoderLayer)) for layer in layers
-    ):
-        raise InvalidConfig("layers must be a list of ElmLayer or AutoencoderLayer")
-    elif tuple(_width(layer) for layer in layers) != config.layer_sizes:
-        raise ShapeMismatch(f"layers must have the widths {config.layer_sizes}")
-    fitted = 0
-    while fitted < len(layers) and isinstance(layers[fitted], AutoencoderLayer):
-        fitted += 1
-    inputs = (x.shape[1], *config.layer_sizes)
-    if any(stage.beta.shape[1] != inputs[i] for i, stage in enumerate(layers[:fitted])):
-        raise ShapeMismatch("a fitted stage does not take the width before it as inputs")
-    hidden = _start.hidden
-    r = hidden[-1] if hidden else _zscore(x, _start.mean, _start.std)
-    ae_layers = list(layers[:fitted])
-    for i, layer in enumerate(layers[len(hidden):], len(hidden)):
-        if i >= fitted:
-            layer = elm_ae_train(r, layer, config.kernel)
-            ae_layers.append(layer)
-        r = layer.forward(r)
-        if len(hidden) < _start.keep:
-            hidden.append(r)
+        _start.layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
+    kept = _start.kept
+    r = kept[-1][1] if kept else _zscore(x, _start.mean, _start.std)
+    ae_layers = [stage for stage, _ in kept]
+    for layer in _start.layers:
+        stage = elm_ae_train(r, layer, config.kernel)
+        ae_layers.append(stage)
+        r = stage.forward(r)
+        if len(kept) < _start.keep:
+            kept.append((stage, r))
     readout = solve_output_weights(r, _start.targets, config.kernel)
     return DeepElmModel(
         feature_mean=_start.mean,

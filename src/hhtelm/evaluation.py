@@ -190,8 +190,7 @@ class _PrefixNode:
     width: int
     layer: ElmLayer | None  # drawn for the widths up to this one, until every fold holds a stage
     state: dict  # the generator state its draw left
-    stages: dict  # fold -> the stage fitted on it there, while the walk needs it
-    hidden: dict  # fold -> its training rows' activations after that stage, kept with it
+    kept: dict  # fold -> (stage fitted there, its training rows' activations after it)
 
 
 def _shared_depth(widths, other):
@@ -206,8 +205,8 @@ def _shared_depth(widths, other):
 
 class _WidthPath:
     """The random layers along one path of the tree of width prefixes, with
-    the stages fitted on them that the walk still needs, one per fold, and
-    each fold's training rows' activations after those stages.
+    what the walk still needs of the fits on them: per fold, each stage
+    fitted there and its training rows' activations after it.
 
     ``draw_layers`` draws a stack's layers from one stream in layer order,
     so a layer depends only on the widths up to its own. Drawing it from the
@@ -235,24 +234,21 @@ class _WidthPath:
             parent = self._nodes[-1] if self._nodes else None
             self._rng.bit_generator.state = parent.state if parent else self._start
             (drawn,) = draw_layers(parent.width if parent else self._inputs, (width,), self._rng)
-            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}, {}))
+            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}))
 
-    def layers(self, fold):
-        """The ``layers`` that ``deep_elm_train`` takes for the current path
-        on ``fold``'s rows: the stages kept for that fold, then random layers."""
-        return [node.stages.get(fold, node.layer) for node in self._nodes]
+    def start(self, fold, start, depth):
+        """``fold``'s ``_FitStart`` ``start``, set to resume on the current
+        path: the pairs kept for that fold, the random layers of the stages
+        still to fit, and ``depth``, the number of stages to keep."""
+        kept = [node.kept[fold] for node in self._nodes if fold in node.kept]
+        layers = [node.layer for node in self._nodes[len(kept):]]
+        return replace(start, layers=layers, kept=kept, keep=depth)
 
-    def hidden(self, fold):
-        """``fold``'s training rows' activations after each stage kept for it."""
-        return [node.hidden[fold] for node in self._nodes if fold in node.hidden]
-
-    def keep(self, fold, model, hidden, depth):
-        """Record the first ``depth`` stages of a fit on ``layers(fold)`` and
-        the activations after them, ``hidden``."""
-        for node, stage, rows in zip(self._nodes[:depth], model.ae_layers, hidden):
-            node.stages[fold] = stage
-            node.hidden[fold] = rows
-            if len(node.stages) == self._folds:
+    def keep(self, fold, kept):
+        """Record on ``fold`` the ``(stage, rows)`` pairs a fit kept."""
+        for node, pair in zip(self._nodes, kept):
+            node.kept[fold] = pair
+            if len(node.kept) == self._folds:
                 node.layer = None
 
 
@@ -266,10 +262,11 @@ def _cross_validate_grid(features, labels, configs, k, seed):
     configurations are then visited, and their pairs yielded, in the order
     of their widths, not in the order given: a depth-first walk of the tree
     of width prefixes that draws each of its random layers once. Each
-    configuration is fitted in every fold in turn. The stages it shares with
-    the next one are kept, one per fold, with the fold's training rows'
-    activations after each, and passed to ``deep_elm_train``, which starts
-    from those activations: an autoencoder stage that several
+    configuration is fitted in every fold in turn. Of the stages it shares
+    with the next one, each fold keeps the pair of the stage and the
+    training rows' activations after it. ``deep_elm_train`` gets them in
+    the fold's ``_FitStart``, with the random layers after them, and starts
+    from the last activations: an autoencoder stage that several
     configurations share is fitted, and run on the training rows, once per
     fold. Held-out rows are scored by ``deep_elm_predict`` from the features.
     A single configuration keeps nothing across folds. Across
@@ -302,11 +299,9 @@ def _cross_validate_grid(features, labels, configs, k, seed):
         folds = []
         predictions = np.empty(labels.size, dtype=labels.dtype)
         for fold, (train_idx, test_idx) in enumerate(plan):
-            start = replace(starts[fold], hidden=path.hidden(fold), keep=depth)
-            model = deep_elm_train(
-                features[train_idx], labels[train_idx], config, path.layers(fold), _start=start
-            )
-            path.keep(fold, model, start.hidden, depth)
+            start = path.start(fold, starts[fold], depth)
+            model = deep_elm_train(features[train_idx], labels[train_idx], config, _start=start)
+            path.keep(fold, start.kept)
             fold_pred, _ = deep_elm_predict(model, features[test_idx])
             # What the path lets go of must not stay held by this fold's locals.
             del start, model

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .dataio import _check_int, _check_real, _floats
 from .errors import (
     InsufficientExtrema,
     InvalidConfig,
@@ -69,7 +70,7 @@ def find_extrema(samples):
     lower (or higher) neighbors contributes its midpoint index. Returns
     ``(maxima, minima)`` as int arrays.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _floats(samples, "samples")
     if x.ndim != 1 or x.size < 4:
         raise ShapeMismatch("need a 1-D series of at least 4 samples")
     dx = x[1:] - x[:-1]
@@ -102,8 +103,8 @@ def spline_envelope(indices, values, n):
 
     Raises ShapeMismatch for index and value arrays that do not pair up,
     InsufficientExtrema for a set of fewer than 2 extrema, and
-    InvalidConfig for ``n < 2``, non-finite extrema or indices that do not
-    strictly increase.
+    InvalidConfig for an ``n`` that is not an integer >= 2, extrema that
+    are not finite numbers or indices that do not strictly increase.
     """
     batched = isinstance(indices, (list, tuple)) and len(indices) > 0 and np.ndim(indices[0]) == 1
     if batched:
@@ -113,15 +114,14 @@ def spline_envelope(indices, values, n):
     else:
         sets = [(indices, values)]
     checked = [_check_extrema(idx, val) for idx, val in sets]
-    if n < 2:
-        raise InvalidConfig("n must be >= 2")
+    n = _check_int(n, "n", 2)
     envelopes = _natural_splines(checked, n)
     return envelopes if batched else envelopes[0]
 
 
 def _check_extrema(indices, values):
-    idx = np.asarray(indices, dtype=float)
-    val = np.asarray(values, dtype=float)
+    idx = _floats(indices, "indices")
+    val = _floats(values, "values")
     if idx.shape != val.shape or idx.ndim != 1:
         raise ShapeMismatch("indices and values must be 1-D and the same length")
     if idx.size < 2:
@@ -276,7 +276,7 @@ def emd(signal):
     row still sifting in one ``spline_envelope`` call, and a row's modes
     equal those of the row decomposed alone.
     """
-    x = np.asarray(signal, dtype=float)
+    x = _floats(signal, "signal")
     if not np.all(np.isfinite(x)):
         raise InvalidConfig("signal samples must be finite")
     if x.ndim not in (1, 2):
@@ -347,7 +347,7 @@ def analytic_signal(x):
     result reproduces the input to rounding. Each row of a matrix gets
     the result of its own 1-D transform.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] < 4:
         raise ShapeMismatch("need a 1-D series (or rows of series) of at least 4 samples")
     n = x.shape[-1]
@@ -367,11 +367,12 @@ def instantaneous_frequency(phase, fs):
 
     Central differences in the interior, one-sided at the edges.
     """
-    phase = np.asarray(phase, dtype=float)
+    phase = _floats(phase, "phase")
     if phase.ndim != 1 or phase.size < 2:
         raise ShapeMismatch("need a 1-D phase series of at least 2 samples")
-    if not fs > 0.0:
-        raise InvalidConfig("sampling rate must be > 0")
+    _check_real(fs, "sampling rate")
+    if not (np.isfinite(fs) and fs > 0.0):
+        raise InvalidConfig(f"sampling rate must be finite and > 0, got {fs}")
     return np.gradient(phase) * (fs / (2.0 * np.pi))
 
 
@@ -390,14 +391,17 @@ def stat_features(series, reference):
     sample covariance with the reference. Skewness, kurtosis, and
     correlation are defined as 0 whenever the relevant series is constant
     up to rounding: its second central moment is at most ``(n * eps)**2``
-    times its mean square.
+    times its mean square. A series or reference that is not finite raises
+    InvalidConfig.
     """
-    x = np.asarray(series, dtype=float)
-    r = np.asarray(reference, dtype=float)
+    x = _floats(series, "series")
+    r = _floats(reference, "reference")
     if x.ndim not in (1, 2) or r.shape != x.shape[-1:]:
         raise ShapeMismatch("reference must be one series of the series' length")
     if x.shape[-1] < 2:
         raise ShapeMismatch("need at least 2 samples")
+    if not (np.isfinite(x).all() and np.isfinite(r).all()):
+        raise InvalidConfig("series and reference must be finite")
     single = x.ndim == 1
     x = np.atleast_2d(x)
     n = x.shape[1]
@@ -483,7 +487,7 @@ def trial_feature_vector(signal):
         decomposition produced stay zero, so the width is fixed. A row
         equals the vector of that trial alone.
     """
-    x = np.asarray(signal, dtype=float)
+    x = _floats(signal, "signal")
     trials = np.atleast_2d(x)
     values = np.zeros((trials.shape[0], _MAX_IMFS, 2, len(STAT_NAMES)))
     for trial, modes, out in zip(trials, emd(trials), values):

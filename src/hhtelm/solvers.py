@@ -278,7 +278,9 @@ def solve_output_weights(h, t, kind):
         # more than two of them are held at a time.
         fact = hessenberg_reduce(gram)
         del gram
-        x = fact.q.T @ (t if dual else h.T @ t)
+        # Formed as the transpose of a C-ordered product, so Fortran-ordered:
+        # dgtsv then overwrites it in place instead of taking a copy.
+        x = ((t if dual else h.T @ t).T @ fact.q).T
         x = _solve_tridiagonal(fact.diagonal, fact.offdiagonal, x)
         x = fact.q @ x
     return h.T @ x if dual else x

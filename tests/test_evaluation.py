@@ -13,7 +13,6 @@ from hhtelm import (
     cross_validate,
     deep_elm_predict,
     deep_elm_train,
-    draw_layers,
     metrics,
     random_orthogonal,
     stratified_kfold,
@@ -387,8 +386,8 @@ def test_cv_fold_models_equal_standalone_training(monkeypatch, variant):
 
     fits = []
 
-    def recording(x, labels, config, layers=None, **private):
-        model = deep_elm_train(x, labels, config, layers, **private)
+    def recording(x, labels, config, **private):
+        model = deep_elm_train(x, labels, config, **private)
         fits.append((x, labels, model))
         return model
 
@@ -438,17 +437,16 @@ def test_cv_rejects_non_integer_k_and_bad_seeds(k, seed):
 
 def cross_validate_one_at_a_time(x, labels, config, k, seed):
     """Fold metrics and predictions of one configuration, every fold fitted
-    from scratch on one draw of the random layers: the reference the grid
-    walk must match bit for bit."""
+    from scratch by ``deep_elm_train``: the reference the grid walk must
+    match bit for bit."""
     assignment = stratified_kfold(labels, k, seed)
-    layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
     balance_seeds = np.random.SeedSequence(seed).spawn(k)
     predictions = np.empty(labels.size, dtype=labels.dtype)
     folds = []
     for fold in range(k):
         held_out = assignment == fold
         balanced = balance_train_set(np.flatnonzero(~held_out), labels, balance_seeds[fold])
-        model = deep_elm_train(x[balanced], labels[balanced], config, layers)
+        model = deep_elm_train(x[balanced], labels[balanced], config)
         predicted, _ = deep_elm_predict(model, x[held_out])
         predictions[held_out] = predicted
         folds.append(metrics(contingency(predicted, labels[held_out])))
@@ -519,14 +517,12 @@ def test_grid_passes_each_fit_the_stages_it_shares_with_the_last(monkeypatch):
     # the next; a fit gets fitted stages for the widths it shares with the
     # configuration before it, and a lone configuration gets none.
     from hhtelm import evaluation
-    from hhtelm.elm import AutoencoderLayer
 
     given = []
 
-    def recording(x, labels, config, layers=None, **private):
-        fitted = [isinstance(layer, AutoencoderLayer) for layer in layers]
-        given.append((config.layer_sizes, sum(fitted)))
-        return deep_elm_train(x, labels, config, layers, **private)
+    def recording(x, labels, config, **private):
+        given.append((config.layer_sizes, len(private["_start"].kept)))
+        return deep_elm_train(x, labels, config, **private)
 
     monkeypatch.setattr(evaluation, "deep_elm_train", recording)
     x, labels = blob_features(15, seed=5)
@@ -544,9 +540,9 @@ def test_grid_yields_each_configuration_when_its_folds_are_fitted(monkeypatch):
 
     fits = []
 
-    def counting(x, labels, config, layers=None, **private):
+    def counting(x, labels, config, **private):
         fits.append(config.layer_sizes)
-        return deep_elm_train(x, labels, config, layers, **private)
+        return deep_elm_train(x, labels, config, **private)
 
     monkeypatch.setattr(evaluation, "deep_elm_train", counting)
     x, labels = blob_features(15, seed=5)
@@ -610,8 +606,8 @@ def test_single_configuration_cross_validate_caches_nothing(monkeypatch):
 
     starts = []
 
-    def recording(x, labels, config, layers=None, **private):
-        model = deep_elm_train(x, labels, config, layers, **private)
+    def recording(x, labels, config, **private):
+        model = deep_elm_train(x, labels, config, **private)
         starts.append(private["_start"])
         return model
 
@@ -620,7 +616,7 @@ def test_single_configuration_cross_validate_caches_nothing(monkeypatch):
     training = _first_stage_forwards(monkeypatch, 20, x.shape[1])
     cross_validate(x, labels, TrainConfig(layer_sizes=(25, 8, 3), kernel=HESS, seed=4), k=3, seed=8)
     assert len(starts) == 3
-    assert all(start.keep == 0 and start.hidden == [] for start in starts)
+    assert all(start.keep == 0 and start.kept == [] for start in starts)
     assert training == [25] * 3
 
 
@@ -632,12 +628,12 @@ def test_grid_walk_to_a_new_first_width_frees_the_old_activations(monkeypatch):
     held = []  # (first width, weak reference to kept activations)
     checked = []
 
-    def recording(x, labels, config, layers=None, **private):
+    def recording(x, labels, config, **private):
         first = config.layer_sizes[0]
         alive = [width for width, ref in held if width != first and ref() is not None]
         checked.append((first, alive))
-        model = deep_elm_train(x, labels, config, layers, **private)
-        held.extend((first, weakref.ref(rows)) for rows in private["_start"].hidden)
+        model = deep_elm_train(x, labels, config, **private)
+        held.extend((first, weakref.ref(rows)) for _, rows in private["_start"].kept)
         return model
 
     monkeypatch.setattr(evaluation, "deep_elm_train", recording)
