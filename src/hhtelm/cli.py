@@ -45,9 +45,10 @@ _PROG = "hhtelm"
 # features and decompose sift this many trials together and hold the
 # modes of a block at once (about 80 KB a trial). On a shared 2-vCPU
 # machine with one BLAS thread, `features` on the 400 trials of
-# SynthConfig(n_per_class=200, seed=42) took 2.4, 2.4 and 2.2 s in blocks
-# of 20, 32 and 64, and 2.1 s in one block, which peaked at 68 MB of
-# allocations, ten times the 7 MB that reading their CSV takes.
+# SynthConfig(n_per_class=200, seed=42) took 1.26, 1.18 and 1.13 s in
+# blocks of 20, 32 and 64 (medians of 3), and 1.14 s in one block, which
+# peaked at 61 MiB of allocations against 16 MiB in blocks of 64 and the
+# 7 MiB that reading their CSV takes.
 _BLOCK_TRIALS = 64
 
 # sweep refuses a grid of more configurations than this unless --budget is
@@ -327,7 +328,8 @@ def main(argv=None):
         print(f"{_PROG}: usage error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # Widths too large for the machine are a bad flag value.
+        # An input too large for the machine (a features file of very many
+        # columns, say) is refused like a bad flag value.
         print(f"{_PROG}: usage error: out of memory: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import os
-import tempfile
+import uuid
 from dataclasses import asdict, dataclass, fields
 from numbers import Real
 
@@ -307,10 +307,16 @@ def synth_scp(config=None):
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temp file in the same directory, then rename."""
+    """Write text to path via a temp file in the same directory, then rename.
+
+    The file gets the mode ``open()`` would give a new file, 0666 less the
+    umask: the temp file is created with 0666 and the kernel applies the
+    umask (``mkstemp`` would make it 0600, and the rename keeps the mode).
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

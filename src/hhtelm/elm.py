@@ -32,6 +32,12 @@ from .solvers import (
 # The hidden activation of every layer; the CV report echoes it by this name.
 ACTIVATION = "sigmoid"
 
+# TrainConfig refuses wider layers, so nothing is drawn for them. Drawing a
+# 2048-2048 stack on 132 inputs peaked at 134 MiB of allocations (the QR
+# of the 2048 x 2048 draw) and took 1.3 s with one BLAS thread; a 500-500
+# stack, the widest of the default sweep grid, peaked at 8.4 MiB.
+_MAX_WIDTH = 2048
+
 
 def sigmoid(z):
     """Logistic sigmoid elementwise, clipped so exp never overflows.
@@ -69,7 +75,9 @@ class AutoencoderLayer:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Deep model recipe: stacked layer widths, solver kernel, seed."""
+    """Deep model recipe: stacked layer widths, solver kernel, seed.
+
+    One to eight widths, each from 1 to 2048 (``_MAX_WIDTH``)."""
 
     layer_sizes: tuple
     kernel: SolverKind
@@ -86,6 +94,8 @@ class TrainConfig:
         sizes = tuple(_check_int(s, "every layer width", 1) for s in widths)
         if not 1 <= len(sizes) <= 8:
             raise InvalidConfig("layer_sizes must contain 1 to 8 widths")
+        if max(sizes) > _MAX_WIDTH:
+            raise InvalidConfig(f"layer width {max(sizes)} is above the cap of {_MAX_WIDTH}")
         if not isinstance(self.kernel, SolverKind):
             raise InvalidConfig("kernel must be a SolverKind")
         object.__setattr__(self, "layer_sizes", sizes)

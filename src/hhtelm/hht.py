@@ -6,19 +6,23 @@ mode is summarized by a fixed block of 11 statistics computed twice: once
 on the raw mode and once on its instantaneous amplitude from the analytic
 signal. The feature path also takes a ``(rows, samples)`` matrix of
 trials: rows are independent, and each sifting step builds the envelopes
-of every row still sifting with one block-diagonal spline solve.
+of every row still sifting together. Their knots lie end to end in one
+array, the bands of every set's natural-spline slope system are shifted
+slices of it, and one LAPACK ``dgtsv`` call solves the block-diagonal
+tridiagonal system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .dataio import _check_int, _check_real, _floats
 from .errors import (
     InsufficientExtrema,
     InvalidConfig,
+    NumericalFailure,
     ShapeMismatch,
 )
 
@@ -74,6 +78,13 @@ def find_extrema(samples):
     if x.ndim != 1 or x.size < 4:
         raise ShapeMismatch("need a 1-D series of at least 4 samples")
     dx = x[1:] - x[:-1]
+    if dx.all():
+        # No plateau: the extrema are where the step changes sign, maxima
+        # and minima in turn.
+        up = dx > 0
+        turns = np.flatnonzero(up[:-1] != up[1:]) + 1
+        skip = 0 if turns.size and up[turns[0] - 1] else 1
+        return turns[skip::2], turns[1 - skip :: 2]
     nz = np.flatnonzero(dx)
     empty = np.array([], dtype=int)
     if nz.size < 2:
@@ -95,11 +106,15 @@ def spline_envelope(indices, values, n):
     (returns shape ``(sets, n)``, one envelope per set). Boundary knots come
     from the two extrema nearest each edge, reflected across the edge along
     their own line (so collinear extrema reproduce their line exactly and a
-    constant pair stays constant).
+    constant pair stays constant); a mirror knot that does not fall beyond
+    the extrema drops out.
 
     The envelopes equal scipy's ``CubicSpline(bc_type="natural")`` bit for
-    bit: the same slope system and Hermite coefficients, with every set's
-    system stacked into one block-diagonal tridiagonal solve.
+    bit: the same slope system and Hermite coefficients. All sets' knots
+    lie end to end in one array, the bands and right-hand side of every
+    set's slope system are shifted slices of it, and one ``dgtsv`` call,
+    the LAPACK routine behind scipy's ``solve_banded((1, 1), ...)``,
+    solves them all.
 
     Raises ShapeMismatch for index and value arrays that do not pair up,
     InsufficientExtrema for a set of fewer than 2 extrema, and
@@ -113,9 +128,9 @@ def spline_envelope(indices, values, n):
         sets = zip(indices, values)
     else:
         sets = [(indices, values)]
-    checked = [_check_extrema(idx, val) for idx, val in sets]
+    idx, val = zip(*[_check_extrema(i, v) for i, v in sets])
     n = _check_int(n, "n", 2)
-    envelopes = _natural_splines(checked, n)
+    envelopes = _natural_splines(idx, val, n)
     return envelopes if batched else envelopes[0]
 
 
@@ -129,66 +144,15 @@ def _check_extrema(indices, values):
     return idx, val
 
 
-def _natural_splines(sets, n):
-    """Natural cubic splines through each (indices, values) set of extrema
-    and their mirror images, evaluated at 0..n-1 into a ``(sets, n)`` array."""
-    x, y, sizes = _mirrored_knots(sets, n)
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
-    has_next = np.ones(x.size, dtype=bool)
-    has_next[last] = False
-    has_prev = np.ones(x.size, dtype=bool)
-    has_prev[first] = False
-    left = np.flatnonzero(has_next)
-    inner = np.flatnonzero(has_next & has_prev)
-    # Width and slope of the interval each knot starts (zero at a set's
-    # last knot, which starts none).
-    width = np.zeros(x.size)
-    width[left] = x[left + 1] - x[left]
-    slope = np.zeros(x.size)
-    slope[left] = (y[left + 1] - y[left]) / width[left]
-    # scipy's natural-spline system in the knot slopes, one block per set;
-    # the entries that would couple two blocks stay zero, so the solve
-    # treats every block exactly as it would alone.
-    band = np.zeros((3, x.size))
-    rhs = np.empty(x.size)
-    band[1, inner] = 2 * (width[inner - 1] + width[inner])
-    band[0, inner + 1] = width[inner - 1]
-    band[2, inner - 1] = width[inner]
-    rhs[inner] = 3 * (width[inner] * slope[inner - 1] + width[inner - 1] * slope[inner])
-    band[1, first] = 2 * width[first]
-    band[0, first + 1] = width[first]
-    rhs[first] = 3 * (y[first + 1] - y[first])
-    band[1, last] = 2 * width[last - 1]
-    band[2, last - 1] = width[last - 1]
-    rhs[last] = 3 * (y[last] - y[last - 1])
-    d = solve_banded((1, 1), band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    # Per interval: its left knot, then the Hermite coefficients as
-    # CubicHermiteSpline forms them, highest power first. scipy evaluates
-    # c3 + c2*s + c1*(s*s) + c0*(s*s*s) with s measured from the left knot,
-    # starting its sum at 0.0, which turns a -0.0 height into 0.0; so does
-    # the + 0.0 here.
-    dx = width[left]
-    m = slope[left]
-    t = (d[left] + d[left + 1] - 2 * m) / dx
-    pieces = np.stack([x[left], t / dx, (m - d[left]) / dx - t, d[left], y[left] + 0.0])
-    # Sample g lies in the interval of the last knot <= g, clamped to the
-    # first and last interval as scipy extrapolates; so an interval holds
-    # the samples from its left knot up to its right one, with a set's
-    # first interval reaching down to 0 and its last one up to n.
-    below = np.clip(np.ceil(x), 0, n).astype(np.intp)
-    set_first = first - np.arange(sizes.size)
-    set_end = last - np.arange(sizes.size)
-    lower = below[left]
-    lower[set_first] = 0
-    upper = below[left + 1]
-    upper[set_end - 1] = n
-    counts = upper - lower
+def _natural_splines(indices, values, n):
+    """Natural cubic splines through each set of extrema and their mirror
+    knots, evaluated at 0..n-1 into a ``(sets, n)`` array."""
+    pieces, counts, first, last = _spline_pieces(indices, values, n)
     grid = np.arange(n, dtype=float)
-    out = np.empty((sizes.size, n))
+    out = np.empty((first.size, n))
     # One set at a time into its row of ``out``: spreading every set's
     # pieces over its n samples at once holds several (sets, n) arrays.
-    for row, start, stop in zip(out, set_first, set_end):
+    for row, start, stop in zip(out, first.tolist(), last.tolist()):
         knot, cube, square, linear, const = np.repeat(
             pieces[:, start:stop], counts[start:stop], axis=1
         )
@@ -204,51 +168,98 @@ def _natural_splines(sets, n):
     return out
 
 
-def _mirrored_knots(sets, n):
-    """Every set's extrema, preceded by the mirror images of its two
-    extrema nearest sample 0 that fall before the first of them and
-    followed by those of its two nearest sample n - 1 that fall after the
-    last. Returns the knots, their heights and each set's knot count."""
-    sizes = np.array([idx.size for idx, _ in sets])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    idx = np.concatenate([idx for idx, _ in sets])
-    val = np.concatenate([val for _, val in sets])
+def _spline_pieces(indices, values, n):
+    """Every set's spline as pieces laid end to end: piece j runs from knot
+    j to knot j + 1 and holds its left knot, then its coefficients highest
+    power first, and ``counts[j]`` of the samples 0..n-1. Set s holds the
+    pieces ``first[s]`` up to ``last[s]``; the piece between two sets is
+    never read. Returns ``(pieces, counts, first, last)``."""
+    idx = np.concatenate(indices)
+    val = np.concatenate(values)
+    ends = np.cumsum([len(i) for i in indices])
     rises = idx[1:] > idx[:-1]
     rises[ends[:-1] - 1] = True  # across two sets
-    if not (np.all(rises) and np.all(np.isfinite(idx)) and np.all(np.isfinite(val))):
+    if not (rises.all() and np.isfinite(idx).all() and np.isfinite(val).all()):
         raise InvalidConfig("extrema must be finite, at strictly increasing indices")
-    # A set's knots fill the slots between two extra slots on each side;
-    # mirror images that do not fall beyond the extrema drop out.
-    slots = starts + 4 * np.arange(sizes.size)
-    x = np.empty(idx.size + 4 * sizes.size)
+    # A set's knots: two mirror images, its extrema, two mirror images.
+    last = ends + 4 * np.arange(1, ends.size + 1) - 1
+    first = last - np.diff(ends, prepend=0) - 3
+    mirrors = (first, first + 1, last - 1, last)
+    x = np.empty(last[-1] + 1)
     y = np.empty_like(x)
-    keep = np.zeros(x.size, dtype=bool)
-    at = np.repeat(slots - starts + 2, sizes) + np.arange(idx.size)
-    x[at] = idx
-    y[at] = val
-    keep[at] = True
-    first, second = starts, starts + 1
-    lx, ly = _mirrored_pair(idx[first], idx[second], val[first], val[second], edge=0.0)
-    for k, at in enumerate((slots + 1, slots)):
-        x[at], y[at], keep[at] = lx[k], ly[k], lx[k] < idx[first]
-    last, second = ends - 1, ends - 2
-    rx, ry = _mirrored_pair(idx[last], idx[second], val[last], val[second], edge=float(n - 1))
-    for k, at in enumerate((slots + sizes + 2, slots + sizes + 3)):
-        x[at], y[at], keep[at] = rx[k], ry[k], rx[k] > idx[last]
-    return x[keep], y[keep], np.add.reduceat(keep, slots, dtype=np.intp)
+    keep = np.ones(x.size, dtype=bool)
+    for slot in mirrors:
+        keep[slot] = False
+    x[keep], y[keep] = idx, val
+    # The two extrema nearest each edge, reflected through the point where
+    # their line crosses it, nearest first: collinear extrema so reproduce
+    # their line exactly, and a constant pair stays constant.
+    for near, far, edge, slots in (
+        (first + 2, first + 3, 0.0, mirrors[1::-1]),
+        (last - 2, last - 3, float(n - 1), mirrors[2:]),
+    ):
+        c = y[near] + (y[far] - y[near]) * (edge - x[near]) / (x[far] - x[near])
+        for slot, at in zip(slots, (near, far)):
+            x[slot] = 2.0 * edge - x[at]
+            y[slot] = 2.0 * c - y[at]
+    # A mirror image that does not fall beyond the extrema drops out; in
+    # emd none does, as find_extrema never returns sample 0 or n - 1.
+    kept = [x[slot] < x[first + 2] for slot in mirrors[:2]]
+    kept += [x[slot] > x[last - 2] for slot in mirrors[2:]]
+    if not all(k.all() for k in kept):
+        for slot, k in zip(mirrors, kept):
+            keep[slot] = k
+        last = np.cumsum(keep)[last] - 1
+        first = np.concatenate(([0], last[:-1] + 1))
+        x, y = x[keep], y[keep]
+    # Width and slope of the interval each knot starts.
+    width = x[1:] - x[:-1]
+    slope = y[1:] - y[:-1]
+    slope /= width
+    d = _knot_slopes(width, slope, y, first, last)
+    # The Hermite coefficients as CubicHermiteSpline forms them. scipy
+    # evaluates c3 + c2*s + c1*(s*s) + c0*(s*s*s) with s measured from the
+    # left knot, starting its sum at 0.0, which turns a -0.0 height into
+    # 0.0; so does the + 0.0 here.
+    t = (d[:-1] + d[1:] - 2 * slope) / width
+    pieces = np.stack([x[:-1], t / width, (slope - d[:-1]) / width - t, d[:-1], y[:-1] + 0.0])
+    # Sample g lies in the interval of the last knot <= g, clamped to the
+    # first and last interval as scipy extrapolates; so an interval holds
+    # the samples from its left knot up to its right one, with a set's
+    # first interval reaching down to 0 and its last one up to n (a set
+    # has at least two intervals, as at least one mirror image stays).
+    below = np.clip(np.ceil(x), 0, n).astype(np.intp)
+    counts = below[1:] - below[:-1]
+    counts[first] = below[first + 1]
+    counts[last - 1] = n - below[last - 1]
+    return pieces, counts, first, last
 
 
-def _mirrored_pair(i0, i1, v0, v1, edge):
-    """Reflect the two extrema nearest ``edge`` through the point where
-    their line crosses the edge; ordered nearest-the-edge first. Collinear
-    extrema so reproduce their line exactly, and a constant pair stays
-    constant. Works elementwise on arrays of pairs."""
-    c = v0 + (v1 - v0) * (edge - i0) / (i1 - i0)
-    return (
-        np.array([2.0 * edge - i0, 2.0 * edge - i1]),
-        np.array([2.0 * c - v0, 2.0 * c - v1]),
-    )
+def _knot_slopes(width, slope, y, first, last):
+    """The knot slopes from scipy's natural-spline system, its bands and
+    right-hand side built from shifted slices with each set's first and
+    last rows overwritten. The entries that would couple two sets are
+    zero, so the solve treats every set's block exactly as it would alone."""
+    diag = np.empty(y.size)
+    diag[1:-1] = 2 * (width[:-1] + width[1:])
+    diag[first] = 2 * width[first]
+    diag[last] = 2 * width[last - 1]
+    upper = np.empty(width.size)
+    upper[1:] = width[:-1]
+    upper[first] = width[first]
+    upper[last[:-1]] = 0.0
+    lower = np.empty(width.size)
+    lower[:-1] = width[1:]
+    lower[last - 1] = width[last - 1]
+    lower[last[:-1]] = 0.0
+    rhs = np.empty(y.size)
+    rhs[1:-1] = 3 * (width[1:] * slope[:-1] + width[:-1] * slope[1:])
+    rhs[first] = 3 * (y[first + 1] - y[first])
+    rhs[last] = 3 * (y[last] - y[last - 1])
+    *_, d, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise NumericalFailure("envelope slope system is singular")
+    return d
 
 
 def emd(signal):
@@ -326,6 +337,8 @@ def emd(signal):
                 accept_mode(r, h)
             else:
                 sifting[r] = (h, maxima, minima, done)
+        # Freed before the next step builds its own.
+        del active, envelopes
     sets = [ImfSet(imfs=modes, residual=residual) for modes, residual in zip(imfs, residuals)]
     return sets if x.ndim == 2 else sets[0]
 
@@ -456,16 +469,21 @@ def _histogram_mode(x, lo, hi):
     flat = lo == hi
     lo = np.where(flat, lo - 0.5, lo)
     hi = np.where(flat, hi + 0.5, hi)
-    edges = np.linspace(lo, hi, bins + 1, axis=1).ravel()
+    # One table of edges per row, whose last upper edge is +inf: the last
+    # bin so holds its upper edge, and no index moves past it.
+    edges = np.linspace(lo, hi, bins + 1, axis=1)
+    edges[:, bins] = np.inf
+    edges = edges.ravel()
     row_edges = np.arange(x.shape[0])[:, None] * (bins + 1)
     index = ((x - lo[:, None]) / (hi - lo)[:, None] * bins).astype(np.intp)
-    index[index == bins] -= 1
-    index -= x < edges[index + row_edges]
-    index += (x >= edges[index + row_edges + 1]) & (index != bins - 1)
-    row_bins = np.arange(x.shape[0])[:, None] * bins
-    counts = np.bincount((index + row_bins).ravel(), minlength=x.shape[0] * bins)
-    fullest = np.argmax(counts.reshape(-1, bins), axis=1) + row_edges[:, 0]
-    return 0.5 * (edges[fullest] + edges[fullest + 1])
+    np.minimum(index, bins - 1, out=index)
+    index += row_edges
+    index -= x < edges.take(index)
+    index += x >= edges.take(index + 1)
+    counts = np.bincount((index - np.arange(x.shape[0])[:, None]).ravel(), minlength=x.shape[0] * bins)
+    fullest = np.argmax(counts.reshape(-1, bins), axis=1)
+    upper = np.where(fullest == bins - 1, hi, edges.take(fullest + 1 + row_edges[:, 0]))
+    return 0.5 * (edges.take(fullest + row_edges[:, 0]) + upper)
 
 
 def trial_feature_vector(signal):

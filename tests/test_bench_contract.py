@@ -12,7 +12,16 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hhtelm import SolverKind, SynthConfig, TrainConfig, hht, save_trials_csv, synth_scp
+from hhtelm import (
+    FilterSpec,
+    SolverKind,
+    SynthConfig,
+    TrainConfig,
+    hht,
+    lowpass_filter,
+    save_trials_csv,
+    synth_scp,
+)
 from hhtelm.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -94,6 +103,24 @@ def test_feature_recipe_matches_the_bench(layers, bench_run):
     here and not only in a bench run."""
     assert len(hht.FEATURE_NAMES) == bench_run.FEATURE_WIDTH
     assert len(hht.STAT_NAMES) == layers.STAT_BLOCK
+
+
+def test_emd_calls_envelope_and_extrema_through_their_module_names():
+    """The bench's ``hht.envelope_calls`` counts ``hht.spline_envelope``
+    spans, one per sifting step of a block, and its extrema spans count
+    ``hht.find_extrema``. A fixed 4-trial block makes 32 steps and 103
+    extrema scans; an inlined call would not reach these spies, so the
+    counts would drop here and not only in a traced run."""
+    trials = synth_scp(SynthConfig(n_per_class=2, seed=1))
+    block = np.array([lowpass_filter(t.samples, t.fs, FilterSpec()) for t in trials])
+    with (
+        mock.patch.object(hht, "spline_envelope", wraps=hht.spline_envelope) as envelope,
+        mock.patch.object(hht, "find_extrema", wraps=hht.find_extrema) as extrema,
+    ):
+        modes = hht.emd(block)
+    assert [len(m.imfs) for m in modes] == [4, 4, 4, 5]
+    assert envelope.call_count == 32
+    assert extrema.call_count == 103
 
 
 def test_traced_pipeline_fires_every_expected_span(layers, tmp_path):

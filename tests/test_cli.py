@@ -162,15 +162,20 @@ def test_negative_seed_exits_1(tmp_path, blob_csv, capsys, command):
 
 @pytest.mark.parametrize(
     "command",
-    [
-        # a 6 x 10**15 first layer: 42.6 PiB of float64
-        ["evaluate", "--layers", "1000000000000000", "--k", "2"],
-    ],
+    [["evaluate", "--layers", "6", "--k", "2"]],
     ids=lambda command: command[0],
 )
-def test_allocation_too_large_exits_1(tmp_path, blob_csv, capsys, command):
-    """The array exceeds the 128 TiB user address space of a 64-bit
-    machine, so numpy refuses it before any memory is touched."""
+def test_allocation_too_large_exits_1(tmp_path, blob_csv, capsys, monkeypatch, command):
+    """A features file too wide for the machine: the stubbed loader asks
+    numpy for a 6 x 10**15 matrix, 42.6 PiB of float64. That exceeds the
+    128 TiB user address space of a 64-bit machine, so numpy raises its
+    MemoryError before any memory is touched, and main turns it into one
+    line of stderr."""
+
+    def too_wide(path):
+        return np.empty((6, 10**15)), None, None
+
+    monkeypatch.setattr(cli, "load_features_csv", too_wide)
     command = [*command, "--features", blob_csv]
     out = tmp_path / "out"
     assert main([*command, "--out", str(out), "--quiet"]) == 1
@@ -179,6 +184,43 @@ def test_allocation_too_large_exits_1(tmp_path, blob_csv, capsys, command):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--layers", "100000,100000"],
+        # 9 configurations, within the grid cap; the widest is 100,001.
+        ["sweep", "--min", "1", "--max", "100001", "--step", "50000"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_widths_above_the_cap_exit_1_before_anything_is_drawn(
+    tmp_path, blob_csv, capsys, monkeypatch, command
+):
+    """A 100,000-wide second layer would draw an 80 GB matrix; the cap
+    refuses it first, and the stubs fail the test if a draw is tried."""
+    from hhtelm import elm, evaluation
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a layer was drawn")
+
+    for module, name in ((elm, "draw_layers"), (evaluation, "draw_layers"), (elm, "random_orthogonal")):
+        monkeypatch.setattr(module, name, fail)
+    assert 100000 > elm._MAX_WIDTH >= 500
+    out = tmp_path / "out"
+    assert main([*command, "--features", blob_csv, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"above the cap of {elm._MAX_WIDTH}" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_widths_at_the_cap_are_accepted():
+    from hhtelm import SolverKind, TrainConfig, elm
+
+    widest = (elm._MAX_WIDTH, elm._MAX_WIDTH)
+    assert TrainConfig(layer_sizes=widest, kernel=SolverKind("svd")).layer_sizes == widest
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +578,25 @@ def test_every_command_reruns_byte_identical(tmp_path, trials_csv, blob_csv, com
 
 # ---------------------------------------------------------------------------
 # config echo
+
+
+def test_artifacts_take_their_mode_from_the_umask(tmp_path, blob_csv):
+    """Under umask 022 every artifact comes out 0644, as open() would make
+    it, not the 0600 of the temp file it is renamed from."""
+    trials, features, report = (str(tmp_path / name) for name in ("t.csv", "f.csv", "r.json"))
+    commands = [
+        ["synth", *SYNTH_FLAGS, "--out", trials],
+        ["features", "--in", trials, "--taps", "65", "--out", features],
+        ["evaluate", "--features", blob_csv, "--layers", "6", "--k", "2", "--out", report],
+    ]
+    previous = os.umask(0o022)
+    try:
+        for argv in commands:
+            assert main([*argv, "--quiet"]) == 0
+    finally:
+        os.umask(previous)
+    for path in (trials, features, report):
+        assert os.stat(path).st_mode & 0o777 == 0o644
 
 
 def test_config_echo_lines_are_pinned(tmp_path, trials_csv, features_csv, blob_csv):

@@ -955,3 +955,14 @@ def test_atomic_write_creates_directories_and_leaves_no_temp(tmp_path):
         assert handle.read() == "payload\n"
     leftovers = [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_atomic_write_mode_follows_the_umask_without_changing_it(tmp_path):
+    path = str(tmp_path / "out.txt")
+    previous = os.umask(0o027)
+    try:
+        atomic_write_text(path, "payload\n")
+        assert os.umask(0o027) == 0o027
+    finally:
+        os.umask(previous)
+    assert os.stat(path).st_mode & 0o777 == 0o640

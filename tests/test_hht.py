@@ -9,7 +9,7 @@ recomputed inline from their definitions.
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -159,6 +159,35 @@ def test_extrema_matches_scan_oracle():
             assert x[i] <= x[i - 1] and x[i] <= x[i + 1]
 
 
+def assert_extrema_match_scan(x):
+    maxima, minima = find_extrema(x)
+    ref_max, ref_min = scan_extrema(x)
+    np.testing.assert_array_equal(maxima, ref_max)
+    np.testing.assert_array_equal(minima, ref_min)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 300))
+def test_extrema_of_series_without_ties_match_scan_oracle(seed, n):
+    """Series with no zero step take the sign-change path."""
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert np.all(x[1:] != x[:-1])
+    assert_extrema_match_scan(x)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.integers(-2, 2), min_size=4, max_size=60))
+@example(values=[0, 0, 0, 0])  # constant
+@example(values=[1, 1, 0, 2])  # plateaus at either end
+@example(values=[2, 0, 1, 1])
+@example(values=[1, 1, 0, 2, 2, 2, 1, 1])
+@example(values=[0, 1, 0, 1])  # the 4-sample minimum, without ties
+@example(values=[1, 0, 1, 0])
+def test_extrema_of_small_integer_series_match_scan_oracle(values):
+    """Small integers tie often, so most series take the plateau path."""
+    assert_extrema_match_scan(np.array(values, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # spline_envelope
 
@@ -209,6 +238,48 @@ def test_batched_envelopes_equal_scipy_natural_spline_bit_for_bit():
             expected = reference_envelope(idx, val, n)
             np.testing.assert_array_equal(row, expected)
             np.testing.assert_array_equal(spline_envelope(idx, val, n), expected)
+
+
+def assert_batch_equals_scipy(indices, values, n):
+    batch = spline_envelope(indices, values, n)
+    assert batch.shape == (len(indices), n)
+    for row, idx, val in zip(batch, indices, values):
+        np.testing.assert_array_equal(row, reference_envelope(idx, val, n))
+
+
+def test_envelopes_at_fractional_indices_equal_scipy_natural_spline_bit_for_bit():
+    """Knots between samples, some beyond either edge, where mirror knots
+    drop out."""
+    rng = np.random.default_rng(44)
+    for _ in range(30):
+        n = int(rng.integers(8, 600))
+        indices, values = [], []
+        for _ in range(int(rng.integers(1, 8))):
+            idx = np.unique(rng.uniform(-1.5, n + 0.5, size=int(rng.integers(2, 40))))
+            assert idx.size >= 2 and np.any(idx != np.round(idx))
+            indices.append(idx)
+            values.append(rng.standard_normal(idx.size) * 10.0 ** rng.uniform(-3, 3))
+        assert_batch_equals_scipy(indices, values, n)
+
+
+def test_envelope_batch_mixing_interior_and_edge_sets_equals_scipy_bit_for_bit():
+    """One batch of sets that keep all four mirror knots and sets at sample
+    0 or n - 1 that drop some, so dropped knots are compressed out between
+    sets that keep theirs."""
+    n = 64
+    indices = [
+        np.array([3, 10, 20, 40]),
+        np.array([0, 7, 15]),
+        np.array([5, 33, 60]),
+        np.array([12, 30, 63]),
+        np.array([0, 63]),
+        np.array([1, 2]),
+        np.array([0, 1, 62, 63]),
+        np.array([9, 50, 62]),
+    ]
+    rng = np.random.default_rng(45)
+    values = [rng.standard_normal(idx.size) for idx in indices]
+    assert_batch_equals_scipy(indices, values, n)
 
 
 def test_envelope_rejects_unordered_or_non_finite_extrema():
