@@ -7,10 +7,8 @@ Hessenberg factorization, LU), evaluated with stratified cross-validation.
 
 from . import errors
 from .dataio import (
-    CLASS_NAMES,
     FilterSpec,
     SynthConfig,
-    TrialRecord,
     load_features_csv,
     load_report,
     load_trials_csv,
@@ -21,16 +19,12 @@ from .dataio import (
     synth_scp,
 )
 from .elm import (
-    AutoencoderLayer,
-    DeepElmModel,
-    ElmLayer,
     TrainConfig,
     deep_elm_predict,
     deep_elm_train,
     draw_layers,
     elm_ae_train,
     elm_train,
-    one_hot,
 )
 from .evaluation import (
     ContingencyTable,
@@ -44,7 +38,6 @@ from .evaluation import (
 )
 from .hht import (
     FEATURE_NAMES,
-    ImfSet,
     analytic_signal,
     emd,
     find_extrema,
@@ -54,11 +47,9 @@ from .hht import (
     trial_feature_vector,
 )
 from .solvers import (
-    HessenbergFactorization,
     SolverKind,
     hessenberg_reduce,
     lu_factor_solve,
-    random_orthogonal,
     solve_output_weights,
     svd_pseudoinverse,
 )
@@ -66,21 +57,14 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutoencoderLayer",
-    "CLASS_NAMES",
     "ContingencyTable",
     "CvReport",
-    "DeepElmModel",
-    "ElmLayer",
     "FEATURE_NAMES",
     "FilterSpec",
-    "HessenbergFactorization",
-    "ImfSet",
     "MetricsReport",
     "SolverKind",
     "SynthConfig",
     "TrainConfig",
-    "TrialRecord",
     "analytic_signal",
     "balance_train_set",
     "contingency",
@@ -101,8 +85,6 @@ __all__ = [
     "lowpass_filter",
     "lu_factor_solve",
     "metrics",
-    "one_hot",
-    "random_orthogonal",
     "save_features_csv",
     "save_report",
     "save_trials_csv",

@@ -75,6 +75,20 @@ def _floats(values, name, error=InvalidConfig):
         raise error(f"{name} must hold numbers only") from None
 
 
+def _check_path(path):
+    """InvalidConfig unless ``path`` is a str or an os.PathLike of one.
+
+    Checked before anything is opened: ``open()`` takes an int, a bool
+    included, as a file descriptor and closes it when done.
+    """
+    try:
+        text = os.fspath(path)
+    except TypeError:
+        text = None
+    if not isinstance(text, str):
+        raise InvalidConfig(f"path must be a str or an os.PathLike of one, got {path!r}")
+
+
 def _check_field(value, name):
     """InvalidConfig unless ``value`` can stand unquoted as a CSV field at
     the start of a line: a non-empty string without a comma, a quote or a
@@ -313,6 +327,7 @@ def atomic_write_text(path, text):
     umask: the temp file is created with 0666 and the kernel applies the
     umask (``mkstemp`` would make it 0600, and the rename keeps the mode).
     """
+    _check_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f"tmp{uuid.uuid4().hex}.tmp")
@@ -366,6 +381,7 @@ def _read_csv(path):
     bytes that do not decode as text or (with the data row number) for a
     row whose field count differs.
     """
+    _check_path(path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             lines = (line.rstrip("\r\n") for line in handle)
@@ -594,6 +610,7 @@ def load_report(path):
     assignment outside ``0..k-1`` or a fold with none, with an unknown
     label, or with a metric that is neither None nor a finite percentage.
     """
+    _check_path(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)

@@ -21,13 +21,7 @@ from .errors import (
     InvalidLabel,
     ShapeMismatch,
 )
-from .solvers import (
-    SolverKind,
-    _check_matrix,
-    _generator,
-    random_orthogonal,
-    solve_output_weights,
-)
+from .solvers import SolverKind, _check_matrix, random_orthogonal, solve_output_weights
 
 # The hidden activation of every layer; the CV report echoes it by this name.
 ACTIVATION = "sigmoid"
@@ -130,12 +124,16 @@ def draw_layers(inputs, widths, seed):
     Gaussians and its biases a seeded unit-norm Gaussian, drawn in layer
     order from ``np.random.default_rng(seed)``. They depend on nothing but
     ``inputs``, ``widths`` and ``seed``, so every fit with those shares them.
+    ``seed`` is an integer >= 0 or a Generator to draw from.
     """
-    rng = _generator(seed)
+    inputs = _check_int(inputs, "inputs", 1)
     try:
-        widths = tuple(widths)
+        widths = [_check_int(width, "every layer width", 1) for width in widths]
     except TypeError:
         raise InvalidConfig(f"widths must be a sequence of widths, got {widths!r}") from None
+    if not isinstance(seed, np.random.Generator):
+        seed = _check_int(seed, "seed", 0)
+    rng = np.random.default_rng(seed)
     layers = []
     for hidden in widths:
         layers.append(
@@ -169,20 +167,6 @@ def elm_ae_train(x, layer, kernel):
     return AutoencoderLayer(beta=elm_train(x, x, layer, kernel))
 
 
-def one_hot(labels):
-    """0/1 target matrix with one column per class of ``CLASS_NAMES``, in that order."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ShapeMismatch(f"labels must be 1-D, got shape {labels.shape}")
-    targets = np.zeros((labels.size, len(CLASS_NAMES)))
-    for column, name in enumerate(CLASS_NAMES):
-        targets[labels == name, column] = 1.0
-    if int(targets.sum()) != labels.size:
-        unknown = sorted(set(labels.tolist()) - set(CLASS_NAMES))
-        raise InvalidLabel(f"unknown labels {unknown}")
-    return targets
-
-
 @dataclass
 class _FitStart:
     """What ``deep_elm_train`` derives from its training rows before it fits
@@ -207,7 +191,14 @@ def _fit_start(x, labels):
     labels = np.asarray(labels)
     if labels.size != x.shape[0]:
         raise ShapeMismatch("labels and rows of x must align")
-    targets = one_hot(labels)
+    if labels.ndim != 1:
+        raise ShapeMismatch(f"labels must be 1-D, got shape {labels.shape}")
+    targets = np.zeros((labels.size, len(CLASS_NAMES)))
+    for column, name in enumerate(CLASS_NAMES):
+        targets[labels == name, column] = 1.0
+    if int(targets.sum()) != labels.size:
+        unknown = sorted(set(labels.tolist()) - set(CLASS_NAMES))
+        raise InvalidLabel(f"unknown labels {unknown}")
     counts = targets.sum(axis=0)
     if np.any(counts == 0):
         missing = [name for name, c in zip(CLASS_NAMES, counts) if c == 0]

@@ -38,8 +38,8 @@ class ContingencyTable:
     fn: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise InvalidConfig("contingency counts must be >= 0")
+        for field in fields(self):
+            _check_int(getattr(self, field.name), field.name, 0)
 
 
 def contingency(predicted, actual):

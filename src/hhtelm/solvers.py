@@ -20,10 +20,11 @@ half the flops of the general Hessenberg reduction ``gehrd``.
 
 All three solve (H^T H + lambda I) beta = H^T T for lambda > 0 and agree to
 solver tolerance; ``svd`` additionally supports the exact pseudoinverse at
-lambda = 0. When H has more columns L than rows n, the two Gram kernels
-factor the n x n dual system (H H^T + lambda I) alpha = T instead and
-return beta = H^T alpha, the same ridge solution (Huang, Zhou, Ding &
-Zhang 2012, IEEE TSMC-B 42(2)); otherwise they factor the L x L system.
+lambda = 0, the lambda -> 0 limit of the same singular-value shrink. When
+H has more columns L than rows n, the two Gram kernels factor the n x n
+dual system (H H^T + lambda I) alpha = T instead and return beta = H^T
+alpha, the same ridge solution (Huang, Zhou, Ding & Zhang 2012, IEEE
+TSMC-B 42(2)); otherwise they factor the L x L system.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from numbers import Real
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgtsv, dorgqr, dsytrd, dsytrd_lwork
 
-from .dataio import _check_int
 from .errors import (
     InvalidConfig,
     InvalidMatrix,
@@ -134,11 +134,19 @@ def svd_pseudoinverse(h):
     """
     h = _check_matrix(h, "h")
     u, s, vt = _svd(h)
-    cutoff = _SVD_TOL * s[0]
+    return (vt.T * _shrink(s, 0.0)) @ u.T
+
+
+def _shrink(s, lam):
+    """The factors that map singular values ``s`` (falling) to the ridge
+    solution: s / (s^2 + lam), and at lam = 0 their limit 1 / s, taken as 0
+    for a value at or below the cutoff ``_SVD_TOL * s[0]``."""
+    if lam > 0.0:
+        return s / (s * s + lam)
     inv = np.zeros_like(s)
-    keep = s > cutoff
+    keep = s > _SVD_TOL * s[0]
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return inv
 
 
 def _svd(h):
@@ -219,23 +227,14 @@ def lu_factor_solve(a, b):
     return x[:, 0] if vector else x
 
 
-def _generator(seed):
-    """``np.random.default_rng(seed)`` for an integer seed >= 0 or a Generator."""
-    if not isinstance(seed, np.random.Generator):
-        seed = _check_int(seed, "seed", 0)
-    return np.random.default_rng(seed)
+def random_orthogonal(rows, cols, rng):
+    """Gaussian matrix drawn from the Generator ``rng``, orthonormalized by
+    QR, sign-canonical.
 
-
-def random_orthogonal(rows, cols, seed):
-    """Seeded Gaussian matrix orthonormalized by QR, sign-canonical.
-
-    Columns are orthonormal when cols <= rows, rows otherwise. ``seed``
-    may be an integer >= 0 or an existing numpy Generator (the latter lets
-    callers chain several draws off one stream).
+    Columns are orthonormal when cols <= rows, rows otherwise. ``rows`` and
+    ``cols`` are integers >= 1, as ``elm.draw_layers`` checks them.
     """
-    rows = _check_int(rows, "rows", 1)
-    cols = _check_int(cols, "cols", 1)
-    g = _generator(seed).standard_normal((rows, cols))
+    g = rng.standard_normal((rows, cols))
     wide = cols > rows
     q, r = np.linalg.qr(g.T if wide else g)
     signs = np.sign(np.diag(r))
@@ -248,7 +247,8 @@ def solve_output_weights(h, t, kind):
     """Output weights beta for hidden activations h and targets t.
 
     With ridge lambda > 0 every variant solves (h^T h + lambda I) beta =
-    h^T t; the ``svd`` variant at lambda = 0 returns pinv(h) @ t instead.
+    h^T t; the ``svd`` variant at lambda = 0 returns pinv(h) @ t instead,
+    without forming pinv(h).
     The Gram kernels factor the smaller Gram matrix: for an n x L ``h``
     with L > n they solve the dual system (h h^T + lambda I) alpha = t and
     return beta = h^T alpha, which is the same beta, from an n x n matrix.
@@ -263,11 +263,8 @@ def solve_output_weights(h, t, kind):
         raise InvalidConfig("kind must be a SolverKind")
     lam = kind.ridge
     if kind.variant == KERNEL_SVD:
-        if lam == 0.0:
-            return svd_pseudoinverse(h) @ t
         u, s, vt = _svd(h)
-        shrink = s / (s * s + lam)
-        return (vt.T * shrink) @ (u.T @ t)
+        return (vt.T * _shrink(s, lam)) @ (u.T @ t)
     dual = h.shape[1] > h.shape[0]
     gram = h @ h.T if dual else h.T @ h
     gram.flat[:: gram.shape[0] + 1] += lam

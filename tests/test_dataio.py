@@ -10,12 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hhtelm import (
-    CLASS_NAMES,
     FilterSpec,
     SolverKind,
     SynthConfig,
     TrainConfig,
-    TrialRecord,
     cross_validate,
     find_extrema,
     load_features_csv,
@@ -29,9 +27,11 @@ from hhtelm import (
 )
 from hhtelm.dataio import (
     BASELINE_SECONDS,
+    CLASS_NAMES,
     SESSION_COUNT,
     TRIAL_SECONDS,
     _MAX_TRIAL_SAMPLES,
+    TrialRecord,
     _read_csv,
     atomic_write_text,
     write_csv,
@@ -966,3 +966,21 @@ def test_atomic_write_mode_follows_the_umask_without_changing_it(tmp_path):
     finally:
         os.umask(previous)
     assert os.stat(path).st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize(
+    "call",
+    [load_trials_csv, load_features_csv, load_report, lambda path: save_report(small_report(), path)],
+    ids=["load-trials", "load-features", "load-report", "save-report"],
+)
+def test_io_refuses_what_is_not_a_path_before_opening_it(call):
+    # open() would take an int, a bool included, as a file descriptor and close it.
+    read_end, write_end = os.pipe()
+    os.close(write_end)
+    try:
+        for path in (True, read_end, None, 2.5):
+            with pytest.raises(InvalidConfig, match="path must be"):
+                call(path)
+        os.fstat(read_end)
+    finally:
+        os.close(read_end)

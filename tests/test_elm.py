@@ -13,7 +13,6 @@ from hhtelm import (
     elm_ae_train,
     elm_train,
     lowpass_filter,
-    one_hot,
     synth_scp,
     trial_feature_vector,
 )
@@ -90,7 +89,7 @@ def test_elm_single_sample():
 def test_elm_xor():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     labels = np.array(["negativity", "positivity", "positivity", "negativity"])
-    t = one_hot(labels)
+    t = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     layer = drawn(2, 10, seed=5)
     beta = elm_train(x, t, layer, SolverKind("svd", ridge=0.0))
     scores = layer.hidden(x) @ beta
@@ -356,14 +355,30 @@ def test_deep_kernel_swap_labels_agree(separable_features):
     assert agreement >= 0.99, agreement
 
 
-# ---------------------------------------------------------------------------
-# one_hot
-
-
 @pytest.mark.parametrize(
     "inputs, widths, seed",
-    [(4, (2.5,), 0), (4, 5, 0), (4, (3, 0), 0), (4, (3,), -1), (2.5, (3,), 0)],
-    ids=["float-width", "bare-int-widths", "zero-width", "negative-seed", "float-inputs"],
+    [
+        (4, (2.5,), 0),
+        (4, 5, 0),
+        (4, (3, 0), 0),
+        (4, (3,), -1),
+        (2.5, (3,), 0),
+        (True, (3,), 0),
+        (0, (3,), 0),
+        (4, (3,), 1.5),
+        (4, (3,), "a"),
+    ],
+    ids=[
+        "float-width",
+        "bare-int-widths",
+        "zero-width",
+        "negative-seed",
+        "float-inputs",
+        "bool-inputs",
+        "zero-inputs",
+        "float-seed",
+        "str-seed",
+    ],
 )
 def test_draw_layers_rejects_bad_widths_and_seeds(inputs, widths, seed):
     with pytest.raises(InvalidConfig):
@@ -375,15 +390,3 @@ def test_deep_predict_rejects_what_is_not_a_model():
     for model in (None, "model", {"feature_mean": np.zeros(4)}):
         with pytest.raises(InvalidConfig, match="DeepElmModel"):
             deep_elm_predict(model, x)
-
-
-def test_one_hot_layout():
-    t = one_hot(np.array(["negativity", "positivity", "negativity"]))
-    np.testing.assert_array_equal(t, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_one_hot_rejects_unknown():
-    with pytest.raises(InvalidLabel):
-        one_hot(np.array(["negativity", "unknown"]))
-    with pytest.raises(ShapeMismatch, match="labels must be 1-D"):
-        one_hot(np.array([["negativity"], ["positivity"]]))

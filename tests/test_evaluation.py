@@ -14,10 +14,10 @@ from hhtelm import (
     deep_elm_predict,
     deep_elm_train,
     metrics,
-    random_orthogonal,
     stratified_kfold,
 )
 from hhtelm.evaluation import _cross_validate_grid
+from hhtelm.solvers import random_orthogonal
 from hhtelm.errors import (
     DegenerateLabels,
     InsufficientClassMembers,

@@ -1,6 +1,7 @@
 """Tests for the package's public surface and the imports between its modules."""
 import ast
 import graphlib
+import types
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,19 @@ def test_every_export_is_bound_once():
     assert len(set(hhtelm.__all__)) == len(hhtelm.__all__)
     missing = [name for name in hhtelm.__all__ if not hasattr(hhtelm, name)]
     assert missing == []
+
+
+def test_public_names_are_exactly_the_exports():
+    # Submodules become attributes of the package when imported; every
+    # other public name must be listed, so no stray import widens the surface.
+    public = {
+        name
+        for name, value in vars(hhtelm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {
+        name for name in hhtelm.__all__ if not isinstance(getattr(hhtelm, name), types.ModuleType)
+    }
 
 
 def relative_imports(path):
@@ -32,6 +46,7 @@ def test_modules_import_one_another_without_a_cycle():
     package = Path(hhtelm.__file__).parent
     graph = {path.stem: set(relative_imports(path)) for path in package.glob("*.py")}
     assert {"dataio", "elm"} <= graph["evaluation"]
+    assert graph["solvers"] == {"errors"}
     try:
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
@@ -45,6 +60,7 @@ BOUNDARY_CASES = {
     "emd-of-a-string": (lambda path: hhtelm.emd("abc"), InvalidConfig),
     "analytic-signal-of-strings": (lambda path: hhtelm.analytic_signal(["a"] * 8), InvalidConfig),
     "extrema-of-a-string": (lambda path: hhtelm.find_extrema("abcd"), InvalidConfig),
+    "extrema-of-nan": (lambda path: hhtelm.find_extrema([0, 2, 1, np.nan, 3, 0]), InvalidConfig),
     "envelope-of-float-length": (
         lambda path: hhtelm.spline_envelope(np.array([0.0, 5.0]), np.array([1.0, 2.0]), 10.5),
         InvalidConfig,
@@ -70,9 +86,10 @@ BOUNDARY_CASES = {
     "infinite-cutoff": (lambda path: hhtelm.FilterSpec(cutoff=float("inf")), InvalidConfig),
     "synth-of-a-string": (lambda path: hhtelm.synth_scp("x"), InvalidConfig),
     "trial-of-strings": (
-        lambda path: hhtelm.TrialRecord("t", 1, "negativity", 256.0, ["a"] * 8),
+        lambda path: hhtelm.dataio.TrialRecord("t", 1, "negativity", 256.0, ["a"] * 8),
         InvalidConfig,
     ),
+    "contingency-of-a-string": (lambda path: hhtelm.ContingencyTable("a", 0, 0, 0), InvalidConfig),
     "save-report-of-none": (lambda path: hhtelm.save_report(None, path), InvalidConfig),
     "save-features-of-strings": (
         lambda path: hhtelm.save_features_csv([["a"]], ("f",), ["negativity"], path),

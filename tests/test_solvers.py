@@ -20,11 +20,11 @@ from hhtelm import (
     SolverKind,
     hessenberg_reduce,
     lu_factor_solve,
-    random_orthogonal,
     solve_output_weights,
     svd_pseudoinverse,
 )
 from hhtelm import solvers
+from hhtelm.solvers import random_orthogonal
 from hhtelm.elm import sigmoid
 from hhtelm.errors import (
     InvalidConfig,
@@ -121,8 +121,8 @@ def test_pseudoinverse_penrose_conditions_random():
 
 def test_pseudoinverse_cutoff_drops_tiny_singular_values():
     # second singular value far below the cutoff (1e-12 * sigma_max) must act like zero
-    u = random_orthogonal(4, 2, seed=0)
-    v = random_orthogonal(3, 2, seed=1)
+    u = random_orthogonal(4, 2, np.random.default_rng(0))
+    v = random_orthogonal(3, 2, np.random.default_rng(1))
     h = u @ np.diag([1.0, 1e-15]) @ v.T
     pinv = svd_pseudoinverse(h)
     assert np.linalg.norm(pinv) < 10.0  # a genuine inverse of 1e-15 would be 1e15
@@ -475,25 +475,25 @@ def test_kind_rejects_negative_ridge_and_unknown_variant():
 
 
 def test_random_orthogonal_square():
-    q = random_orthogonal(3, 3, seed=7)
+    q = random_orthogonal(3, 3, np.random.default_rng(7))
     np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
 
 
 def test_random_orthogonal_tall():
-    q = random_orthogonal(5, 2, seed=1)
+    q = random_orthogonal(5, 2, np.random.default_rng(1))
     np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-10)
 
 
 def test_random_orthogonal_wide_rows():
-    q = random_orthogonal(2, 5, seed=1)
+    q = random_orthogonal(2, 5, np.random.default_rng(1))
     np.testing.assert_allclose(q @ q.T, np.eye(2), atol=1e-10)
 
 
 def test_random_orthogonal_deterministic():
-    a = random_orthogonal(6, 4, seed=99)
-    b = random_orthogonal(6, 4, seed=99)
+    a = random_orthogonal(6, 4, np.random.default_rng(99))
+    b = random_orthogonal(6, 4, np.random.default_rng(99))
     np.testing.assert_array_equal(a, b)
-    c = random_orthogonal(6, 4, seed=100)
+    c = random_orthogonal(6, 4, np.random.default_rng(100))
     assert not np.array_equal(a, c)
 
 
@@ -502,22 +502,12 @@ def test_random_orthogonal_sizes_loop():
     for _ in range(10):
         rows = int(rng.integers(1, 30))
         cols = int(rng.integers(1, 30))
-        q = random_orthogonal(rows, cols, seed=int(rng.integers(0, 1000)))
+        q = random_orthogonal(rows, cols, np.random.default_rng(int(rng.integers(0, 1000))))
         assert q.shape == (rows, cols)
         if cols <= rows:
             np.testing.assert_allclose(q.T @ q, np.eye(cols), atol=1e-10)
         else:
             np.testing.assert_allclose(q @ q.T, np.eye(rows), atol=1e-10)
-
-
-@pytest.mark.parametrize(
-    "rows, cols, seed",
-    [(2.5, 3, 0), (3, 2.5, 0), (0, 3, 0), (True, 3, 0), (3, 3, -1), (3, 3, 1.5), (3, 3, "a")],
-    ids=["float-rows", "float-cols", "zero-rows", "bool-rows", "negative-seed", "float-seed", "str-seed"],
-)
-def test_random_orthogonal_rejects_bad_sizes_and_seeds(rows, cols, seed):
-    with pytest.raises(InvalidConfig):
-        random_orthogonal(rows, cols, seed)
 
 
 @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)], ids=["tall", "wide", "square"])
