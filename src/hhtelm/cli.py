@@ -267,18 +267,17 @@ def cmd_sweep(args):
             "--budget N evaluates N of them and lifts this cap"
         )
     kernel = SolverKind(variant=args.kernel, ridge=args.ridge)
+    # The widest widths, so a width above the cap is refused before anything is read or drawn.
+    train_config = TrainConfig((widths[-1],) * args.depth, kernel=kernel, seed=args.seed)
     features, _, labels = load_features_csv(args.features)
     grid = itertools.product(widths, repeat=args.depth)
     if args.budget is not None and args.budget < count:
-        if count > np.iinfo(np.int64).max:
-            raise InvalidConfig(f"--budget picks from at most 2**63 - 1 configs, not {count}")
         # Grid point i is the i-th of itertools.product, whose last width
         # varies fastest: the digits of i in base len(widths).
         picks = np.random.default_rng(args.seed).choice(count, size=args.budget, replace=False)
         digits = np.unravel_index(np.sort(picks), (len(widths),) * args.depth)
-        grid = [tuple(widths[d] for d in point) for point in zip(*digits)]
-    configs = [TrainConfig(layer_sizes=sizes, kernel=kernel, seed=args.seed) for sizes in grid]
-    reports = _cross_validate_grid(features, labels, configs, args.k, args.seed)
+        grid = (tuple(widths[d] for d in point) for point in zip(*digits))
+    reports = _cross_validate_grid(features, labels, train_config, grid, args.k, args.seed)
     results = [(config.layer_sizes, report.mean, report.std) for config, report in reports]
     results.sort(
         key=lambda item: (-(item[1].accuracy if item[1].accuracy is not None else -1.0), item[0])

@@ -75,6 +75,14 @@ def _floats(values, name, error=InvalidConfig):
         raise error(f"{name} must hold numbers only") from None
 
 
+def _array(values, name):
+    """``np.asarray(values)``, raising ShapeMismatch for a ragged nesting."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ShapeMismatch(f"{name} must not be a ragged nesting of sequences") from None
+
+
 def _check_path(path):
     """InvalidConfig unless ``path`` is a str or an os.PathLike of one.
 
@@ -481,9 +489,12 @@ def save_trials_csv(trials, path, config_note=None):
 
     ``config_note`` is the leading ``#`` echo line (see ``write_csv``).
     Floats use shortest round-trip repr so a load restores values exactly.
-    Raises, before anything is written, what ``load_trials_csv`` would
-    raise for the file.
+    Raises, before anything is written, InvalidConfig for an item that is
+    not a TrialRecord and what ``load_trials_csv`` would raise for the file.
     """
+    trials = list(trials) if np.iterable(trials) else [trials]
+    if not all(isinstance(trial, TrialRecord) for trial in trials):
+        raise InvalidConfig("trials must be an iterable of TrialRecord")
     given = (
         (number, trial.trial_id, trial.session, trial.label, float(trial.fs), trial.samples)
         for number, trial in enumerate(trials, start=1)
@@ -579,13 +590,6 @@ def load_features_csv(path):
     return values, layout, labels
 
 
-def _json_int(value):
-    """``value`` if it is a JSON integer; ValueError for a bool, a float or a string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
 _REPORT_FORMAT = "cv-report"
 _REPORT_VERSION = 1
 
@@ -632,16 +636,18 @@ def load_report(path):
             folds=[metrics_of(entry) for entry in payload["folds"]],
             mean=metrics_of(payload["mean"]),
             std=metrics_of(payload["std"]),
-            fold_assignments=np.array([_json_int(f) for f in payload["fold_assignments"]], dtype=int),
+            fold_assignments=np.array(
+                [_check_int(f, "fold assignment", 0) for f in payload["fold_assignments"]], dtype=int
+            ),
             predictions=np.array(payload["predictions"]),
-            seed=_json_int(payload["seed"]),
-            k=_json_int(payload["k"]),
+            seed=_check_int(payload["seed"], "seed", 0),
+            k=_check_int(payload["k"], "k", 2),
             config=payload["config"],
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc
     # OverflowError: a fold assignment beyond int64.
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (InvalidConfig, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed report entry: {exc}") from exc
     if not isinstance(report.config, dict):
         raise FormatError(f"{path}: config must be a JSON object, got {report.config!r}")
@@ -650,13 +656,9 @@ def load_report(path):
         raise FormatError(
             f"{path}: {assignments.size} fold assignments but {predictions.size} predictions"
         )
-    if report.k < 2:
-        raise FormatError(f"{path}: k must be >= 2, got {report.k}")
-    if report.seed < 0:
-        raise FormatError(f"{path}: seed must be >= 0, got {report.seed}")
     if len(report.folds) != report.k:
         raise FormatError(f"{path}: {len(report.folds)} folds, expected k = {report.k}")
-    if np.any((assignments < 0) | (assignments >= report.k)):
+    if np.any(assignments >= report.k):
         raise FormatError(f"{path}: fold assignments must lie in 0..{report.k - 1}")
     empty = np.flatnonzero(np.bincount(assignments, minlength=report.k) == 0)
     if empty.size:

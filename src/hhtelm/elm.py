@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, _check_int
+from .dataio import CLASS_NAMES, _array, _check_int
 from .errors import (
     DegenerateLabels,
     InvalidConfig,
@@ -188,7 +188,7 @@ class _FitStart:
 
 def _fit_start(x, labels):
     """The ``_FitStart`` of training rows x, refusing labels that cannot train."""
-    labels = np.asarray(labels)
+    labels = _array(labels, "labels")
     if labels.size != x.shape[0]:
         raise ShapeMismatch("labels and rows of x must align")
     if labels.ndim != 1:
@@ -238,17 +238,18 @@ def deep_elm_train(x, labels, config, *, _start=None):
     config.seed)``. Features are z-scored with statistics from this
     training set only; each autoencoder stage is solved with the configured
     kernel and the readout is a direct ridge solve to the one-hot targets.
-    The cross-validation grid passes ``_start``, the ``_FitStart`` it keeps
-    for these rows, so that a fit resumes after the stages kept in it.
+    The cross-validation grid, having checked x and config, passes ``_start``,
+    its ``_FitStart`` for these rows, so a fit resumes after the stages kept in it.
     """
-    x = _check_matrix(x, "x")
-    if not isinstance(config, TrainConfig):
-        raise InvalidConfig("config must be a TrainConfig")
     if _start is None:
+        x = _check_matrix(x, "x")
+        if not isinstance(config, TrainConfig):
+            raise InvalidConfig("config must be a TrainConfig")
         _start = _fit_start(x, labels)
         _start.layers = draw_layers(x.shape[1], config.layer_sizes, config.seed)
     kept = _start.kept
     r = kept[-1][1] if kept else _zscore(x, _start.mean, _start.std)
+    del x
     ae_layers = [stage for stage, _ in kept]
     for layer in _start.layers:
         stage = elm_ae_train(r, layer, config.kernel)

@@ -7,11 +7,12 @@ reported as undefined (None), never clamped to 0 or 100.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport, _check_int
+from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport, _array, _check_int
 from .elm import (
     ElmLayer,
     TrainConfig,
@@ -44,8 +45,8 @@ class ContingencyTable:
 
 def contingency(predicted, actual):
     """Tally a 2x2 contingency table, positivity counted as positive."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
+    predicted = _array(predicted, "predicted")
+    actual = _array(actual, "actual")
     if predicted.shape != actual.shape or predicted.ndim != 1:
         raise ShapeMismatch("predicted and actual must be 1-D and the same length")
     if predicted.size == 0:
@@ -99,7 +100,7 @@ def stratified_kfold(labels, k, seed):
     ndarray of int
         Fold index (0..k-1) per item.
     """
-    labels = np.asarray(labels)
+    labels = _array(labels, "labels")
     if labels.ndim != 1 or labels.size < 1:
         raise ShapeMismatch("labels must be a non-empty 1-D sequence")
     k = _check_int(k, "k", 2)
@@ -125,8 +126,8 @@ def balance_train_set(train_indices, labels, seed):
     result is sorted, so an already-balanced input comes back unchanged.
     ``train_indices`` must be integers in ``range(len(labels))``.
     """
-    train_indices = np.asarray(train_indices)
-    labels = np.asarray(labels)
+    train_indices = _array(train_indices, "train_indices")
+    labels = _array(labels, "labels")
     if train_indices.ndim != 1 or train_indices.size < 1:
         raise ShapeMismatch("train_indices must be a non-empty 1-D sequence")
     if train_indices.dtype.kind not in "iu":
@@ -181,7 +182,10 @@ def cross_validate(features, labels, train_config, k=5, seed=0):
     model equals ``deep_elm_train`` on its balanced rows. This is the
     one-configuration case of the grid walk that ``hhtelm sweep`` runs.
     """
-    ((_, report),) = _cross_validate_grid(features, labels, [train_config], k, seed)
+    if not isinstance(train_config, TrainConfig):
+        raise InvalidConfig("train_config must be a TrainConfig")
+    grid = [train_config.layer_sizes]
+    ((_, report),) = _cross_validate_grid(features, labels, train_config, grid, k, seed)
     return report
 
 
@@ -252,35 +256,29 @@ class _WidthPath:
                 node.layer = None
 
 
-def _cross_validate_grid(features, labels, configs, k, seed):
-    """Stratified k-fold evaluation of configurations that share a kernel and
-    model seed; yields ``(config, report)`` per configuration as soon as its
-    k folds are fitted, the report equal to ``cross_validate`` of it.
+def _cross_validate_grid(features, labels, train_config, grid, k, seed):
+    """Stratified k-fold evaluation of ``train_config`` at each width tuple
+    of the iterable ``grid``, read one tuple ahead. Yields ``(config,
+    report)`` per tuple, in the order given, once its k folds are fitted;
+    the report equals ``cross_validate`` of ``config``.
 
-    The k folds' balanced training rows are found first and held as
-    indices, with each fold's one-hot targets and z-score statistics. The
-    configurations are then visited, and their pairs yielded, in the order
-    of their widths, not in the order given: a depth-first walk of the tree
-    of width prefixes that draws each of its random layers once. Each
-    configuration is fitted in every fold in turn. Of the stages it shares
-    with the next one, each fold keeps the pair of the stage and the
-    training rows' activations after it. ``deep_elm_train`` gets them in
-    the fold's ``_FitStart``, with the random layers after them, and starts
-    from the last activations: an autoencoder stage that several
+    The folds' balanced training rows are found first and held as indices,
+    with each fold's one-hot targets and z-score statistics. Each
+    configuration is fitted in every fold in turn. Each fold keeps, of the
+    stages it shares with the next configuration, the stage and the
+    training rows' activations after it, and hands them to
+    ``deep_elm_train`` in its ``_FitStart``: a stage that neighbouring
     configurations share is fitted, and run on the training rows, once per
-    fold. Held-out rows are scored by ``deep_elm_predict`` from the features.
-    A single configuration keeps nothing across folds. Across
-    configurations only the current path, those stages and their
-    activations are held: k x training rows x width floats per kept depth.
+    fold. In width order, as ``hhtelm sweep`` gives them, each random layer
+    of the tree of width prefixes is drawn once. Held-out rows are scored
+    from the features. A single configuration keeps nothing across folds;
+    a walk holds only the current path, those stages and their
+    activations: k x training rows x width floats per kept depth.
     """
-    labels = np.asarray(labels)
-    if not all(isinstance(config, TrainConfig) for config in configs):
-        raise InvalidConfig("train_config must be a TrainConfig")
+    labels = _array(labels, "labels")
     features = _check_matrix(features, "features")
     if features.shape[0] != labels.size:
         raise ShapeMismatch("features must have one row per label")
-    if len({(config.kernel, config.seed) for config in configs}) != 1:
-        raise InvalidConfig("the configurations must share one kernel and one model seed")
     assignment = stratified_kfold(labels, k, seed)
     balance_seeds = np.random.SeedSequence(seed).spawn(k)
     plan = [
@@ -291,11 +289,11 @@ def _cross_validate_grid(features, labels, configs, k, seed):
         for fold in range(k)
     ]
     starts = [_fit_start(features[train_idx], labels[train_idx]) for train_idx, _ in plan]
-    path = _WidthPath(features.shape[1], configs[0].seed, k)
-    ordered = sorted(configs, key=lambda config: config.layer_sizes)
-    for config, after in zip(ordered, ordered[1:] + [None]):
+    path = _WidthPath(features.shape[1], train_config.seed, k)
+    for widths, after in itertools.pairwise(itertools.chain(grid, [None])):
+        config = replace(train_config, layer_sizes=widths)
         path.walk(config.layer_sizes)
-        depth = 0 if after is None else _shared_depth(config.layer_sizes, after.layer_sizes)
+        depth = 0 if after is None else _shared_depth(config.layer_sizes, after)
         folds = []
         predictions = np.empty(labels.size, dtype=labels.dtype)
         for fold, (train_idx, test_idx) in enumerate(plan):

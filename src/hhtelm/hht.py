@@ -127,7 +127,7 @@ def spline_envelope(indices, values, n):
     InvalidConfig for an ``n`` that is not an integer >= 2, extrema that
     are not finite numbers or indices that do not strictly increase.
     """
-    batched = isinstance(indices, (list, tuple)) and len(indices) > 0 and np.ndim(indices[0]) == 1
+    batched = isinstance(indices, (list, tuple)) and _floats(indices[:1], "indices").ndim == 2
     if batched:
         if not isinstance(values, (list, tuple)) or len(values) != len(indices):
             raise ShapeMismatch("need one value array per index array")

@@ -73,7 +73,7 @@ class SolverKind:
     ridge: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in KERNELS:
+        if not isinstance(self.variant, str) or self.variant not in KERNELS:
             raise InvalidConfig(
                 f"unknown solver variant {self.variant!r}, expected one of {KERNELS}"
             )

@@ -502,14 +502,34 @@ def test_sweep_budget_picks_match_the_materialized_grid(tmp_path, blob_csv):
     ]
 
 
-def test_sweep_budget_rejects_a_grid_too_large_to_index(tmp_path, blob_csv, capsys):
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # One pick of 2000-2000, 2000-2100, 2100-2000 and 2100-2100: seed 0
+        # draws one with 2100, seed 11 draws 2000-2000.
+        ["--min", "2000", "--max", "2100", "--step", "100", "--budget", "1", "--seed", "0"],
+        ["--min", "2000", "--max", "2100", "--step", "100", "--budget", "1", "--seed", "11"],
+        # 10**21 configurations, more than --budget's int64 indices could hold.
+        ["--min", "1", "--max", "10000000", "--step", "1", "--depth", "3", "--budget", "2"],
+    ],
+    ids=["seed-0", "seed-11", "max-10000000"],
+)
+def test_sweep_budget_refuses_a_width_above_the_cap_at_every_seed(
+    tmp_path, capsys, monkeypatch, grid
+):
+    """The grid's widest widths are checked before the features file is
+    read or a pick drawn, so the refusal cannot depend on the picks."""
+    from hhtelm import elm
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the sweep read its features or ran its grid")
+
+    monkeypatch.setattr(cli, "load_features_csv", fail)
+    monkeypatch.setattr(cli, "_cross_validate_grid", fail)
     out = tmp_path / "sweep.csv"
-    rc = main([
-        "sweep", "--features", blob_csv, "--min", "1", "--max", "10000000", "--step", "1",
-        "--depth", "3", "--budget", "2", "--out", str(out), "--quiet",
-    ])
-    assert rc == 1
-    assert "--budget picks from at most 2**63 - 1 configs" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.csv")
+    assert main(["sweep", "--features", missing, *grid, "--out", str(out), "--quiet"]) == 1
+    assert f"above the cap of {elm._MAX_WIDTH}" in capsys.readouterr().err
     assert not out.exists()
 
 

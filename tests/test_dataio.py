@@ -921,7 +921,7 @@ def test_load_report_rejects_truncated_file(tmp_path):
         pytest.param(lambda d: d["predictions"].pop(), "predictions", id="short-predictions"),
         pytest.param(lambda d: d.update(k=7), "2 folds, expected k = 7", id="fold-count"),
         pytest.param(lambda d: d["fold_assignments"].__setitem__(0, 2), r"0\.\.1", id="assignment-high"),
-        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, -1), r"0\.\.1", id="assignment-negative"),
+        pytest.param(lambda d: d["fold_assignments"].__setitem__(0, -1), "fold assignment must be >= 0, got -1", id="assignment-negative"),
         pytest.param(lambda d: d["predictions"].__setitem__(0, "rest"), r"unknown labels \['rest'\]", id="label"),
         pytest.param(lambda d: d["mean"].update(accuracy="x"), "accuracy 'x'", id="metric-text"),
         pytest.param(lambda d: d["std"].update(selectivity=True), "selectivity True", id="metric-bool"),

@@ -455,7 +455,7 @@ def cross_validate_one_at_a_time(x, labels, config, k, seed):
 
 def _budget_subset():
     # A shuffled pick from a larger depth-3 grid, as a --budget subset is
-    # (cmd_sweep passes its picks sorted; the walk sorts them itself).
+    # before cmd_sweep sorts it; the walk takes it in this order.
     grid = list(itertools.product(range(2, 30, 3), repeat=3))
     picks = np.random.default_rng(11).choice(len(grid), size=6, replace=False)
     return [grid[i] for i in picks]
@@ -463,7 +463,8 @@ def _budget_subset():
 
 # 30 rows in 3 folds leave 20 training rows, so width 25 takes the dual path.
 # "shared" gives every configuration one first width, so a fold starts on
-# the path the previous fold ended on, and mixes depths.
+# the path the previous fold ended on, mixes depths, is out of width order
+# and repeats a configuration.
 GRIDS = {
     "depth2": list(itertools.product((3, 25, 8), repeat=2)),
     "depth3": list(itertools.product((4, 25), repeat=3)),
@@ -472,14 +473,22 @@ GRIDS = {
 }
 
 
+def grid_walk(x, labels, grid, kernel=HESS):
+    """The grid walk over the width tuples of ``grid``: model seed 4, 3
+    folds, CV seed 8."""
+    template = TrainConfig(layer_sizes=(1,), kernel=kernel, seed=4)
+    return _cross_validate_grid(x, labels, template, grid, 3, 8)
+
+
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("variant", ["svd", "hessenberg", "lu"])
 def test_grid_equals_per_config_cross_validation(variant, grid):
     x, labels = blob_features(15, sep=0.4, seed=5)
     kernel = SolverKind(variant, ridge=1e-3)
-    configs = [TrainConfig(layer_sizes=sizes, kernel=kernel, seed=4) for sizes in GRIDS[grid]]
-    pairs = list(_cross_validate_grid(x, labels, configs, 3, 8))
-    assert [config for config, _ in pairs] == sorted(configs, key=lambda c: c.layer_sizes)
+    pairs = list(grid_walk(x, labels, iter(GRIDS[grid]), kernel))
+    assert [config for config, _ in pairs] == [
+        TrainConfig(layer_sizes=sizes, kernel=kernel, seed=4) for sizes in GRIDS[grid]
+    ]
     accuracies = set()
     for config, report in pairs:
         folds, predictions = cross_validate_one_at_a_time(x, labels, config, 3, 8)
@@ -506,16 +515,15 @@ def test_grid_draws_each_layer_of_the_tree_once(monkeypatch):
     x, labels = blob_features(15, seed=5)
     widths = (3, 25, 8)
     grid = list(itertools.product(widths, repeat=2))
-    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in grid]
-    list(_cross_validate_grid(x, labels, configs, 3, 8))
+    list(grid_walk(x, labels, iter(grid)))
     assert len(draws) == len(widths) + len(widths) ** 2
     assert sorted(draws) == sorted([(10, w) for w in widths] + grid)
 
 
 def test_grid_passes_each_fit_the_stages_it_shares_with_the_last(monkeypatch):
-    # Configurations are fitted in width order, each in every fold before
-    # the next; a fit gets fitted stages for the widths it shares with the
-    # configuration before it, and a lone configuration gets none.
+    # Configurations are fitted in the order given, each in every fold
+    # before the next; a fit gets fitted stages for the widths it shares
+    # with the configuration before it, and a lone configuration gets none.
     from hhtelm import evaluation
 
     given = []
@@ -526,12 +534,11 @@ def test_grid_passes_each_fit_the_stages_it_shares_with_the_last(monkeypatch):
 
     monkeypatch.setattr(evaluation, "deep_elm_train", recording)
     x, labels = blob_features(15, seed=5)
-    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in GRIDS["shared"]]
-    list(_cross_validate_grid(x, labels, configs, 3, 8))
-    shared = [((25,), 0), ((25, 3), 1), ((25, 8), 1), ((25, 8), 2), ((25, 8, 3), 2)]
+    list(grid_walk(x, labels, iter(GRIDS["shared"])))
+    shared = [((25, 8, 3), 0), ((25,), 1), ((25, 3), 1), ((25, 8), 1), ((25, 8), 2)]
     assert given == [fit for fit in shared for _ in range(3)]
     given.clear()
-    cross_validate(x, labels, configs[0], k=3, seed=8)
+    cross_validate(x, labels, TrainConfig(layer_sizes=(25, 8, 3), kernel=HESS, seed=4), k=3, seed=8)
     assert given == [((25, 8, 3), 0)] * 3
 
 
@@ -546,25 +553,27 @@ def test_grid_yields_each_configuration_when_its_folds_are_fitted(monkeypatch):
 
     monkeypatch.setattr(evaluation, "deep_elm_train", counting)
     x, labels = blob_features(15, seed=5)
-    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in GRIDS["depth2"]]
-    walk = _cross_validate_grid(x, labels, configs, 3, 8)
+    walk = grid_walk(x, labels, iter(GRIDS["depth2"]))
     config, report = next(walk)
     assert config.layer_sizes == (3, 3)
     assert fits == [(3, 3)] * 3
     assert report.to_dict() == cross_validate(x, labels, config, k=3, seed=8).to_dict()
 
 
-def test_grid_rejects_configs_that_differ_beyond_their_widths():
-    x, labels = blob_features(10)
-    base = TrainConfig(layer_sizes=(4,), kernel=HESS, seed=0)
-    for other in (
-        TrainConfig(layer_sizes=(5,), kernel=SolverKind("lu", ridge=1e-3), seed=0),
-        TrainConfig(layer_sizes=(5,), kernel=HESS, seed=1),
-    ):
-        with pytest.raises(InvalidConfig):
-            list(_cross_validate_grid(x, labels, [base, other], 3, 0))
-    with pytest.raises(InvalidConfig):
-        list(_cross_validate_grid(x, labels, [], 3, 0))
+def test_grid_reads_at_most_one_width_tuple_ahead():
+    x, labels = blob_features(15, seed=5)
+    pulled = []
+
+    def spy():
+        for widths in GRIDS["depth2"]:
+            pulled.append(widths)
+            yield widths
+
+    for index, (config, _) in enumerate(grid_walk(x, labels, spy())):
+        assert pulled[index] == config.layer_sizes
+        assert len(pulled) <= index + 2
+    assert len(pulled) == len(GRIDS["depth2"])
+    assert list(grid_walk(x, labels, iter([]))) == []
 
 
 def _first_stage_forwards(monkeypatch, rows, inputs):
@@ -592,9 +601,7 @@ def test_grid_runs_each_kept_stage_once_per_fold_on_the_training_rows(monkeypatc
     widths, k = (3, 25, 8), 3
     training = _first_stage_forwards(monkeypatch, 20, x.shape[1])
     held_out = _first_stage_forwards(monkeypatch, 10, x.shape[1])
-    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4)
-               for sizes in itertools.product(widths, repeat=2)]
-    pairs = list(_cross_validate_grid(x, labels, configs, k, 8))
+    pairs = list(grid_walk(x, labels, itertools.product(widths, repeat=2)))
     assert sorted(training) == sorted(widths * k)
     assert len(held_out) == k * len(widths) ** 2  # held-out rows are not cached
     for config, report in pairs[:: len(widths) + 1]:
@@ -638,8 +645,7 @@ def test_grid_walk_to_a_new_first_width_frees_the_old_activations(monkeypatch):
 
     monkeypatch.setattr(evaluation, "deep_elm_train", recording)
     x, labels = blob_features(15, seed=5)
-    configs = [TrainConfig(layer_sizes=sizes, kernel=HESS, seed=4) for sizes in GRIDS["depth3"]]
-    for _ in _cross_validate_grid(x, labels, configs, 3, 8):
+    for _ in grid_walk(x, labels, iter(GRIDS["depth3"])):
         pass
     assert {first for first, _ in checked} == {4, 25}
     assert held  # activations were kept, and

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import hhtelm
-from hhtelm.errors import InvalidConfig, InvalidMatrix
+from hhtelm.errors import InvalidConfig, InvalidMatrix, ShapeMismatch
+
+NEG, POS = "negativity", "positivity"
 
 
 def test_every_export_is_bound_once():
@@ -94,6 +96,41 @@ BOUNDARY_CASES = {
     "save-features-of-strings": (
         lambda path: hhtelm.save_features_csv([["a"]], ("f",), ["negativity"], path),
         InvalidMatrix,
+    ),
+    "save-trials-of-none": (lambda path: hhtelm.save_trials_csv(None, path), InvalidConfig),
+    "save-trials-of-strings": (lambda path: hhtelm.save_trials_csv(["a"], path), InvalidConfig),
+    "solver-of-an-array": (lambda path: hhtelm.SolverKind(np.array([])), InvalidConfig),
+    "contingency-of-ragged-labels": (
+        lambda path: hhtelm.contingency([[NEG, ["x"]]], [NEG, POS]),
+        ShapeMismatch,
+    ),
+    "folds-of-ragged-labels": (
+        lambda path: hhtelm.stratified_kfold([[NEG, ["x"]]], 2, 0),
+        ShapeMismatch,
+    ),
+    "balance-of-ragged-labels": (
+        lambda path: hhtelm.balance_train_set([0, 1], [[NEG, ["x"]]], 0),
+        ShapeMismatch,
+    ),
+    "balance-of-ragged-indices": (
+        lambda path: hhtelm.balance_train_set([[0, [1]]], [NEG, POS], 0),
+        ShapeMismatch,
+    ),
+    "cross-validate-ragged-labels": (
+        lambda path: hhtelm.cross_validate(
+            np.zeros((2, 3)), [[NEG, ["x"]]], hhtelm.TrainConfig((4,), hhtelm.SolverKind("svd"))
+        ),
+        ShapeMismatch,
+    ),
+    "train-on-ragged-labels": (
+        lambda path: hhtelm.deep_elm_train(
+            np.zeros((2, 3)), [[NEG, ["x"]]], hhtelm.TrainConfig((4,), hhtelm.SolverKind("svd"))
+        ),
+        ShapeMismatch,
+    ),
+    "envelope-of-ragged-indices": (
+        lambda path: hhtelm.spline_envelope([[0.0, [1.0]]], [[1.0, 2.0]], 10),
+        InvalidConfig,
     ),
 }
 
