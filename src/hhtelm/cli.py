@@ -37,7 +37,7 @@ from .errors import (
     PipelineError,
 )
 from .evaluation import _cross_validate_grid, cross_validate
-from .hht import FEATURE_NAMES, emd, trial_feature_vector
+from .hht import FEATURE_NAMES, _RowFailure, emd, trial_feature_vector
 from .solvers import KERNELS, SolverKind
 
 _PROG = "hhtelm"
@@ -52,10 +52,10 @@ _PROG = "hhtelm"
 _BLOCK_TRIALS = 64
 
 # sweep refuses a grid of more configurations than this unless --budget is
-# given. The default grid took 0.136 s a configuration on the 400 trials
-# of SynthConfig(n_per_class=200, seed=42) (228 s for 1681), so this cap is
-# about 23 minutes; the default depth-3 grid, 68,921 configurations and
-# about 2.6 hours, needs --budget.
+# given. The default grid took 0.093 s a configuration on the 400 trials
+# of SynthConfig(n_per_class=200, seed=42) (157 s for 1681, one BLAS thread
+# on a shared 2-vCPU machine), so this cap is about 16 minutes; the default
+# depth-3 grid, 68,921 configurations and about 1.8 hours, needs --budget.
 _MAX_GRID_CONFIGS = 10_000
 
 
@@ -215,7 +215,12 @@ def cmd_features(args):
     trials = load_trials_csv(args.input)
     if not trials:
         raise NotFound(f"{args.input} contains no trials")
-    rows = [trial_feature_vector(signals) for _, signals in _filtered_blocks(trials, spec)]
+    rows = []
+    for block, signals in _filtered_blocks(trials, spec):
+        try:
+            rows.append(trial_feature_vector(signals))
+        except _RowFailure as exc:
+            raise NumericalFailure(f"trial {block[exc.row].trial_id}: {exc.reason}") from None
     labels = [trial.label for trial in trials]
     note = config_note("features", spec)
     save_features_csv(np.vstack(rows), FEATURE_NAMES, labels, args.out, config_note=note)

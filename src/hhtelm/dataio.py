@@ -296,6 +296,9 @@ def synth_scp(config=None):
     Returns
     -------
     list of TrialRecord
+
+    Raises InvalidConfig, naming the amplitudes, when they are so large
+    that a trial's samples are not finite.
     """
     cfg = config if config is not None else SynthConfig()
     if not isinstance(cfg, SynthConfig):
@@ -312,10 +315,18 @@ def synth_scp(config=None):
     for label, sign in ((LABEL_NEGATIVITY, -1.0), (LABEL_POSITIVITY, 1.0)):
         for _ in range(cfg.n_per_class):
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            alpha = cfg.alpha_amplitude * calm * np.sin(2.0 * np.pi * 10.0 * t + phase)
-            noise = rng.normal(0.0, cfg.noise_sigma, n) * calm
-            samples = sign * cfg.drift_amplitude * onset + alpha + noise
+            # An overflow shows as a sample that is not finite, refused below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                alpha = cfg.alpha_amplitude * calm * np.sin(2.0 * np.pi * 10.0 * t + phase)
+                noise = rng.normal(0.0, cfg.noise_sigma, n) * calm
+                samples = sign * cfg.drift_amplitude * onset + alpha + noise
             counter += 1
+            if not np.isfinite(samples).all():
+                raise InvalidConfig(
+                    f"amplitudes too large: drift {cfg.drift_amplitude:g}, alpha "
+                    f"{cfg.alpha_amplitude:g} and noise {cfg.noise_sigma:g} give trial "
+                    f"synth-{counter:04d} a sample that is not finite"
+                )
             trials.append(
                 TrialRecord(
                     trial_id=f"synth-{counter:04d}",

@@ -19,6 +19,7 @@ from .errors import (
     DegenerateLabels,
     InvalidConfig,
     InvalidLabel,
+    NumericalFailure,
     ShapeMismatch,
 )
 from .solvers import SolverKind, _check_matrix, random_orthogonal, solve_output_weights
@@ -146,13 +147,16 @@ def draw_layers(inputs, widths, seed):
     return layers
 
 
-def elm_train(x, t, layer, kernel):
+def elm_train(x, t, layer, kernel, *, _checked=False):
     """Output weights beta of a single ELM on targets t.
 
     Only beta is learned; ``layer`` (an ``ElmLayer`` from ``draw_layers``)
     stays fixed, so a prediction is ``layer.hidden(x) @ beta``.
+    ``deep_elm_train`` passes ``_checked`` for the finite float rows it
+    built, which skips the check of x.
     """
-    x = _check_matrix(x, "x")
+    if not _checked:
+        x = _check_matrix(x, "x")
     if not isinstance(layer, ElmLayer):
         raise InvalidConfig("layer must be an ElmLayer")
     if layer.input_weights.shape[0] != x.shape[1]:
@@ -162,9 +166,11 @@ def elm_train(x, t, layer, kernel):
     return solve_output_weights(layer.hidden(x), t, kernel)
 
 
-def elm_ae_train(x, layer, kernel):
-    """Train one autoencoder stage on ``layer`` (the input is its own target)."""
-    return AutoencoderLayer(beta=elm_train(x, x, layer, kernel))
+def elm_ae_train(x, layer, kernel, *, _checked=False):
+    """Train one autoencoder stage on ``layer`` (the input is its own target).
+
+    ``_checked`` is passed on to ``elm_train``."""
+    return AutoencoderLayer(beta=elm_train(x, x, layer, kernel, _checked=_checked))
 
 
 @dataclass
@@ -187,7 +193,8 @@ class _FitStart:
 
 
 def _fit_start(x, labels):
-    """The ``_FitStart`` of training rows x, refusing labels that cannot train."""
+    """The ``_FitStart`` of training rows x, refusing labels that cannot train
+    and, with NumericalFailure, a column whose mean or spread overflows."""
     labels = _array(labels, "labels")
     if labels.size != x.shape[0]:
         raise ShapeMismatch("labels and rows of x must align")
@@ -206,8 +213,15 @@ def _fit_start(x, labels):
     if np.any(counts < 2):
         small = [name for name, c in zip(CLASS_NAMES, counts) if c < 2]
         raise DegenerateLabels(f"class(es) {small} need at least 2 samples")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise NumericalFailure(
+            f"feature column {bad[0]} (counting from 0) overflows: "
+            "its mean or standard deviation is not finite"
+        )
     std[std == 0.0] = 1.0
     return _FitStart(targets, mean, std)
 
@@ -239,7 +253,8 @@ def deep_elm_train(x, labels, config, *, _start=None):
     training set only; each autoencoder stage is solved with the configured
     kernel and the readout is a direct ridge solve to the one-hot targets.
     The cross-validation grid, having checked x and config, passes ``_start``,
-    its ``_FitStart`` for these rows, so a fit resumes after the stages kept in it.
+    its ``_FitStart`` for these rows, so a fit resumes after the stages kept in it;
+    it then reads x only when no stage is kept, and labels not at all.
     """
     if _start is None:
         x = _check_matrix(x, "x")
@@ -252,7 +267,7 @@ def deep_elm_train(x, labels, config, *, _start=None):
     del x
     ae_layers = [stage for stage, _ in kept]
     for layer in _start.layers:
-        stage = elm_ae_train(r, layer, config.kernel)
+        stage = elm_ae_train(r, layer, config.kernel, _checked=True)
         ae_layers.append(stage)
         r = stage.forward(r)
         if len(kept) < _start.keep:
@@ -266,21 +281,29 @@ def deep_elm_train(x, labels, config, *, _start=None):
     )
 
 
-def deep_elm_predict(model, x):
+def deep_elm_predict(model, x, *, _held=None):
     """Predicted labels and raw class scores for feature rows x.
 
     Ties in the score row go to the first class in ``CLASS_NAMES``.
+    The cross-validation grid, having checked x, passes ``_held``: the
+    rows' activations after each of the model's leading stages that it
+    holds. A prediction resumes after the last of them, reading x only when
+    there is none, and appends the activations after each stage it runs.
     """
-    if not isinstance(model, DeepElmModel):
-        raise InvalidConfig(f"model must be a DeepElmModel, got {type(model).__name__}")
-    x = _check_matrix(x, "x")
-    if x.shape[1] != model.feature_mean.size:
-        raise ShapeMismatch(
-            f"x has {x.shape[1]} features, model expects {model.feature_mean.size}"
-        )
-    r = _zscore(x, model.feature_mean, model.feature_std)
-    for layer in model.ae_layers:
+    if _held is None:
+        if not isinstance(model, DeepElmModel):
+            raise InvalidConfig(f"model must be a DeepElmModel, got {type(model).__name__}")
+        x = _check_matrix(x, "x")
+        if x.shape[1] != model.feature_mean.size:
+            raise ShapeMismatch(
+                f"x has {x.shape[1]} features, model expects {model.feature_mean.size}"
+            )
+        _held = []
+    r = _held[-1] if _held else _zscore(x, model.feature_mean, model.feature_std)
+    del x
+    for layer in model.ae_layers[len(_held):]:
         r = layer.forward(r)
+        _held.append(r)
     scores = r @ model.readout
     picks = np.argmax(scores, axis=1)
     labels = np.asarray(CLASS_NAMES)[picks]

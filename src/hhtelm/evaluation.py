@@ -8,14 +8,17 @@ reported as undefined (None), never clamped to 0 or 100.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport, _array, _check_int
+from .dataio import CLASS_NAMES, LABEL_NEGATIVITY, LABEL_POSITIVITY, CvReport, MetricsReport
+from .dataio import _array, _check_int
 from .elm import (
     ElmLayer,
     TrainConfig,
+    _FitStart,
     _fit_start,
     deep_elm_predict,
     deep_elm_train,
@@ -51,18 +54,19 @@ def contingency(predicted, actual):
         raise ShapeMismatch("predicted and actual must be 1-D and the same length")
     if predicted.size == 0:
         raise ShapeMismatch("need at least one prediction")
+    positive = []
     for name, arr in (("predicted", predicted), ("actual", actual)):
-        unknown = sorted(set(arr.tolist()) - set(CLASS_NAMES))
-        if unknown:
+        pos = arr == LABEL_POSITIVITY
+        known = pos | (arr == LABEL_NEGATIVITY)
+        if not known.all():
+            unknown = sorted(set(arr[~known].tolist()))
             raise InvalidLabel(f"{name} contains unknown labels {unknown}")
-    pos_pred = predicted == LABEL_POSITIVITY
-    pos_actual = actual == LABEL_POSITIVITY
-    return ContingencyTable(
-        tp=int(np.sum(pos_pred & pos_actual)),
-        fp=int(np.sum(pos_pred & ~pos_actual)),
-        tn=int(np.sum(~pos_pred & ~pos_actual)),
-        fn=int(np.sum(~pos_pred & pos_actual)),
-    )
+        positive.append(pos)
+    pos_pred, pos_actual = positive
+    tp = int(np.count_nonzero(pos_pred & pos_actual))
+    fp = int(np.count_nonzero(pos_pred)) - tp
+    fn = int(np.count_nonzero(pos_actual)) - tp
+    return ContingencyTable(tp=tp, fp=fp, tn=predicted.size - tp - fp - fn, fn=fn)
 
 
 def metrics(table):
@@ -149,12 +153,21 @@ def balance_train_set(train_indices, labels, seed):
     return np.sort(np.concatenate(kept))
 
 
-def _aggregate(folds, reducer):
-    values = {}
+def _aggregate(folds):
+    """The mean and the standard deviation of each metric over the folds
+    that define it, as two reports. They are the values ``np.mean`` and
+    ``np.std`` give, computed with the same operations in the same order."""
+    means, stds = {}, {}
     for field in fields(MetricsReport):
-        defined = [getattr(f, field.name) for f in folds if getattr(f, field.name) is not None]
-        values[field.name] = float(reducer(defined)) if defined else None
-    return MetricsReport(**values)
+        values = np.array([value for f in folds if (value := getattr(f, field.name)) is not None])
+        if not values.size:
+            means[field.name] = stds[field.name] = None
+            continue
+        mean = np.add.reduce(values) / values.size
+        spread = values - mean
+        means[field.name] = float(mean)
+        stds[field.name] = math.sqrt(np.add.reduce(spread * spread) / values.size)
+    return MetricsReport(**means), MetricsReport(**stds)
 
 
 def cross_validate(features, labels, train_config, k=5, seed=0):
@@ -195,6 +208,7 @@ class _PrefixNode:
     layer: ElmLayer | None  # drawn for the widths up to this one, until every fold holds a stage
     state: dict  # the generator state its draw left
     kept: dict  # fold -> (stage fitted there, its training rows' activations after it)
+    held: dict  # fold -> its held-out rows' activations after that stage
 
 
 def _shared_depth(widths, other):
@@ -210,7 +224,7 @@ def _shared_depth(widths, other):
 class _WidthPath:
     """The random layers along one path of the tree of width prefixes, with
     what the walk still needs of the fits on them: per fold, each stage
-    fitted there and its training rows' activations after it.
+    fitted there and its training and held-out rows' activations after it.
 
     ``draw_layers`` draws a stack's layers from one stream in layer order,
     so a layer depends only on the widths up to its own. Drawing it from the
@@ -238,7 +252,7 @@ class _WidthPath:
             parent = self._nodes[-1] if self._nodes else None
             self._rng.bit_generator.state = parent.state if parent else self._start
             (drawn,) = draw_layers(parent.width if parent else self._inputs, (width,), self._rng)
-            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}))
+            self._nodes.append(_PrefixNode(width, drawn, self._rng.bit_generator.state, {}, {}))
 
     def start(self, fold, start, depth):
         """``fold``'s ``_FitStart`` ``start``, set to resume on the current
@@ -246,12 +260,19 @@ class _WidthPath:
         still to fit, and ``depth``, the number of stages to keep."""
         kept = [node.kept[fold] for node in self._nodes if fold in node.kept]
         layers = [node.layer for node in self._nodes[len(kept):]]
-        return replace(start, layers=layers, kept=kept, keep=depth)
+        return _FitStart(start.targets, start.mean, start.std, layers, kept, depth)
 
-    def keep(self, fold, kept):
-        """Record on ``fold`` the ``(stage, rows)`` pairs a fit kept."""
-        for node, pair in zip(self._nodes, kept):
+    def held(self, fold):
+        """The held-out activations ``fold`` holds on the current path, one
+        per kept stage."""
+        return [node.held[fold] for node in self._nodes if fold in node.held]
+
+    def keep(self, fold, kept, held):
+        """Record on ``fold`` the ``(stage, rows)`` pairs a fit kept and,
+        from ``held``, the held-out activations after each of those stages."""
+        for node, pair, rows in zip(self._nodes, kept, held):
             node.kept[fold] = pair
+            node.held[fold] = rows
             if len(node.kept) == self._folds:
                 node.layer = None
 
@@ -269,11 +290,15 @@ def _cross_validate_grid(features, labels, train_config, grid, k, seed):
     training rows' activations after it, and hands them to
     ``deep_elm_train`` in its ``_FitStart``: a stage that neighbouring
     configurations share is fitted, and run on the training rows, once per
-    fold. In width order, as ``hhtelm sweep`` gives them, each random layer
-    of the tree of width prefixes is drawn once. Held-out rows are scored
-    from the features. A single configuration keeps nothing across folds;
-    a walk holds only the current path, those stages and their
-    activations: k x training rows x width floats per kept depth.
+    fold. It keeps the held-out rows' activations after those stages too,
+    and ``deep_elm_predict`` resumes from them, so a shared stage also runs
+    on the held-out rows once per fold; held-out rows are read from the
+    features only by a fold that holds no stage. In width order, as
+    ``hhtelm sweep`` gives them, each random layer of the tree of width
+    prefixes is drawn once. A single configuration keeps nothing across
+    folds; a walk holds only the current path, those stages and their
+    activations: k x rows x width floats per kept depth, every row held
+    out once and trained on up to k - 1 times.
     """
     labels = _array(labels, "labels")
     features = _check_matrix(features, "features")
@@ -298,17 +323,27 @@ def _cross_validate_grid(features, labels, train_config, grid, k, seed):
         predictions = np.empty(labels.size, dtype=labels.dtype)
         for fold, (train_idx, test_idx) in enumerate(plan):
             start = path.start(fold, starts[fold], depth)
-            model = deep_elm_train(features[train_idx], labels[train_idx], config, _start=start)
-            path.keep(fold, start.kept)
-            fold_pred, _ = deep_elm_predict(model, features[test_idx])
+            # A fit that resumes past its first stage reads neither rows nor
+            # labels. Passed straight to the call, so the fit lets go of them.
+            fresh = not start.kept
+            model = deep_elm_train(
+                features[train_idx] if fresh else None,
+                labels[train_idx] if fresh else None,
+                config,
+                _start=start,
+            )
+            held = path.held(fold)
+            fold_pred, _ = deep_elm_predict(model, None if held else features[test_idx], _held=held)
+            path.keep(fold, start.kept, held)
             # What the path lets go of must not stay held by this fold's locals.
-            del start, model
+            del start, model, held
             predictions[test_idx] = fold_pred
             folds.append(metrics(contingency(fold_pred, labels[test_idx])))
+        mean, std = _aggregate(folds)
         yield config, CvReport(
             folds=folds,
-            mean=_aggregate(folds, np.mean),
-            std=_aggregate(folds, np.std),
+            mean=mean,
+            std=std,
             fold_assignments=assignment,
             predictions=predictions,
             seed=seed,

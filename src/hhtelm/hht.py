@@ -13,6 +13,7 @@ tridiagonal system.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,17 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
+
+
+class _RowFailure(NumericalFailure):
+    """A numerical failure of one row of a batch of series: ``row`` is its
+    index and ``reason`` says what failed, so a caller can name the row."""
+
+    def __init__(self, row, reason):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
 
 STAT_NAMES = (
     "mean",
@@ -289,9 +301,10 @@ def emd(signal):
     zero-crossing counts differ by at most one), or after 100 siftings;
     the whole decomposition stops when the residual no longer has two
     maxima and two minima (monotone or flat) or 6 modes were extracted.
-    Rows are independent: each sifting step builds the envelopes of every
-    row still sifting in one ``spline_envelope`` call, and a row's modes
-    equal those of the row decomposed alone.
+    A candidate whose sum(h^2) overflows raises NumericalFailure naming
+    its row. Rows are independent: each sifting step builds the envelopes
+    of every row still sifting in one ``spline_envelope`` call, and a row's
+    modes equal those of the row decomposed alone.
     """
     x = _floats(signal, "signal")
     if not np.all(np.isfinite(x)):
@@ -327,6 +340,8 @@ def emd(signal):
         for j, (r, (h, _, _, done)) in enumerate(active):
             env_mean = 0.5 * (envelopes[2 * j] + envelopes[2 * j + 1])
             denom = float(np.dot(h, h))
+            if not math.isfinite(denom):
+                raise _RowFailure(r, "the energy of a mode overflows; scale the samples down")
             if denom == 0.0:
                 accept_mode(r, h)
                 continue
@@ -510,17 +525,25 @@ def trial_feature_vector(signal):
         instantaneous amplitude. Slots for modes beyond what the
         decomposition produced stay zero, so the width is fixed. A row
         equals the vector of that trial alone.
+
+    Raises NumericalFailure, naming the row, for a trial whose samples are
+    so large that a statistic overflows.
     """
     x = _floats(signal, "signal")
     trials = np.atleast_2d(x)
     values = np.zeros((trials.shape[0], _MAX_IMFS, 2, len(STAT_NAMES)))
-    for trial, modes, out in zip(trials, emd(trials), values):
-        k = len(modes.imfs)
-        if k:
-            imfs = np.array(modes.imfs)
-            amplitude = np.abs(analytic_signal(imfs))
-            stats = stat_features(np.concatenate([imfs, amplitude]), trial)
-            out[:k, 0] = stats[:k]
-            out[:k, 1] = stats[k:]
+    # An overflow shows as a value that is not finite, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for trial, modes, out in zip(trials, emd(trials), values):
+            k = len(modes.imfs)
+            if k:
+                imfs = np.array(modes.imfs)
+                amplitude = np.abs(analytic_signal(imfs))
+                stats = stat_features(np.concatenate([imfs, amplitude]), trial)
+                out[:k, 0] = stats[:k]
+                out[:k, 1] = stats[k:]
     values = values.reshape(trials.shape[0], -1)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise _RowFailure(int(bad[0]), "a feature overflows; scale the samples down")
     return values if x.ndim == 2 else values[0]

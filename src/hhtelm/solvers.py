@@ -13,10 +13,13 @@ LAPACK does the work behind every route. ``svd`` goes through numpy, which
 factors H or, when H is wider than tall, its transpose. The
 other two call ``scipy.linalg.lapack`` directly, which skips scipy's
 argument handling on every solve: ``lu`` calls ``gesv``, and ``hessenberg``
-reduces the symmetric matrix to its tridiagonal form with ``sytrd``, forms
-the orthogonal factor with ``orgqr`` and solves the band with ``gtsv``
-(Golub & Van Loan, Matrix Computations, section 8.3). ``sytrd`` takes about
-half the flops of the general Hessenberg reduction ``gehrd``.
+reduces the symmetric matrix to its tridiagonal form with ``sytrd`` and
+solves the band with ``gtsv`` (Golub & Van Loan, Matrix Computations,
+section 8.3). ``sytrd`` takes about half the flops of the general
+Hessenberg reduction ``gehrd``. The orthogonal factor stays as ``sytrd``'s
+Householder reflectors: a right-hand side of fewer than n/3 columns, such
+as a readout's two, has them applied by ``ormqr`` (section 5.1), and only
+a wider one has ``orgqr`` form the factor.
 
 All three solve (H^T H + lambda I) beta = H^T T for lambda > 0 and agree to
 solver tolerance; ``svd`` additionally supports the exact pseudoinverse at
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgtsv, dorgqr, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dgesv, dgtsv, dormqr, dorgqr, dsytrd, dsytrd_lwork
 
 from .errors import (
     InvalidConfig,
@@ -94,12 +97,27 @@ class HessenbergFactorization:
     ``q`` is orthogonal and ``u`` is symmetric tridiagonal, the Hessenberg
     form of a symmetric matrix. Only its two bands are held: ``diagonal``
     (n entries) and ``offdiagonal`` (n - 1 entries, the sub- and
-    superdiagonal alike).
+    superdiagonal alike). ``q`` is held as the n - 1 Householder
+    reflectors ``sytrd`` leaves: its first row and column are those of the
+    identity, and its trailing (n - 1) x (n - 1) block is the product of
+    the reflectors whose vectors lie below the diagonal of ``reflectors``
+    and whose scales are ``tau``.
     """
 
-    q: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
     diagonal: np.ndarray
     offdiagonal: np.ndarray
+
+    @property
+    def q(self):
+        """The dense n x n orthogonal factor, formed from the reflectors by ``orgqr``."""
+        n = self.diagonal.size
+        q = np.zeros((n, n))
+        q[0, 0] = 1.0
+        if n > 1:
+            q[1:, 1:], _, _ = dorgqr(self.reflectors, self.tau, lwork=_workspace(n))
+        return q
 
     @property
     def u(self):
@@ -163,62 +181,79 @@ def _svd(h):
     return np.linalg.svd(h, full_matrices=False)
 
 
-def hessenberg_reduce(a):
+def _workspace(n):
+    """The workspace that ``sytrd`` and ``orgqr`` get at size n.
+
+    The minimum, n, makes ``sytrd`` run unblocked. Its optimal one, n times
+    LAPACK's block size, also gives ``orgqr`` its full block size:
+    ``orgqr``'s default of 3(n - 1) limits it to blocks of three
+    reflectors, which took 2.4x as long at n = 500 (below n = 130 ``orgqr``
+    runs unblocked anyway).
+    """
+    return int(dsytrd_lwork(n, lower=1)[0]) if n >= _BLOCKED_FROM else n
+
+
+def hessenberg_reduce(a, *, _checked=False):
     """Reduce a symmetric matrix to its tridiagonal Hessenberg form.
 
-    LAPACK ``sytrd`` reduces the lower triangle of ``a`` and ``orgqr``
-    forms ``q`` from its reflectors, so that ``a = q @ u @ q.T`` with ``u``
+    LAPACK ``sytrd`` reduces the lower triangle of ``a`` to ``u`` and the
+    Householder reflectors of ``q``, so that ``a = q @ u @ q.T`` with ``u``
     symmetric tridiagonal; the first row and column of ``q`` are those of
-    the identity. Returns a ``HessenbergFactorization`` holding ``q`` and
-    the two bands of ``u``. The input is left unmodified. Raises
-    InvalidMatrix when ``a`` is not exactly symmetric.
+    the identity. Returns a ``HessenbergFactorization`` holding the
+    reflectors and the two bands of ``u``; it forms ``q`` when asked. The
+    input is left unmodified. Raises InvalidMatrix when ``a`` is not exactly
+    symmetric. ``solve_output_weights`` passes ``_checked`` for the Gram
+    matrix it built from a checked h, which skips these checks.
     """
-    a = _check_matrix(a, "a")
-    n, m = a.shape
-    if n != m:
-        raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
-    # The Gram products h.T @ h and h @ h.T come out exactly symmetric, so
-    # an exact check refuses nothing the solve path builds.
-    if not (a == a.T).all():
-        raise InvalidMatrix("a must be symmetric")
+    if not _checked:
+        a = _check_matrix(a, "a")
+        n, m = a.shape
+        if n != m:
+            raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
+        # The Gram products h.T @ h and h @ h.T come out exactly symmetric, so
+        # an exact check refuses nothing the solve path builds.
+        if not (a == a.T).all():
+            raise InvalidMatrix("a must be symmetric")
+    n = a.shape[0]
     if n == 1:  # the wrappers reject the empty tau of a 1x1 matrix
-        return HessenbergFactorization(
-            q=np.ones((1, 1)), diagonal=a[0].copy(), offdiagonal=np.empty(0)
-        )
+        return HessenbergFactorization(np.empty((0, 0)), np.empty(0), a[0].copy(), np.empty(0))
     # Without overwrite_a, dsytrd works on a copy and leaves the caller's array alone.
-    # The minimum workspace, n, makes it run unblocked. Its optimal one, n times
-    # LAPACK's block size, also gives dorgqr its full block size: dorgqr's
-    # default of 3(n - 1) limits it to blocks of three reflectors, which took
-    # 2.4x as long at n = 500 (below n = 130 dorgqr runs unblocked anyway).
-    lwork = int(dsytrd_lwork(n, lower=1)[0]) if n >= _BLOCKED_FROM else n
-    reflectors, diagonal, offdiagonal, tau, _ = dsytrd(a, lower=1, lwork=lwork)
-    q = np.zeros((n, n))
-    q[0, 0] = 1.0
-    q[1:, 1:], _, _ = dorgqr(reflectors[1:, :-1], tau, lwork=lwork)
-    return HessenbergFactorization(q=q, diagonal=diagonal, offdiagonal=offdiagonal)
+    reflectors, diagonal, offdiagonal, tau, _ = dsytrd(a, lower=1, lwork=_workspace(n))
+    # The block ormqr and orgqr read, copied once into the Fortran order they take.
+    reflectors = np.asfortranarray(reflectors[1:, :-1])
+    return HessenbergFactorization(reflectors, tau, diagonal, offdiagonal)
 
 
-def lu_factor_solve(a, b):
+def _apply_reflectors(fact, c, trans):
+    """``q.T @ c`` (``trans`` "T") or ``q @ c`` ("N") for the ``q`` of the
+    factorization ``fact``, its reflectors applied one at a time by
+    ``ormqr`` without forming it. ``c`` is 2-D with at least two rows, and
+    its rows after the first are overwritten."""
+    c[1:], _, _ = dormqr("L", trans, fact.reflectors, fact.tau, c[1:], c.shape[1])
+    return c
+
+
+def lu_factor_solve(a, b, *, _checked=False):
     """Solve a @ x = b by LU factorization with partial pivoting (LAPACK ``gesv``).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result matches its shape. Raises SingularMatrix when no usable pivot
-    remains.
+    remains. ``solve_output_weights`` passes ``_checked`` for the system it
+    built from checked arrays, a square ``a`` and a 2-D ``b``, which skips
+    the checks of both.
     """
-    a = _check_matrix(a, "a")
-    n, m = a.shape
-    if n != m:
-        raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
-    b_arr = np.asarray(b, dtype=float)
-    vector = b_arr.ndim == 1
-    if vector:
-        b_arr = b_arr[:, None]
-    b_arr = _check_matrix(b_arr, "b")
-    if b_arr.shape[0] != n:
-        raise ShapeMismatch(
-            f"right-hand side has {b_arr.shape[0]} rows, expected {n}"
-        )
-    lu, _, x, info = dgesv(a, b_arr)
+    vector = False
+    if not _checked:
+        a = _check_matrix(a, "a")
+        n, m = a.shape
+        if n != m:
+            raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
+        b = np.asarray(b, dtype=float)
+        vector = b.ndim == 1
+        b = _check_matrix(b[:, None] if vector else b, "b")
+        if b.shape[0] != n:
+            raise ShapeMismatch(f"right-hand side has {b.shape[0]} rows, expected {n}")
+    lu, _, x, info = dgesv(a, b)
     if info > 0:
         raise SingularMatrix(f"no usable pivot in column {info - 1}")
     weak = np.flatnonzero(np.abs(np.diagonal(lu)) < _PIVOT_FLOOR)
@@ -252,6 +287,9 @@ def solve_output_weights(h, t, kind):
     The Gram kernels factor the smaller Gram matrix: for an n x L ``h``
     with L > n they solve the dual system (h h^T + lambda I) alpha = t and
     return beta = h^T alpha, which is the same beta, from an n x n matrix.
+    Only h and t are checked: the Gram system built from them goes to the
+    kernel unchecked, and a beta that is not finite, which a huge ridge or
+    huge entries of h give, raises NumericalFailure.
     """
     h = _check_matrix(h, "h")
     t = _check_matrix(t, "t")
@@ -264,23 +302,34 @@ def solve_output_weights(h, t, kind):
     lam = kind.ridge
     if kind.variant == KERNEL_SVD:
         u, s, vt = _svd(h)
-        return (vt.T * _shrink(s, lam)) @ (u.T @ t)
-    dual = h.shape[1] > h.shape[0]
-    gram = h @ h.T if dual else h.T @ h
-    gram.flat[:: gram.shape[0] + 1] += lam
-    if kind.variant == KERNEL_LU:
-        x = lu_factor_solve(gram, t if dual else h.T @ t)
+        beta = (vt.T * _shrink(s, lam)) @ (u.T @ t)
     else:
-        # Each intermediate is let go of once the next is formed, so that no
-        # more than two of them are held at a time.
-        fact = hessenberg_reduce(gram)
-        del gram
-        # Formed as the transpose of a C-ordered product, so Fortran-ordered:
-        # dgtsv then overwrites it in place instead of taking a copy.
-        x = ((t if dual else h.T @ t).T @ fact.q).T
-        x = _solve_tridiagonal(fact.diagonal, fact.offdiagonal, x)
-        x = fact.q @ x
-    return h.T @ x if dual else x
+        dual = h.shape[1] > h.shape[0]
+        gram = h @ h.T if dual else h.T @ h
+        gram.flat[:: gram.shape[0] + 1] += lam
+        if kind.variant == KERNEL_LU:
+            x = lu_factor_solve(gram, t if dual else h.T @ t, _checked=True)
+        else:
+            # Each intermediate is let go of once the next is formed, so that
+            # no more than two of them are held at a time.
+            fact = hessenberg_reduce(gram, _checked=True)
+            del gram
+            bands = fact.diagonal, fact.offdiagonal
+            if 3 * t.shape[1] < fact.diagonal.size:
+                # Applying q.T and q costs about 4 n^2 flops a column, forming
+                # q (4/3) n^3: a narrow right-hand side, a readout's, skips q.
+                x = _apply_reflectors(fact, np.array(t if dual else h.T @ t, order="F"), "T")
+                x = _apply_reflectors(fact, _solve_tridiagonal(*bands, x), "N")
+            else:
+                q = fact.q
+                del fact
+                # Formed as the transpose of a C-ordered product, so Fortran-
+                # ordered: dgtsv then overwrites it in place, with no copy.
+                x = q @ _solve_tridiagonal(*bands, ((t if dual else h.T @ t).T @ q).T)
+        beta = h.T @ x if dual else x
+    if not np.isfinite(beta).all():
+        raise NumericalFailure(f"the {kind.variant} solve gave non-finite output weights")
+    return beta
 
 
 def _solve_tridiagonal(diagonal, offdiagonal, c):

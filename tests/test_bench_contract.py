@@ -182,7 +182,10 @@ def test_traced_sweep_fits_each_shared_stage_once_per_fold(layers, tmp_path):
     """A depth-2 sweep over widths W in k folds fits each first stage once per
     fold and each configuration's second stage once per fold:
     k * (|W| + |W|**2) autoencoder spans, against k * 2 * |W|**2 when every
-    configuration refitted its first stage. The sweep runs outside
+    configuration refitted its first stage. Each fit still predicts through
+    ``elm.deep_elm_predict`` and each solve, the readouts' included, still
+    reduces through ``solvers.hessenberg_reduce``: k * |W|**2 and
+    k * (|W| + 2 * |W|**2) spans. The sweep runs outside
     ``evaluation.cross_validate``, so the bench's fold metrics count only
     ``evaluate`` commands."""
     import hhtelm.cli as cli
@@ -201,6 +204,8 @@ def test_traced_sweep_fits_each_shared_stage_once_per_fold(layers, tmp_path):
     stages = k * (widths + widths**2)
     assert fired["elm.elm_ae_train"] == fired["elm.elm_train"] == stages
     assert fired["elm.deep_elm_train"] == fired["evaluation.metrics"] == k * widths**2
+    assert fired["elm.deep_elm_predict"] == k * widths**2
+    assert fired["solvers.hessenberg_reduce"] == k * (widths + 2 * widths**2)
     assert fired["evaluation.balance_train_set"] == k
     assert fired["evaluation.cross_validate"] == 0
     metrics = layers.layer_metrics(tracer.spans, [], [0])

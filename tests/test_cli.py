@@ -23,6 +23,7 @@ from hhtelm import (
 )
 from hhtelm import cli
 from hhtelm.cli import build_parser, main
+from hhtelm.dataio import TrialRecord
 
 NEG, POS = "negativity", "positivity"
 
@@ -594,6 +595,79 @@ def test_every_command_reruns_byte_identical(tmp_path, trials_csv, blob_csv, com
         assert main([*argv, "--out", out, "--quiet"]) == 0
     first, second = (artifact_bytes(out) for out in outputs)
     assert first and first == second
+
+
+# ---------------------------------------------------------------------------
+# values too large for floating point
+
+
+def _huge_trials(path, scale):
+    """Four trials of 2048 standard-normal samples times ``scale``."""
+    rng = np.random.default_rng(0)
+    trials = [
+        TrialRecord(f"huge-{i}", 1, (NEG, POS)[i % 2], 256.0, rng.standard_normal(2048) * scale)
+        for i in range(4)
+    ]
+    save_trials_csv(trials, path)
+
+
+def _huge_features(path):
+    """40 rows of 132 standard-normal values times 1e200."""
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((40, 132)) * 1e200
+    save_features_csv(values, [f"f{i}" for i in range(132)], [NEG, POS] * 20, path)
+
+
+# Each case: (input maker, flags, exit code, expected stderr line).
+OVERFLOWS = {
+    "features-1e62": (
+        lambda path: _huge_trials(path, 1e62), ["features", "--in", "{input}"], 3,
+        "hhtelm: numerical failure: trial huge-0: a feature overflows; scale the samples down",
+    ),
+    "features-1e200": (
+        lambda path: _huge_trials(path, 1e200), ["features", "--in", "{input}"], 3,
+        "hhtelm: numerical failure: trial huge-0: the energy of a mode overflows; "
+        "scale the samples down",
+    ),
+    "evaluate-zscore": (
+        _huge_features, ["evaluate", "--features", "{input}"], 3,
+        "hhtelm: numerical failure: feature column 0 (counting from 0) overflows: "
+        "its mean or standard deviation is not finite",
+    ),
+    "sweep-zscore": (
+        _huge_features,
+        ["sweep", "--features", "{input}", "--min", "4", "--max", "6", "--step", "2", "--k", "2"], 3,
+        "hhtelm: numerical failure: feature column 0 (counting from 0) overflows: "
+        "its mean or standard deviation is not finite",
+    ),
+    "hessenberg-ridge-1e308": (
+        None, ["evaluate", "--features", "{blobs}", "--layers", "8,8", "--ridge", "1e308"], 3,
+        "hhtelm: numerical failure: the hessenberg solve gave non-finite output weights",
+    ),
+    "synth-noise-1e308": (
+        None, ["synth", "--n-per-class", "2", "--noise", "1e308"], 1,
+        "hhtelm: usage error: amplitudes too large: drift 10, alpha 2 and noise 1e+308 give "
+        "trial synth-0001 a sample that is not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_values_that_overflow_exit_with_one_line(tmp_path, blob_csv, capsys, case):
+    """Inputs or flags finite but too large to compute with are refused with
+    one line naming what overflowed: no warning, traceback or artifact.
+    Warnings are errors under this suite's settings, so one would fail here."""
+    make, argv, code, line = OVERFLOWS[case]
+    given = str(tmp_path / "input.csv")
+    if make is not None:
+        make(given)
+    out = str(tmp_path / "out")
+    argv = [arg.format(input=given, blobs=blob_csv) for arg in argv]
+    assert main([*argv, "--out", out, "--quiet"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -600,12 +600,58 @@ def test_grid_runs_each_kept_stage_once_per_fold_on_the_training_rows(monkeypatc
     x, labels = blob_features(15, seed=5)
     widths, k = (3, 25, 8), 3
     training = _first_stage_forwards(monkeypatch, 20, x.shape[1])
-    held_out = _first_stage_forwards(monkeypatch, 10, x.shape[1])
     pairs = list(grid_walk(x, labels, itertools.product(widths, repeat=2)))
     assert sorted(training) == sorted(widths * k)
-    assert len(held_out) == k * len(widths) ** 2  # held-out rows are not cached
     for config, report in pairs[:: len(widths) + 1]:
         assert report.to_dict() == cross_validate(x, labels, config, k=k, seed=8).to_dict()
+
+
+@pytest.mark.parametrize("grid, prefixes", [("depth2", 3 + 3**2), ("depth3", 2 + 2**2 + 2**3)])
+def test_grid_runs_each_stage_once_per_fold_on_the_held_out_rows(monkeypatch, grid, prefixes):
+    # The held-out rows' activations after a kept stage ride the path with
+    # the training rows', so each stage runs on a fold's 10 held-out rows
+    # once: k per width prefix of the grid, not k per stage of every
+    # configuration (3 * 2 * 9 at depth 2, 3 * 3 * 8 at depth 3).
+    from hhtelm.elm import AutoencoderLayer
+
+    x, labels = blob_features(15, seed=5)
+    held_out = []
+    forward = AutoencoderLayer.forward
+
+    def counting(self, rows):
+        if rows.shape[0] == 10:
+            held_out.append(self.beta.shape)
+        return forward(self, rows)
+
+    monkeypatch.setattr(AutoencoderLayer, "forward", counting)
+    list(grid_walk(x, labels, iter(GRIDS[grid])))
+    assert len(held_out) == 3 * prefixes
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_grid_predictions_equal_a_prediction_from_the_features(monkeypatch, grid):
+    # Every fold of every configuration predicts, bit for bit, what its
+    # model predicts from the held-out rows of the features alone, whether
+    # the walk resumed it from held-out activations or not.
+    from hhtelm import evaluation
+
+    calls = []
+
+    def recording(model, x, **private):
+        labels_, scores = deep_elm_predict(model, x, **private)
+        calls.append((model, labels_, scores, bool(private["_held"])))
+        return labels_, scores
+
+    monkeypatch.setattr(evaluation, "deep_elm_predict", recording)
+    x, labels = blob_features(15, sep=0.4, seed=5)
+    assignment = stratified_kfold(labels, 3, 8)
+    list(grid_walk(x, labels, iter(GRIDS[grid])))
+    assert len(calls) == 3 * len(GRIDS[grid])
+    for index, (model, predicted, scores, _) in enumerate(calls):
+        alone, alone_scores = deep_elm_predict(model, x[assignment == index % 3])
+        np.testing.assert_array_equal(predicted, alone)
+        np.testing.assert_array_equal(scores, alone_scores)
+    assert any(resumed for *_, resumed in calls)
 
 
 def test_single_configuration_cross_validate_caches_nothing(monkeypatch):

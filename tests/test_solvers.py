@@ -374,9 +374,9 @@ def test_gram_kernels_factor_the_smaller_gram_matrix(monkeypatch, shape):
     seen = []
 
     def recording(original):
-        def call(a, *rest):
+        def call(a, *rest, **private):
             seen.append(np.shape(a))
-            return original(a, *rest)
+            return original(a, *rest, **private)
 
         return call
 
@@ -389,6 +389,53 @@ def test_gram_kernels_factor_the_smaller_gram_matrix(monkeypatch, shape):
         beta = solve_output_weights(h, t, SolverKind(variant, ridge=1e-3))
         assert beta.shape == (cols, 3)
     assert seen == [(side, side), (side, side)]
+
+
+# (rows, columns of h), right-hand-side columns: primal and dual systems on
+# either side of the n/3 rule.
+ROUTES = [
+    ((80, 70), 2), ((80, 70), 23), ((80, 70), 24), ((80, 70), 40),
+    ((40, 200), 2), ((40, 200), 13), ((40, 200), 14),
+    ((300, 250), 2), ((300, 250), 50), ((300, 250), 100),
+    ((9, 4), 1), ((2, 5), 1),
+]
+
+
+@pytest.mark.parametrize("shape, columns", ROUTES, ids=[f"{s[0]}x{s[1]}-{c}" for s, c in ROUTES])
+def test_hessenberg_routes_agree_with_lu_and_with_q_formed(monkeypatch, shape, columns):
+    # A right-hand side of fewer than n/3 columns has the reflectors applied
+    # by ormqr, a wider one q formed by orgqr; both give the lu solution,
+    # and the solution that forms q, within rounding.
+    applied = []
+
+    def counting(side, trans, *rest):
+        applied.append(trans)
+        return dormqr(side, trans, *rest)
+
+    dormqr = solvers.dormqr
+    monkeypatch.setattr(solvers, "dormqr", counting)
+    rng = np.random.default_rng(53)
+    h = sigmoid(rng.standard_normal(shape))
+    t = rng.standard_normal((shape[0], columns))
+    kind = SolverKind("hessenberg", ridge=1e-3)
+    beta = solve_output_weights(h, t, kind)
+    side = min(shape)
+    assert applied == (["T", "N"] if 3 * columns < side else [])
+    lu = solve_output_weights(h, t, SolverKind("lu", ridge=1e-3))
+    assert np.linalg.norm(beta - lu) <= 1e-9 * np.linalg.norm(lu)
+    dual = shape[1] > shape[0]
+    gram = h @ h.T if dual else h.T @ h
+    gram += 1e-3 * np.eye(side)
+    fact = hessenberg_reduce(gram)
+    q = fact.q
+    rhs = t if dual else h.T @ t
+    x = q @ solve_banded((1, 1), _band(fact.diagonal, fact.offdiagonal), q.T @ rhs)
+    formed = h.T @ x if dual else x
+    assert np.linalg.norm(beta - formed) <= 1e-12 * np.linalg.norm(formed)
+    if side > 1:
+        for trans, product in (("T", q.T @ rhs), ("N", q @ rhs)):
+            got = solvers._apply_reflectors(fact, np.array(rhs, order="F"), trans)
+            np.testing.assert_allclose(got, product, rtol=0, atol=1e-13 * np.abs(rhs).max() * side)
 
 
 @st.composite
