@@ -3,8 +3,9 @@
 Subcommands: synth, decompose, features, evaluate, sweep.
 Every command is deterministic given its flags (randomness flows through
 the explicit seeds), echoes its effective configuration into the output
-artifact, and writes files atomically. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+artifact, and writes files atomically. features and decompose share one
+block loop, which names a trial that overflows. Exit codes: 0 success,
+1 usage error, 2 data error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -175,13 +176,22 @@ def cmd_synth(args):
     return 0
 
 
-def _filtered_blocks(trials, spec):
-    """``(trials, matrix)`` per block of at most ``_BLOCK_TRIALS`` trials, the
-    matrix holding their filtered samples row by row. Trials decompose
-    independently, so the blocks only bound the memory of one batch."""
+def _filtered_blocks(trials, spec, work):
+    """``(trials, result)`` per block of at most ``_BLOCK_TRIALS`` trials, the
+    result being ``work`` (``trial_feature_vector`` or ``emd``) of the matrix
+    of their filtered samples. Trials decompose independently, so the blocks
+    only bound the memory of one batch. A row that overflows in ``work`` is
+    refused with a NumericalFailure naming its trial."""
     for start in range(0, len(trials), _BLOCK_TRIALS):
         block = trials[start : start + _BLOCK_TRIALS]
-        yield block, np.array([lowpass_filter(trial.samples, trial.fs, spec) for trial in block])
+        signals = np.array([lowpass_filter(trial.samples, trial.fs, spec) for trial in block])
+        try:
+            # An overflow shows as a value that is not finite, which work refuses.
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = work(signals)
+        except _RowFailure as exc:
+            raise NumericalFailure(f"trial {block[exc.row].trial_id}: {exc.reason}") from None
+        yield block, result
 
 
 def cmd_decompose(args):
@@ -200,9 +210,10 @@ def cmd_decompose(args):
     _echo(
         args, f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} -> {len(selected)} trial(s)"
     )
-    os.makedirs(args.out, exist_ok=True)
-    for block, signals in _filtered_blocks(selected, spec):
-        for trial, modes in zip(block, emd(signals)):
+    for block, sets in _filtered_blocks(selected, spec, emd):
+        # Made once a block is decomposed, so a run refused at its first block leaves nothing.
+        os.makedirs(args.out, exist_ok=True)
+        for trial, modes in zip(block, sets):
             columns = [f"imf_{i + 1}" for i in range(len(modes.imfs))] + ["residual"]
             rows = ([_fmt(v) for v in row] for row in zip(*modes.imfs, modes.residual))
             write_csv(os.path.join(args.out, f"{trial.trial_id}.csv"), columns, rows, note)
@@ -215,12 +226,7 @@ def cmd_features(args):
     trials = load_trials_csv(args.input)
     if not trials:
         raise NotFound(f"{args.input} contains no trials")
-    rows = []
-    for block, signals in _filtered_blocks(trials, spec):
-        try:
-            rows.append(trial_feature_vector(signals))
-        except _RowFailure as exc:
-            raise NumericalFailure(f"trial {block[exc.row].trial_id}: {exc.reason}") from None
+    rows = [values for _, values in _filtered_blocks(trials, spec, trial_feature_vector)]
     labels = [trial.label for trial in trials]
     note = config_note("features", spec)
     save_features_csv(np.vstack(rows), FEATURE_NAMES, labels, args.out, config_note=note)

@@ -8,9 +8,11 @@ round-trip repr) and writes are atomic (temp file + rename). A CSV row is
 its fields joined by commas and never quoted, so a reader counts a line's
 fields by its commas and hands the numeric ones to numpy's C reader
 (``np.loadtxt``), whose grammar is Python's ``float`` without digit
-underscores and non-ASCII digits. The cross-validation report records live
-here with their JSON file, so ``save_report`` and ``load_report`` are the
-only code that knows it.
+underscores and non-ASCII digits. Real-valued fields are checked by
+``_check_real``; a trials file adds to each record's own checks only the
+rules in ``_checked_trials``, which its reader and writer share. The
+cross-validation report records live here with their JSON file, so
+``save_report`` and ``load_report`` are the only code that knows it.
 """
 from __future__ import annotations
 
@@ -60,10 +62,19 @@ def _check_int(value, name, minimum):
     return int(value)
 
 
-def _check_real(value, name):
-    """InvalidConfig unless ``value`` is a real number and not a bool."""
+def _check_real(value, name, bound=None, strict=True):
+    """InvalidConfig unless ``value`` is a finite real number, not a bool,
+    and, given a ``bound``, above it (``strict``) or at least it. The value
+    is checked, not converted."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past any float
+        finite = False
+    if not (finite and (bound is None or (value > bound if strict else value >= bound))):
+        rule = "" if bound is None else f" and {'>' if strict else '>='} {bound}"
+        raise InvalidConfig(f"{name} must be finite{rule}, got {value}")
 
 
 def _floats(values, name, error=InvalidConfig):
@@ -135,9 +146,7 @@ class TrialRecord:
             raise InvalidConfig(f"session must be in 1..{SESSION_COUNT}, got {self.session}")
         if self.label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {self.label!r}")
-        _check_real(self.fs, "fs")
-        if not (math.isfinite(self.fs) and self.fs > 0.0):
-            raise InvalidConfig("fs must be finite and > 0")
+        _check_real(self.fs, "fs", 0)
         samples = _floats(self.samples, "samples")
         if samples.ndim != 1 or samples.size < 1:
             raise ShapeMismatch("samples must be a non-empty 1-D array")
@@ -170,18 +179,6 @@ class CvReport:
     k: int
     config: dict
 
-    def to_dict(self):
-        return {
-            "seed": int(self.seed),
-            "k": int(self.k),
-            "config": self.config,
-            "fold_assignments": [int(f) for f in self.fold_assignments],
-            "predictions": [str(p) for p in self.predictions],
-            "folds": [asdict(f) for f in self.folds],
-            "mean": asdict(self.mean),
-            "std": asdict(self.std),
-        }
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -195,15 +192,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("drift_amplitude", "noise_sigma", "alpha_amplitude", "fs"):
-            value = getattr(self, name)
-            _check_real(value, name)
-            if not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value}")
+        for name in ("drift_amplitude", "noise_sigma", "alpha_amplitude"):
+            _check_real(getattr(self, name), name, 0, strict=False)
+        _check_real(self.fs, "fs")
         object.__setattr__(self, "n_per_class", _check_int(self.n_per_class, "n_per_class", 1))
         object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
-        if self.drift_amplitude < 0.0 or self.noise_sigma < 0.0 or self.alpha_amplitude < 0.0:
-            raise InvalidConfig("amplitudes must be >= 0")
         # find_extrema, and so the decomposition, needs at least 4 samples.
         samples = int(round(TRIAL_SECONDS * self.fs))
         if samples < 4:
@@ -225,9 +218,7 @@ class FilterSpec:
     taps: int = 257
 
     def __post_init__(self):
-        _check_real(self.cutoff, "cutoff")
-        if not (math.isfinite(self.cutoff) and self.cutoff > 0.0):
-            raise InvalidConfig(f"cutoff must be finite and > 0, got {self.cutoff}")
+        _check_real(self.cutoff, "cutoff", 0)
         object.__setattr__(self, "taps", _check_int(self.taps, "taps", 33))
         if self.taps % 2 == 0:
             raise InvalidConfig("taps must be odd and >= 33")
@@ -248,9 +239,7 @@ def lowpass_filter(samples, fs, spec=None):
         spec = FilterSpec()
     elif not isinstance(spec, FilterSpec):
         raise InvalidConfig(f"spec must be a FilterSpec, got {type(spec).__name__}")
-    _check_real(fs, "fs")
-    if not (math.isfinite(fs) and fs > 0.0):
-        raise InvalidConfig(f"fs must be finite and > 0, got {fs}")
+    _check_real(fs, "fs", 0)
     x = _floats(samples, "samples")
     if x.ndim != 1:
         raise ShapeMismatch("lowpass_filter takes one 1-D series")
@@ -457,36 +446,29 @@ def _parse_floats(path, rows, width):
         raise ParseError(f"{path}: row {number}: {reason}") from exc
 
 
-def _checked_trials(path, rows):
-    """Each ``(number, trial_id, session, label, fs, samples)`` of ``rows`` as a
-    TrialRecord, held to the rules of a trials CSV, so that what
-    ``save_trials_csv`` writes ``load_trials_csv`` reads. Raises ParseError
-    for a row of another sample count than the first, a non-finite sample
-    or a field ``TrialRecord`` refuses, and FormatError for a row of
-    another fs than the first or a repeated id, each naming the row.
+def _checked_trials(path, trials):
+    """Each TrialRecord of ``trials``, pairs ``(number, trial)``, held to the
+    rules of a trials CSV, so that what ``save_trials_csv`` writes
+    ``load_trials_csv`` reads. Raises ParseError for a row of another sample
+    count than the first or with a non-finite sample, and FormatError for a
+    row of another fs than the first or a repeated id, each naming the row.
     """
-    first = None
+    size = rate = None
     id_rows = {}
-    for number, trial_id, session, label, fs, samples in rows:
-        if first is not None and samples.size != first.samples.size:
+    for number, trial in trials:
+        # One rate as written: a float32 and a float can compare equal but print apart.
+        samples, trial_id, fs = trial.samples, trial.trial_id, _fmt(trial.fs)
+        if size is not None and samples.size != size:
             fixed = len(_FIXED_COLUMNS)
             raise ParseError(
-                f"{path}: row {number} has {fixed + samples.size} fields, "
-                f"expected {fixed + first.samples.size}"
+                f"{path}: row {number} has {fixed + samples.size} fields, expected {fixed + size}"
             )
         if not np.isfinite(samples).all():
             bad = np.flatnonzero(~np.isfinite(samples))[0]
             raise ParseError(f"{path}: row {number} has a non-finite sample s{bad}")
-        try:
-            trial = TrialRecord(
-                trial_id=trial_id, session=session, label=label, fs=fs, samples=samples
-            )
-        except (InvalidConfig, InvalidLabel, ShapeMismatch) as exc:
-            raise ParseError(f"{path}: row {number}: {exc}") from exc
-        if first is None:
-            first = trial
-        elif fs != first.fs:
-            raise FormatError(f"{path}: row {number} has fs {fs}, other rows use {first.fs}")
+        if rate is not None and fs != rate:
+            raise FormatError(f"{path}: row {number} has fs {fs}, other rows use {rate}")
+        size, rate = samples.size, fs
         if trial_id in id_rows:
             raise FormatError(
                 f"{path}: row {number} repeats trial_id {trial_id!r} of row {id_rows[trial_id]}"
@@ -506,11 +488,7 @@ def save_trials_csv(trials, path, config_note=None):
     trials = list(trials) if np.iterable(trials) else [trials]
     if not all(isinstance(trial, TrialRecord) for trial in trials):
         raise InvalidConfig("trials must be an iterable of TrialRecord")
-    given = (
-        (number, trial.trial_id, trial.session, trial.label, float(trial.fs), trial.samples)
-        for number, trial in enumerate(trials, start=1)
-    )
-    trials = list(_checked_trials(path, given))
+    trials = list(_checked_trials(path, enumerate(trials, start=1)))
     width = trials[0].samples.size if trials else 0
     header = [*_FIXED_COLUMNS, *(f"s{i}" for i in range(width))]
     rows = (
@@ -538,13 +516,14 @@ def load_trials_csv(path):
     def parsed():
         width = len(header) - len(_FIXED_COLUMNS) + 1
         for number, line in rows:
-            trial_id, session_text, label, numbers = line.split(",", 3)
+            trial_id, session, label, numbers = line.split(",", 3)
             try:
-                session = int(session_text)
-            except ValueError as exc:
+                session = int(session)
+                values = _parse_floats(path, ((number, numbers),), width)[0]
+                trial = TrialRecord(trial_id, session, label, float(values[0]), values[1:])
+            except (ValueError, InvalidConfig, InvalidLabel, ShapeMismatch) as exc:
                 raise ParseError(f"{path}: row {number}: {exc}") from exc
-            values = _parse_floats(path, ((number, numbers),), width)[0]
-            yield number, trial_id, session, label, float(values[0]), values[1:]
+            yield number, trial
 
     return list(_checked_trials(path, parsed()))
 
@@ -607,10 +586,21 @@ _REPORT_VERSION = 1
 
 def save_report(report, path):
     """Serialize a cross-validation report to stable, exact JSON: the format
-    marker, the version and ``report.to_dict()``, keys sorted."""
+    marker, the version and every field of the report, keys sorted."""
     if not isinstance(report, CvReport):
         raise InvalidConfig(f"report must be a CvReport, got {type(report).__name__}")
-    document = {"format": _REPORT_FORMAT, "version": _REPORT_VERSION, **report.to_dict()}
+    document = {
+        "format": _REPORT_FORMAT,
+        "version": _REPORT_VERSION,
+        "seed": int(report.seed),
+        "k": int(report.k),
+        "config": report.config,
+        "fold_assignments": [int(f) for f in report.fold_assignments],
+        "predictions": [str(p) for p in report.predictions],
+        "folds": [asdict(f) for f in report.folds],
+        "mean": asdict(report.mean),
+        "std": asdict(report.std),
+    }
     atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 

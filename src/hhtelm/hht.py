@@ -404,9 +404,7 @@ def instantaneous_frequency(phase, fs):
     phase = _floats(phase, "phase")
     if phase.ndim != 1 or phase.size < 2:
         raise ShapeMismatch("need a 1-D phase series of at least 2 samples")
-    _check_real(fs, "sampling rate")
-    if not (np.isfinite(fs) and fs > 0.0):
-        raise InvalidConfig(f"sampling rate must be finite and > 0, got {fs}")
+    _check_real(fs, "sampling rate", 0)
     return np.gradient(phase) * (fs / (2.0 * np.pi))
 
 

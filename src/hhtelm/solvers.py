@@ -129,11 +129,16 @@ class HessenbergFactorization:
         )
 
 
-def _check_matrix(a, name="matrix"):
+def _numeric(a, name):
+    """``a`` as a float array; InvalidMatrix unless it holds numbers only."""
     try:
-        arr = np.asarray(a, dtype=float)
+        return np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidMatrix(f"{name} is not numeric: {exc}") from None
+
+
+def _check_matrix(a, name="matrix"):
+    arr = _numeric(a, name)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(
             f"{name} must be 2-D with at least one row and column, got shape {np.shape(a)}"
@@ -248,7 +253,7 @@ def lu_factor_solve(a, b, *, _checked=False):
         n, m = a.shape
         if n != m:
             raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
-        b = np.asarray(b, dtype=float)
+        b = _numeric(b, "b")
         vector = b.ndim == 1
         b = _check_matrix(b[:, None] if vector else b, "b")
         if b.shape[0] != n:

@@ -91,6 +91,10 @@ BOUNDARY_CASES = {
         lambda path: hhtelm.dataio.TrialRecord("t", 1, "negativity", 256.0, ["a"] * 8),
         InvalidConfig,
     ),
+    "trial-at-a-rate-past-any-float": (
+        lambda path: hhtelm.dataio.TrialRecord("t", 1, "negativity", 10**400, np.zeros(8)),
+        InvalidConfig,
+    ),
     "contingency-of-a-string": (lambda path: hhtelm.ContingencyTable("a", 0, 0, 0), InvalidConfig),
     "save-report-of-none": (lambda path: hhtelm.save_report(None, path), InvalidConfig),
     "save-features-of-strings": (
@@ -100,6 +104,10 @@ BOUNDARY_CASES = {
     "save-trials-of-none": (lambda path: hhtelm.save_trials_csv(None, path), InvalidConfig),
     "save-trials-of-strings": (lambda path: hhtelm.save_trials_csv(["a"], path), InvalidConfig),
     "solver-of-an-array": (lambda path: hhtelm.SolverKind(np.array([])), InvalidConfig),
+    "lu-of-a-string-right-hand-side": (
+        lambda path: hhtelm.lu_factor_solve(np.eye(1), ["a"]),
+        InvalidMatrix,
+    ),
     "contingency-of-ragged-labels": (
         lambda path: hhtelm.contingency([[NEG, ["x"]]], [NEG, POS]),
         ShapeMismatch,
