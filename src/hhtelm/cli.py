@@ -4,7 +4,8 @@ Subcommands: synth, decompose, features, evaluate, sweep.
 Every command is deterministic given its flags (randomness flows through
 the explicit seeds), echoes its effective configuration into the output
 artifact, and writes files atomically. features and decompose share one
-block loop, which names a trial that overflows. Exit codes: 0 success,
+block loop, which names a trial that overflows and lets each block's
+trials go once they are filtered. Exit codes: 0 success,
 1 usage error, 2 data error, 3 numerical failure.
 """
 from __future__ import annotations
@@ -47,9 +48,9 @@ _PROG = "hhtelm"
 # modes of a block at once (about 80 KB a trial). On a shared 2-vCPU
 # machine with one BLAS thread, `features` on the 400 trials of
 # SynthConfig(n_per_class=200, seed=42) took 1.26, 1.18 and 1.13 s in
-# blocks of 20, 32 and 64 (medians of 3), and 1.14 s in one block, which
-# peaked at 61 MiB of allocations against 16 MiB in blocks of 64 and the
-# 7 MiB that reading their CSV takes.
+# blocks of 20, 32 and 64 (medians of 3), and 1.14 s in one block. Under
+# tracemalloc one block peaked at 55.0 MiB of allocations, blocks of 64 at
+# 14.2 MiB, and reading their CSV alone takes 6.9 MiB.
 _BLOCK_TRIALS = 64
 
 # sweep refuses a grid of more configurations than this unless --budget is
@@ -177,47 +178,49 @@ def cmd_synth(args):
 
 
 def _filtered_blocks(trials, spec, work):
-    """``(trials, result)`` per block of at most ``_BLOCK_TRIALS`` trials, the
-    result being ``work`` (``trial_feature_vector`` or ``emd``) of the matrix
-    of their filtered samples. Trials decompose independently, so the blocks
-    only bound the memory of one batch. A row that overflows in ``work`` is
-    refused with a NumericalFailure naming its trial."""
-    for start in range(0, len(trials), _BLOCK_TRIALS):
-        block = trials[start : start + _BLOCK_TRIALS]
+    """``(ids, result)`` per block of at most ``_BLOCK_TRIALS`` trials, the
+    ids being the block's trial ids and the result ``work``
+    (``trial_feature_vector`` or ``emd``) of the matrix of their filtered
+    samples. The blocks are taken out of the list ``trials``, which ends
+    empty, so a block's records, samples included, are let go of once they
+    are filtered. Trials decompose independently, so the blocks only bound
+    the memory of one batch. A row that overflows in ``work`` is refused
+    with a NumericalFailure naming its trial."""
+    while trials:
+        block = trials[:_BLOCK_TRIALS]
+        del trials[:_BLOCK_TRIALS]
+        ids = [trial.trial_id for trial in block]
         signals = np.array([lowpass_filter(trial.samples, trial.fs, spec) for trial in block])
+        del block
         try:
-            # An overflow shows as a value that is not finite, which work refuses.
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = work(signals)
+            result = work(signals)
         except _RowFailure as exc:
-            raise NumericalFailure(f"trial {block[exc.row].trial_id}: {exc.reason}") from None
-        yield block, result
+            raise NumericalFailure(f"trial {ids[exc.row]}: {exc.reason}") from None
+        yield ids, result
 
 
 def cmd_decompose(args):
     spec = FilterSpec(cutoff=args.cutoff, taps=args.taps)
     trials = load_trials_csv(args.input)
-    by_id = {trial.trial_id: trial for trial in trials}
     if args.trial_id:
+        by_id = {trial.trial_id: trial for trial in trials}
         wanted = list(dict.fromkeys(args.trial_id))
         missing = [tid for tid in wanted if tid not in by_id]
         if missing:
             raise NotFound(f"trial id(s) {missing} not present in {args.input}")
-        selected = [by_id[tid] for tid in wanted]
-    else:
-        selected = trials
+        trials = [by_id[tid] for tid in wanted]
+        del by_id
+    count = len(trials)
     note = config_note("decompose", spec)
-    _echo(
-        args, f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} -> {len(selected)} trial(s)"
-    )
-    for block, sets in _filtered_blocks(selected, spec, emd):
+    _echo(args, f"decompose: cutoff={spec.cutoff:g} Hz taps={spec.taps} -> {count} trial(s)")
+    for ids, sets in _filtered_blocks(trials, spec, emd):
         # Made once a block is decomposed, so a run refused at its first block leaves nothing.
         os.makedirs(args.out, exist_ok=True)
-        for trial, modes in zip(block, sets):
+        for trial_id, modes in zip(ids, sets):
             columns = [f"imf_{i + 1}" for i in range(len(modes.imfs))] + ["residual"]
             rows = ([_fmt(v) for v in row] for row in zip(*modes.imfs, modes.residual))
-            write_csv(os.path.join(args.out, f"{trial.trial_id}.csv"), columns, rows, note)
-    _echo(args, f"decompose: wrote {len(selected)} file(s) under {args.out}")
+            write_csv(os.path.join(args.out, f"{trial_id}.csv"), columns, rows, note)
+    _echo(args, f"decompose: wrote {count} file(s) under {args.out}")
     return 0
 
 
@@ -226,14 +229,14 @@ def cmd_features(args):
     trials = load_trials_csv(args.input)
     if not trials:
         raise NotFound(f"{args.input} contains no trials")
-    rows = [values for _, values in _filtered_blocks(trials, spec, trial_feature_vector)]
     labels = [trial.label for trial in trials]
+    rows = [values for _, values in _filtered_blocks(trials, spec, trial_feature_vector)]
     note = config_note("features", spec)
     save_features_csv(np.vstack(rows), FEATURE_NAMES, labels, args.out, config_note=note)
     _echo(
         args,
         f"features: cutoff={spec.cutoff:g} Hz, "
-        f"{len(trials)} trials x {len(FEATURE_NAMES)} features -> {args.out}",
+        f"{len(labels)} trials x {len(FEATURE_NAMES)} features -> {args.out}",
     )
     return 0
 

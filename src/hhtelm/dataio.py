@@ -4,7 +4,9 @@ Trials are slow-cortical-potential style: 8 s at a fixed sampling rate,
 a 2 s baseline followed by a 6 s active phase, one of two labels. The
 synthetic generator produces class-separable trials for pipeline checks;
 all file formats round-trip exactly (floats are written with shortest
-round-trip repr) and writes are atomic (temp file + rename). A CSV row is
+round-trip repr) and writes are atomic (temp file + rename). A CSV file is
+streamed to its temp file line by line as its rows are formatted, so a
+writer holds one row's text at a time, never the file's. A CSV row is
 its fields joined by commas and never quoted, so a reader counts a line's
 fields by its commas and hands the numeric ones to numpy's C reader
 (``np.loadtxt``), whose grammar is Python's ``float`` without digit
@@ -44,9 +46,9 @@ BASELINE_SECONDS = 2.0
 SESSION_COUNT = 8
 
 # The most samples a synthetic trial may hold: 8 s at 2048 Hz, eight times
-# the default rate. `features` on 4 trials of this length peaked at 10.7 MB
-# of allocations (1.6 MB at 256 Hz), so one block of cli._BLOCK_TRIALS
-# trials stays near 170 MB.
+# the default rate. `features` on 4 trials of this length peaked at 9.7 MiB
+# of allocations (1.5 MiB at 256 Hz), so one block of cli._BLOCK_TRIALS
+# trials stays near 160 MiB.
 _MAX_TRIAL_SAMPLES = 16384
 
 _FIXED_COLUMNS = ("trial_id", "session", "label", "fs")
@@ -335,6 +337,14 @@ def atomic_write_text(path, text):
     umask: the temp file is created with 0666 and the kernel applies the
     umask (``mkstemp`` would make it 0600, and the rename keeps the mode).
     """
+    _atomic_write(path, (text,))
+
+
+def _atomic_write(path, chunks):
+    """``atomic_write_text`` of the texts that ``chunks`` yields, each one
+    written to the temp file as it is drawn, so the whole text is never
+    held. An exception, one raised while a chunk is made included, deletes
+    the temp file and leaves ``path`` as it was."""
     _check_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -342,7 +352,8 @@ def atomic_write_text(path, text):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -369,12 +380,19 @@ def write_csv(path, header, rows, config_note=None):
 
     ``config_note`` becomes a single leading ``#`` comment line (the
     reproducibility echo); readers skip comment lines. ``header`` is a
-    sequence of column names and each row a sequence of strings.
+    sequence of column names and each row a sequence of strings. Each line
+    goes to the temp file as soon as it is joined, so one row's text is
+    held at a time.
     """
-    lines = ["# " + config_note] if config_note else []
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def lines():
+        if config_note:
+            yield "# " + config_note + "\n"
+        yield ",".join(header) + "\n"
+        for row in rows:
+            yield ",".join(row) + "\n"
+
+    _atomic_write(path, lines())
 
 
 def _read_csv(path):
@@ -556,13 +574,19 @@ def load_features_csv(path):
     """Read a feature CSV back as (values, layout, labels).
 
     Raises ParseError (with the offending data row number) for malformed
-    rows, unknown labels and non-finite values included.
+    rows, unknown labels and non-finite values included, and (with the
+    column number) for a feature name ``save_features_csv`` would refuse.
     """
     rows = _read_csv(path)
     header = next(rows)
     if header[-1] != "label":
         raise FormatError(f"{path}: last column must be 'label'")
     layout = tuple(header[:-1])
+    for column, name in enumerate(layout, start=1):
+        try:
+            _check_field(name, "feature name")
+        except InvalidConfig as exc:
+            raise ParseError(f"{path}: column {column}: {exc}") from exc
     labels = []
 
     def numbers():

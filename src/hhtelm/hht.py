@@ -280,6 +280,8 @@ def _knot_slopes(width, slope, y, first, last):
     return d
 
 
+# An overflow shows as a mode energy that is not finite, which emd refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def emd(signal):
     """Empirical mode decomposition by envelope-mean sifting.
 
@@ -393,7 +395,8 @@ def analytic_signal(x):
         gain[1 : n // 2] = 2.0
     else:
         gain[1 : (n + 1) // 2] = 2.0
-    return np.fft.ifft(spec * gain)
+    spec *= gain
+    return np.fft.ifft(spec)
 
 
 def instantaneous_frequency(phase, fs):
@@ -530,12 +533,14 @@ def trial_feature_vector(signal):
     x = _floats(signal, "signal")
     trials = np.atleast_2d(x)
     values = np.zeros((trials.shape[0], _MAX_IMFS, 2, len(STAT_NAMES)))
+    # Only the modes are read, so the residuals are let go of here.
+    mode_lists = [modes.imfs for modes in emd(trials)]
     # An overflow shows as a value that is not finite, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for trial, modes, out in zip(trials, emd(trials), values):
-            k = len(modes.imfs)
+        for trial, modes, out in zip(trials, mode_lists, values):
+            k = len(modes)
             if k:
-                imfs = np.array(modes.imfs)
+                imfs = np.array(modes)
                 amplitude = np.abs(analytic_signal(imfs))
                 stats = stat_features(np.concatenate([imfs, amplitude]), trial)
                 out[:k, 0] = stats[:k]

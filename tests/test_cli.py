@@ -4,9 +4,12 @@ Everything runs in-process through cli.main(argv) so exit codes and
 stdout/stderr can be checked directly against temp-directory artifacts.
 """
 import argparse
+import importlib.util
 import itertools
 import json
 import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +107,21 @@ def test_synth_rejects_values_that_cannot_make_trials(tmp_path, capsys, flags):
     assert main(["synth", "--n-per-class", "2", *flags, "--out", path]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not os.path.exists(path)
+
+
+def test_synth_peaks_within_twice_its_samples(tmp_path):
+    """synth writes its file line by line: the allocations of a run peak
+    within twice its trials' sample arrays, not near the file's text."""
+    argv = ["synth", "--n-per-class", "25", "--seed", "42", "--out", str(tmp_path / "t.csv"), "--quiet"]
+    assert main(argv) == 0  # so first-call costs fall outside the measured run
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = 50 * 2048 * np.dtype(float).itemsize
+    assert peak <= 2 * samples, peak / samples
 
 
 def test_synth_refuses_a_rate_above_the_sample_cap(tmp_path, capsys, monkeypatch):
@@ -637,19 +655,33 @@ def artifact_bytes(path):
         return handle.read()
 
 
-@pytest.mark.parametrize("command", sorted(RERUNS))
-def test_every_command_reruns_byte_identical(tmp_path, trials_csv, blob_csv, command):
-    (subcommands,) = (
+def subcommands():
+    (choices,) = (
         action.choices for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    assert set(RERUNS) == set(subcommands)
+    return set(choices)
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_every_command_reruns_byte_identical(tmp_path, trials_csv, blob_csv, command):
+    assert set(RERUNS) == subcommands()
     argv = [arg.format(trials=trials_csv, blobs=blob_csv) for arg in RERUNS[command]]
     outputs = [str(tmp_path / "a"), str(tmp_path / "b")]
     for out in outputs:
         assert main([*argv, "--out", out, "--quiet"]) == 0
     first, second = (artifact_bytes(out) for out in outputs)
     assert first and first == second
+
+
+def test_the_artifact_tool_runs_every_command():
+    """tools/artifacts.py, which lists every artifact for a byte-identity
+    check, must run each subcommand, so a new one cannot be left out."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifacts.py"
+    spec = importlib.util.spec_from_file_location("artifacts", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert {command[0] for command in tool.COMMANDS} == subcommands()
 
 
 # ---------------------------------------------------------------------------

@@ -725,6 +725,29 @@ def test_features_csv_load_errors(tmp_path):
             load_features_csv(non_finite)
 
 
+@pytest.mark.parametrize(
+    "name, refused",
+    [("b", False), (" b", False), ("a#b", False), ("imf1/x", False), ("\u00e9", False),
+     ('a"b', True), ("#b", True), (" #b", True), ("", True)],
+)
+def test_features_csv_header_loads_only_what_saves_back(tmp_path, name, refused):
+    """What load_features_csv returns, save_features_csv writes back and it
+    loads again unchanged; a name the writer would refuse is refused on
+    load, naming its column."""
+    path = str(tmp_path / "f.csv")
+    write_lines(path, [f"a,{name},label", "0.5,1.5,negativity"])
+    if refused:
+        with pytest.raises(ParseError, match="column 2: feature name"):
+            load_features_csv(path)
+        return
+    loaded = load_features_csv(path)
+    again = str(tmp_path / "again.csv")
+    save_features_csv(*loaded, again)
+    values, layout, labels = load_features_csv(again)
+    assert layout == loaded[1] == ("a", name)
+    assert np.array_equal(values, loaded[0]) and labels == loaded[2]
+
+
 def test_features_csv_reports_the_first_bad_row_before_reading_on(tmp_path):
     # The number in row 1 fails before row 2's label is looked at, and an
     # empty field of a one-column file is an error, not a skipped line.
@@ -958,6 +981,25 @@ def test_atomic_write_creates_directories_and_leaves_no_temp(tmp_path):
         assert handle.read() == "payload\n"
     leftovers = [n for n in os.listdir(os.path.dirname(path)) if n.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_write_csv_streams_rows_and_leaves_nothing_when_one_fails(tmp_path):
+    """Rows are drawn while the temp file is open, and a row that raises
+    part-way leaves neither the target nor the temp file."""
+
+    class RowFailed(Exception):
+        pass
+
+    path = str(tmp_path / "out.csv")
+
+    def rows():
+        yield ["1", "2"]
+        assert [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        raise RowFailed
+
+    with pytest.raises(RowFailed):
+        write_csv(path, ["a", "b"], rows(), config_note="demo")
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_write_mode_follows_the_umask_without_changing_it(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hhtelm
-from hhtelm.errors import InvalidConfig, InvalidMatrix, ShapeMismatch
+from hhtelm.errors import InvalidConfig, InvalidMatrix, NumericalFailure, ShapeMismatch
 
 NEG, POS = "negativity", "positivity"
 
@@ -60,6 +60,10 @@ def test_modules_import_one_another_without_a_cycle():
 # takes the path a writer would write to.
 BOUNDARY_CASES = {
     "emd-of-a-string": (lambda path: hhtelm.emd("abc"), InvalidConfig),
+    "emd-of-samples-whose-energy-overflows": (
+        lambda path: hhtelm.emd(np.random.default_rng(0).standard_normal(256) * 1e200),
+        NumericalFailure,
+    ),
     "analytic-signal-of-strings": (lambda path: hhtelm.analytic_signal(["a"] * 8), InvalidConfig),
     "extrema-of-a-string": (lambda path: hhtelm.find_extrema("abcd"), InvalidConfig),
     "extrema-of-nan": (lambda path: hhtelm.find_extrema([0, 2, 1, np.nan, 3, 0]), InvalidConfig),
