@@ -80,18 +80,8 @@ def _percent(value):
     return "undefined" if value is None else f"{value:.2f}"
 
 
-def _seed(text):
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
-
-
 def _seed_flag(sub):
-    sub.add_argument("--seed", type=_seed, default=0, help="seed for all randomness (>= 0)")
+    sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (>= 0)")
 
 
 def _common_flags(sub):

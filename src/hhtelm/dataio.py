@@ -10,9 +10,10 @@ writer holds one row's text at a time, never the file's. A CSV row is
 its fields joined by commas and never quoted, so a reader counts a line's
 fields by its commas and hands the numeric ones to numpy's C reader
 (``np.loadtxt``), whose grammar is Python's ``float`` without digit
-underscores and non-ASCII digits. Real-valued fields are checked by
-``_check_real``; a trials file adds to each record's own checks only the
-rules in ``_checked_trials``, which its reader and writer share. The
+underscores and non-ASCII digits. Records and configs hold their
+arguments to the checks in ``errors`` (``_check_real`` for a real-valued
+field); a trials file adds to each record's own checks only the rules in
+``_checked_trials``, which its reader and writer share. The
 cross-validation report records live here with their JSON file, so
 ``save_report`` and ``load_report`` are the only code that knows it.
 """
@@ -20,11 +21,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, fields
-from numbers import Real
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
+from .errors import _array, _check_int, _check_real, _finite, _floats
 
 LABEL_NEGATIVITY = "negativity"
 LABEL_POSITIVITY = "positivity"
@@ -52,48 +52,6 @@ SESSION_COUNT = 8
 _MAX_TRIAL_SAMPLES = 16384
 
 _FIXED_COLUMNS = ("trial_id", "session", "label", "fs")
-
-
-def _check_int(value, name, minimum):
-    """``value`` as an int; InvalidConfig unless it is an integer, not a bool,
-    and at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _check_real(value, name, bound=None, strict=True):
-    """InvalidConfig unless ``value`` is a finite real number, not a bool,
-    and, given a ``bound``, above it (``strict``) or at least it. The value
-    is checked, not converted."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int past any float
-        finite = False
-    if not (finite and (bound is None or (value > bound if strict else value >= bound))):
-        rule = "" if bound is None else f" and {'>' if strict else '>='} {bound}"
-        raise InvalidConfig(f"{name} must be finite{rule}, got {value}")
-
-
-def _floats(values, name, error=InvalidConfig):
-    """``np.asarray(values, dtype=float)``, raising ``error`` for values that
-    are not all numbers."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise error(f"{name} must hold numbers only") from None
-
-
-def _array(values, name):
-    """``np.asarray(values)``, raising ShapeMismatch for a ragged nesting."""
-    try:
-        return np.asarray(values)
-    except ValueError:
-        raise ShapeMismatch(f"{name} must not be a ragged nesting of sequences") from None
 
 
 def _check_path(path):
@@ -245,8 +203,7 @@ def lowpass_filter(samples, fs, spec=None):
     x = _floats(samples, "samples")
     if x.ndim != 1:
         raise ShapeMismatch("lowpass_filter takes one 1-D series")
-    if not np.all(np.isfinite(x)):
-        raise InvalidConfig("signal samples must be finite")
+    _finite(x, "samples")
     if not spec.cutoff < fs / 2.0:
         raise InvalidConfig(
             f"cutoff {spec.cutoff} Hz must sit below the Nyquist rate {fs / 2.0} Hz"
@@ -382,8 +339,12 @@ def write_csv(path, header, rows, config_note=None):
     reproducibility echo); readers skip comment lines. ``header`` is a
     sequence of column names and each row a sequence of strings. Each line
     goes to the temp file as soon as it is joined, so one row's text is
-    held at a time.
+    held at a time. A ``config_note`` other than None or a string of one
+    line raises InvalidConfig before anything is written.
     """
+    one_line = isinstance(config_note, str) and not set("\r\n") & set(config_note)
+    if config_note is not None and not one_line:
+        raise InvalidConfig(f"config_note must be a string of one line, got {config_note!r}")
 
     def lines():
         if config_note:
@@ -555,15 +516,16 @@ def save_features_csv(values, layout, labels, path, config_note=None):
     for a value that is not a finite number.
     """
     values = _floats(values, "values", InvalidMatrix)
-    if values.ndim != 2 or values.shape[0] != len(labels):
+    labels = _array(labels, "labels")
+    if values.ndim != 2 or labels.shape != values.shape[:1]:
         raise ShapeMismatch("values must be 2-D with one row per label")
-    if values.shape[1] != len(layout):
-        raise ShapeMismatch("layout length must match the feature width")
+    layout = tuple(layout) if np.iterable(layout) else None
+    if layout is None or values.shape[1] != len(layout):
+        raise ShapeMismatch("layout must be a sequence of one name per feature column")
     for name in layout:
         _check_field(name, "feature name")
-    if not np.isfinite(values).all():
-        raise InvalidMatrix("values contains non-finite entries")
-    for label in labels:
+    _finite(values, "values", InvalidMatrix)
+    for label in labels.tolist():
         if label not in CLASS_NAMES:
             raise InvalidLabel(f"unknown label {label!r}")
     rows = ([*map(_fmt, row), label] for row, label in zip(values, labels))

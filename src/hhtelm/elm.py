@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, _array, _check_int
+from .dataio import CLASS_NAMES
 from .errors import (
     DegenerateLabels,
     InvalidConfig,
@@ -22,7 +22,8 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
 )
-from .solvers import SolverKind, _check_matrix, random_orthogonal, solve_output_weights
+from .errors import _array, _check_int, _check_matrix
+from .solvers import SolverKind, random_orthogonal, solve_output_weights
 
 # The hidden activation of every layer; the CV report echoes it by this name.
 ACTIVATION = "sigmoid"
@@ -68,6 +69,15 @@ class AutoencoderLayer:
         return sigmoid(x @ self.beta.T)
 
 
+def _check_widths(widths, name):
+    """``widths`` as a tuple of ints; InvalidConfig unless it is a sequence of
+    integers >= 1 that numpy takes as array sizes."""
+    try:
+        return tuple(_check_int(width, "every layer width", 1, size=True) for width in widths)
+    except TypeError:
+        raise InvalidConfig(f"{name} must be a sequence of widths, got {widths!r}") from None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Deep model recipe: stacked layer widths, solver kernel, seed.
@@ -80,13 +90,7 @@ class TrainConfig:
     activation: ClassVar[str] = ACTIVATION
 
     def __post_init__(self):
-        try:
-            widths = tuple(self.layer_sizes)
-        except TypeError:
-            raise InvalidConfig(
-                f"layer_sizes must be a sequence of widths, got {self.layer_sizes!r}"
-            ) from None
-        sizes = tuple(_check_int(s, "every layer width", 1) for s in widths)
+        sizes = _check_widths(self.layer_sizes, "layer_sizes")
         if not 1 <= len(sizes) <= 8:
             raise InvalidConfig("layer_sizes must contain 1 to 8 widths")
         if max(sizes) > _MAX_WIDTH:
@@ -127,11 +131,8 @@ def draw_layers(inputs, widths, seed):
     ``inputs``, ``widths`` and ``seed``, so every fit with those shares them.
     ``seed`` is an integer >= 0 or a Generator to draw from.
     """
-    inputs = _check_int(inputs, "inputs", 1)
-    try:
-        widths = [_check_int(width, "every layer width", 1) for width in widths]
-    except TypeError:
-        raise InvalidConfig(f"widths must be a sequence of widths, got {widths!r}") from None
+    inputs = _check_int(inputs, "inputs", 1, size=True)
+    widths = _check_widths(widths, "widths")
     if not isinstance(seed, np.random.Generator):
         seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -196,15 +197,13 @@ def _fit_start(x, labels):
     """The ``_FitStart`` of training rows x, refusing labels that cannot train
     and, with NumericalFailure, a column whose mean or spread overflows."""
     labels = _array(labels, "labels")
-    if labels.size != x.shape[0]:
-        raise ShapeMismatch("labels and rows of x must align")
-    if labels.ndim != 1:
-        raise ShapeMismatch(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.shape != x.shape[:1]:
+        raise ShapeMismatch(f"labels must be 1-D, one per row of x, got shape {labels.shape}")
     targets = np.zeros((labels.size, len(CLASS_NAMES)))
     for column, name in enumerate(CLASS_NAMES):
         targets[labels == name, column] = 1.0
     if int(targets.sum()) != labels.size:
-        unknown = sorted(set(labels.tolist()) - set(CLASS_NAMES))
+        unknown = sorted(set(labels.tolist()) - set(CLASS_NAMES), key=str)
         raise InvalidLabel(f"unknown labels {unknown}")
     counts = targets.sum(axis=0)
     if np.any(counts == 0):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dataio import CLASS_NAMES, LABEL_NEGATIVITY, LABEL_POSITIVITY, CvReport, MetricsReport
-from .dataio import _array, _check_int
 from .elm import (
     ElmLayer,
     TrainConfig,
@@ -31,7 +30,7 @@ from .errors import (
     InvalidLabel,
     ShapeMismatch,
 )
-from .solvers import _check_matrix
+from .errors import _array, _check_int, _check_matrix
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def contingency(predicted, actual):
         pos = arr == LABEL_POSITIVITY
         known = pos | (arr == LABEL_NEGATIVITY)
         if not known.all():
-            unknown = sorted(set(arr[~known].tolist()))
+            unknown = sorted(set(arr[~known].tolist()), key=str)
             raise InvalidLabel(f"{name} contains unknown labels {unknown}")
         positive.append(pos)
     pos_pred, pos_actual = positive
@@ -91,6 +90,14 @@ def metrics(table):
     )
 
 
+def _classes(labels):
+    """The distinct labels, sorted; InvalidLabel for labels that do not sort."""
+    try:
+        return np.unique(labels)
+    except TypeError:  # an object array of labels whose types do not compare
+        raise InvalidLabel("labels must be of one sortable type") from None
+
+
 def stratified_kfold(labels, k, seed):
     """Assign every item to one of k folds, stratified by label.
 
@@ -111,7 +118,7 @@ def stratified_kfold(labels, k, seed):
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
     assignment = np.empty(labels.size, dtype=int)
     offset = 0
-    for cls in np.unique(labels).tolist():
+    for cls in _classes(labels).tolist():
         members = np.flatnonzero(labels == cls)
         if members.size < k:
             raise InsufficientClassMembers(
@@ -128,7 +135,8 @@ def balance_train_set(train_indices, labels, seed):
 
     Selection within a class is a seeded draw without replacement; the
     result is sorted, so an already-balanced input comes back unchanged.
-    ``train_indices`` must be integers in ``range(len(labels))``.
+    ``train_indices`` must be integers in ``range(len(labels))``, and
+    ``seed`` an integer >= 0 or a ``np.random.SeedSequence``.
     """
     train_indices = _array(train_indices, "train_indices")
     labels = _array(labels, "labels")
@@ -139,12 +147,14 @@ def balance_train_set(train_indices, labels, seed):
     if train_indices.min() < 0 or train_indices.max() >= labels.size:
         raise ShapeMismatch(f"train_indices must lie in 0..{labels.size - 1}")
     subset = labels[train_indices]
-    classes = np.unique(subset)
+    classes = _classes(subset)
     if classes.size < len(CLASS_NAMES):
         missing = sorted(set(CLASS_NAMES) - set(classes.tolist()))
         raise DegenerateLabels(f"training subset is missing class(es) {missing}")
     per_class = [train_indices[subset == cls] for cls in classes]
     floor = min(members.size for members in per_class)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     kept = [
         members if members.size == floor else rng.choice(members, size=floor, replace=False)

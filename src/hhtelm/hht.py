@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .dataio import _check_int, _check_real, _floats
 from .errors import (
     InsufficientExtrema,
     InvalidConfig,
     NumericalFailure,
     ShapeMismatch,
 )
+from .errors import _check_int, _check_real, _finite, _floats
 
 
 class _RowFailure(NumericalFailure):
@@ -90,8 +90,7 @@ def find_extrema(samples):
     x = _floats(samples, "samples")
     if x.ndim != 1 or x.size < 4:
         raise ShapeMismatch("need a 1-D series of at least 4 samples")
-    if not np.isfinite(x).all():
-        raise InvalidConfig("samples must be finite")
+    _finite(x, "samples")
     dx = x[1:] - x[:-1]
     if dx.all():
         # No plateau: the extrema are where the step changes sign, maxima
@@ -147,7 +146,7 @@ def spline_envelope(indices, values, n):
     else:
         sets = [(indices, values)]
     idx, val = zip(*[_check_extrema(i, v) for i, v in sets])
-    n = _check_int(n, "n", 2)
+    n = _check_int(n, "n", 2, size=True)
     envelopes = _natural_splines(idx, val, n)
     return envelopes if batched else envelopes[0]
 
@@ -309,8 +308,7 @@ def emd(signal):
     modes equal those of the row decomposed alone.
     """
     x = _floats(signal, "signal")
-    if not np.all(np.isfinite(x)):
-        raise InvalidConfig("signal samples must be finite")
+    _finite(x, "signal")
     if x.ndim not in (1, 2):
         raise ShapeMismatch("need one series or a (rows, samples) matrix")
     rows = np.atleast_2d(x)
@@ -435,8 +433,8 @@ def stat_features(series, reference):
         raise ShapeMismatch("reference must be one series of the series' length")
     if x.shape[-1] < 2:
         raise ShapeMismatch("need at least 2 samples")
-    if not (np.isfinite(x).all() and np.isfinite(r).all()):
-        raise InvalidConfig("series and reference must be finite")
+    _finite(x, "series")
+    _finite(r, "reference")
     single = x.ndim == 1
     x = np.atleast_2d(x)
     n = x.shape[1]

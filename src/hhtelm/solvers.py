@@ -32,7 +32,6 @@ TSMC-B 42(2)); otherwise they factor the L x L system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgtsv, dormqr, dorgqr, dsytrd, dsytrd_lwork
@@ -44,6 +43,7 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
 )
+from .errors import _check_matrix, _check_real, _floats
 
 KERNEL_SVD = "svd"
 KERNEL_HESSENBERG = "hessenberg"
@@ -80,10 +80,7 @@ class SolverKind:
             raise InvalidConfig(
                 f"unknown solver variant {self.variant!r}, expected one of {KERNELS}"
             )
-        if isinstance(self.ridge, bool) or not isinstance(self.ridge, Real):
-            raise InvalidConfig(f"ridge must be a real number, got {self.ridge!r}")
-        if not np.isfinite(self.ridge) or self.ridge < 0.0:
-            raise InvalidConfig("ridge must be finite and >= 0")
+        _check_real(self.ridge, "ridge", 0, strict=False)
         if self.ridge == 0.0 and self.variant != KERNEL_SVD:
             raise InvalidConfig(
                 f"variant {self.variant!r} solves the Gram system and needs ridge > 0"
@@ -127,25 +124,6 @@ class HessenbergFactorization:
             + np.diag(self.offdiagonal, -1)
             + np.diag(self.offdiagonal, 1)
         )
-
-
-def _numeric(a, name):
-    """``a`` as a float array; InvalidMatrix unless it holds numbers only."""
-    try:
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidMatrix(f"{name} is not numeric: {exc}") from None
-
-
-def _check_matrix(a, name="matrix"):
-    arr = _numeric(a, name)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(
-            f"{name} must be 2-D with at least one row and column, got shape {np.shape(a)}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidMatrix(f"{name} contains non-finite entries")
-    return arr
 
 
 def svd_pseudoinverse(h):
@@ -211,10 +189,7 @@ def hessenberg_reduce(a, *, _checked=False):
     matrix it built from a checked h, which skips these checks.
     """
     if not _checked:
-        a = _check_matrix(a, "a")
-        n, m = a.shape
-        if n != m:
-            raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
+        a = _check_matrix(a, "a", square=True)
         # The Gram products h.T @ h and h @ h.T come out exactly symmetric, so
         # an exact check refuses nothing the solve path builds.
         if not (a == a.T).all():
@@ -249,15 +224,12 @@ def lu_factor_solve(a, b, *, _checked=False):
     """
     vector = False
     if not _checked:
-        a = _check_matrix(a, "a")
-        n, m = a.shape
-        if n != m:
-            raise ShapeMismatch(f"expected a square matrix, got {n}x{m}")
-        b = _numeric(b, "b")
+        a = _check_matrix(a, "a", square=True)
+        b = _floats(b, "b", InvalidMatrix)
         vector = b.ndim == 1
         b = _check_matrix(b[:, None] if vector else b, "b")
-        if b.shape[0] != n:
-            raise ShapeMismatch(f"right-hand side has {b.shape[0]} rows, expected {n}")
+        if b.shape[0] != a.shape[0]:
+            raise ShapeMismatch(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
     lu, _, x, info = dgesv(a, b)
     if info > 0:
         raise SingularMatrix(f"no usable pivot in column {info - 1}")

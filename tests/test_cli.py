@@ -177,7 +177,7 @@ def test_negative_seed_exits_1(tmp_path, blob_csv, capsys, command):
         command = [*command, "--features", blob_csv]
     out = tmp_path / "out"
     assert main([*command, "--out", str(out), "--quiet"]) == 1
-    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+    assert "usage error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -293,7 +293,7 @@ def test_lowpass_rejects_bad_samples():
     x = np.zeros(400)
     for bad in (np.nan, np.inf):
         x[100] = bad
-        with pytest.raises(InvalidConfig, match="samples must be finite"):
+        with pytest.raises(InvalidConfig, match="samples contains non-finite entries"):
             lowpass_filter(x, 256.0)
 
 
@@ -357,6 +357,29 @@ def test_trials_csv_round_trip_property(tmp_path_factory, trials):
         assert got.label == want.label
         assert got.fs == want.fs
         # Bit for bit, so -0.0 stays -0.0.
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_trials_csv_loads_only_what_saves_back(tmp_path):
+    """What load_trials_csv returns from a file written in forms its reader
+    accepts but its writer never writes, save_trials_csv writes back and it
+    loads again unchanged."""
+    path = str(tmp_path / "lenient.csv")
+    write_lines(
+        path,
+        [
+            "trial_id,session,label,fs,s0,s1,s2",
+            "t1,01,negativity,256,1,-0,2e3",
+            "t2,8,positivity,256,+.5,1E-3,-7",
+        ],
+    )
+    loaded = load_trials_csv(path)
+    again = str(tmp_path / "again.csv")
+    save_trials_csv(loaded, again)
+    for got, want in zip(load_trials_csv(again), loaded, strict=True):
+        assert (got.trial_id, got.session, got.label, got.fs) == (
+            want.trial_id, want.session, want.label, want.fs
+        )
         assert got.samples.tobytes() == want.samples.tobytes()
 
 
@@ -918,6 +941,26 @@ def edited_report(tmp_path):
 def test_load_report_accepts_undefined_metrics(edited_report):
     report = edited_report(lambda d: d["folds"][0].update(sensitivity=None))
     assert report.folds[0].sensitivity is None
+
+
+def test_report_loads_only_what_saves_back(edited_report, tmp_path):
+    """What load_report returns from a report with integer percentages and
+    null metrics, save_report writes back and it loads again unchanged."""
+
+    def edit(doc):
+        doc["folds"][0].update(accuracy=50, selectivity=None)
+        doc["mean"].update(accuracy=75, sensitivity=None)
+        doc["std"].update(selectivity=0, sensitivity=None)
+
+    loaded = edited_report(edit)
+    assert loaded.folds[0].accuracy == 50 and loaded.mean.sensitivity is None
+    again = str(tmp_path / "again.json")
+    save_report(loaded, again)
+    reloaded = load_report(again)
+    for field in ("folds", "mean", "std", "seed", "k", "config"):
+        assert getattr(reloaded, field) == getattr(loaded, field)
+    assert np.array_equal(reloaded.fold_assignments, loaded.fold_assignments)
+    assert np.array_equal(reloaded.predictions, loaded.predictions)
 
 
 def test_load_report_rejects_other_format_marker(edited_report, tmp_path):

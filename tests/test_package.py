@@ -48,7 +48,12 @@ def test_modules_import_one_another_without_a_cycle():
     package = Path(hhtelm.__file__).parent
     graph = {path.stem: set(relative_imports(path)) for path in package.glob("*.py")}
     assert {"dataio", "elm"} <= graph["evaluation"]
+    # Every argument check lives in errors, so a module imports another only
+    # for what that one computes.
+    assert graph["errors"] == set()
     assert graph["solvers"] == {"errors"}
+    assert graph["hht"] == {"errors"}
+    assert "solvers" not in graph["evaluation"]
     try:
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
@@ -144,6 +149,25 @@ BOUNDARY_CASES = {
         lambda path: hhtelm.spline_envelope([[0.0, [1.0]]], [[1.0, 2.0]], 10),
         InvalidConfig,
     ),
+    "solver-at-a-ridge-past-any-float": (
+        lambda path: hhtelm.SolverKind("svd", ridge=10**400),
+        InvalidConfig,
+    ),
+    # A complex array through the one float converter, once per error class
+    # it raises: numpy would cast it to its real part with a ComplexWarning.
+    "emd-of-a-complex-array": (lambda path: hhtelm.emd(np.ones(16) * 1j), InvalidConfig),
+    "pseudoinverse-of-a-complex-matrix": (
+        lambda path: hhtelm.svd_pseudoinverse(np.eye(2) * 1j),
+        InvalidMatrix,
+    ),
+    "lu-of-a-complex-right-hand-side": (
+        lambda path: hhtelm.lu_factor_solve(np.eye(2), np.ones(2) * 1j),
+        InvalidMatrix,
+    ),
+    "save-features-of-complex-values": (
+        lambda path: hhtelm.save_features_csv(np.ones((1, 1)) * 1j, ("f",), [NEG], path),
+        InvalidMatrix,
+    ),
 }
 
 
@@ -156,3 +180,121 @@ def test_library_boundary_raises_package_errors(case, tmp_path):
         with pytest.raises(error):
             call(path)
     assert not path.exists()
+
+
+# Every hostile value the walker substitutes for an argument, by name.
+HOSTILE = {
+    "none": None,
+    "string": "abc",
+    "bool": True,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "float-for-an-int": 2.5,
+    "negative-int": -1,
+    "ragged-list": [[1.0, 2.0], [3.0]],
+    "empty-array": np.array([]),
+    "object-array": np.array([1.0, "a", None], dtype=object),
+    "complex": 1.0 + 1.0j,
+    "complex-array": np.linspace(0.0, 1.0, 8) * (1.0 + 1.0j),
+    "int-past-any-float": 10**400,
+}
+
+
+def valid_arguments(tmp_path):
+    """Keyword arguments for one successful call of each callable in
+    ``hhtelm.__all__``, every integer small and every path under tmp_path."""
+    kind = hhtelm.SolverKind("svd", ridge=1e-3)
+    config = hhtelm.TrainConfig((4,), kind)
+    x = np.random.default_rng(0).standard_normal((8, 3))
+    labels = [NEG, POS] * 4
+    layer = hhtelm.draw_layers(3, (4,), 0)[0]
+    signal = np.sin(np.linspace(0.0, 20.0, 64))
+    synth = hhtelm.SynthConfig(n_per_class=2, fs=16.0)
+    trials = hhtelm.synth_scp(synth)
+    report = hhtelm.cross_validate(x, labels, config, k=2)
+    table = hhtelm.ContingencyTable(1, 1, 1, 1)
+    files = {name: str(tmp_path / name) for name in ("trials.csv", "features.csv", "report.json")}
+    hhtelm.save_trials_csv(trials, files["trials.csv"])
+    hhtelm.save_features_csv(np.zeros((2, 2)), ("a", "b"), [NEG, POS], files["features.csv"])
+    hhtelm.save_report(report, files["report.json"])
+    return {
+        "ContingencyTable": dict(tp=1, fp=1, tn=1, fn=1),
+        "CvReport": dict(vars(report)),
+        "FilterSpec": dict(cutoff=10.0, taps=33),
+        "MetricsReport": dict(selectivity=50.0, sensitivity=50.0, accuracy=50.0),
+        "SolverKind": dict(variant="lu", ridge=1e-3),
+        "SynthConfig": dict(
+            n_per_class=2, drift_amplitude=1.0, noise_sigma=1.0, alpha_amplitude=1.0, fs=16.0, seed=0
+        ),
+        "TrainConfig": dict(layer_sizes=(4,), kernel=kind, seed=0),
+        "analytic_signal": dict(x=signal),
+        "balance_train_set": dict(train_indices=np.arange(3), labels=[NEG, NEG, POS], seed=0),
+        "contingency": dict(predicted=[NEG, POS], actual=[POS, POS]),
+        "cross_validate": dict(features=x, labels=labels, train_config=config, k=2, seed=0),
+        "deep_elm_predict": dict(model=hhtelm.deep_elm_train(x, labels, config), x=x),
+        "deep_elm_train": dict(x=x, labels=labels, config=config),
+        "draw_layers": dict(inputs=3, widths=(4,), seed=0),
+        "elm_ae_train": dict(x=x, layer=layer, kernel=kind),
+        "elm_train": dict(x=x, t=np.ones((8, 2)), layer=layer, kernel=kind),
+        "emd": dict(signal=signal),
+        "find_extrema": dict(samples=signal),
+        "hessenberg_reduce": dict(a=np.eye(3) + 0.5),
+        "instantaneous_frequency": dict(phase=np.linspace(0.0, 10.0, 16), fs=16.0),
+        "load_features_csv": dict(path=files["features.csv"]),
+        "load_report": dict(path=files["report.json"]),
+        "load_trials_csv": dict(path=files["trials.csv"]),
+        "lowpass_filter": dict(samples=signal, fs=64.0, spec=hhtelm.FilterSpec(taps=33)),
+        "lu_factor_solve": dict(a=2.0 * np.eye(3), b=np.ones(3)),
+        "metrics": dict(table=table),
+        "save_features_csv": dict(
+            values=np.zeros((2, 2)),
+            layout=("a", "b"),
+            labels=[NEG, POS],
+            path=str(tmp_path / "out.csv"),
+            config_note="note",
+        ),
+        "save_report": dict(report=report, path=str(tmp_path / "out.json")),
+        "save_trials_csv": dict(trials=trials, path=str(tmp_path / "out.csv"), config_note="note"),
+        "solve_output_weights": dict(h=x, t=np.ones((8, 2)), kind=kind),
+        "spline_envelope": dict(indices=np.array([0.0, 5.0]), values=np.array([1.0, 2.0]), n=10),
+        "stat_features": dict(series=signal, reference=np.cos(np.linspace(0.0, 20.0, 64))),
+        "stratified_kfold": dict(labels=labels, k=2, seed=0),
+        "svd_pseudoinverse": dict(h=x),
+        "synth_scp": dict(config=synth),
+        "trial_feature_vector": dict(signal=signal),
+    }
+
+
+def public_callables():
+    return {name for name in hhtelm.__all__ if callable(getattr(hhtelm, name))}
+
+
+def test_walker_table_covers_every_public_callable(tmp_path):
+    assert set(valid_arguments(tmp_path)) == public_callables()
+
+
+@pytest.mark.parametrize("name", sorted(public_callables()))
+def test_every_hostile_argument_raises_a_package_error(name, tmp_path, monkeypatch):
+    """Each argument of the callable in turn takes each value of HOSTILE,
+    the others keeping their valid values: the call returns or raises a
+    PipelineError, warnings counted as errors. A loader may also raise
+    OSError for a path that names no file."""
+    monkeypatch.chdir(tmp_path)  # a hostile string path names a file here
+    valid = valid_arguments(tmp_path)[name]
+    call = getattr(hhtelm, name)
+    assert call(**valid) is not None or name.startswith("save_")
+    escaped = []
+    for argument in valid:
+        for label, value in HOSTILE.items():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    call(**{**valid, argument: value})
+            except hhtelm.errors.PipelineError:
+                pass
+            except OSError:
+                if not (name.startswith("load_") and isinstance(value, str)):
+                    raise
+            except Exception as exc:
+                escaped.append(f"{argument}={label}: {type(exc).__name__}: {exc}"[:160])
+    assert escaped == []

@@ -4,6 +4,7 @@ The reference results come from independent little implementations written
 here in the test file (Gaussian elimination, normal equations), not from
 the code under test, so agreement actually means something.
 """
+import itertools
 import os
 import subprocess
 import sys
@@ -439,16 +440,20 @@ def test_hessenberg_routes_agree_with_lu_and_with_q_formed(monkeypatch, shape, c
 
 
 @st.composite
-def sigmoid_systems(draw):
+def sigmoid_systems(draw, ridges=st.floats(1e-3, 1.0), deficient=st.just(False)):
     """An n-row system with L up to 3n columns of sigmoid activations, the
-    kind of H every CLI solve sees, plus targets and a ridge."""
+    kind of H every CLI solve sees, plus targets and a ridge from
+    ``ridges``. Where ``deficient`` draws True, the inputs repeat columns,
+    so they lose rank."""
     n = draw(st.integers(3, 80))
     width = draw(st.integers(2, 3 * n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, int(rng.integers(2, 20))))
+    if draw(deficient):
+        x = x[:, rng.integers(0, rng.integers(1, x.shape[1]), x.shape[1])]
     h = sigmoid(x @ random_orthogonal(x.shape[1], width, rng))
     t = rng.standard_normal((n, int(rng.integers(1, 4))))
-    return h, t, draw(st.floats(1e-3, 1.0))
+    return h, t, draw(ridges)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -460,6 +465,28 @@ def test_solve_kernels_agree_random_sizes(system):
         beta = solve_output_weights(h, t, SolverKind(variant, ridge=ridge))
         rel = np.linalg.norm(beta - ref) / np.linalg.norm(ref)
         assert rel < 1e-8, (variant, h.shape, ridge, rel)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(system=sigmoid_systems(st.floats(-14.0, 0.0).map(lambda e: 10.0**e), st.booleans()))
+def test_kernels_agree_within_the_condition_number(system):
+    """A backward-stable solve's forward error is of order c(n) * kappa * u
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7), kappa
+    being the condition number of the regularized Gram matrix G + ridge * I
+    that the Gram kernels factor. So wherever kappa < 1e14 every pair of
+    kernels agrees within C * (n + L) * kappa * u relative, n x L being the
+    shape of h; above it, nothing is asserted. C = 10: a targeted search
+    found rel / ((n + L) * kappa * u) at most 2.2, on 3 x 2 systems."""
+    h, t, ridge = system
+    s = np.linalg.svd(h, compute_uv=False)
+    kappa = (s[0] ** 2 + ridge) / (s[-1] ** 2 + ridge)
+    if kappa >= 1e14:
+        return
+    betas = {v: solve_output_weights(h, t, SolverKind(v, ridge=ridge)) for v in solvers.KERNELS}
+    bound = 10 * sum(h.shape) * kappa * np.finfo(float).eps / 2
+    for (a, x), (b, y) in itertools.combinations(betas.items(), 2):
+        rel = np.linalg.norm(x - y) / max(np.linalg.norm(x), np.linalg.norm(y))
+        assert rel <= bound, (a, b, h.shape, ridge, kappa, rel)
 
 
 def test_solve_ridge_shrinkage_monotone():
