@@ -23,33 +23,25 @@ from .elm import (
     deep_elm_predict,
     deep_elm_train,
     draw_layers,
-    elm_ae_train,
     elm_train,
 )
 from .evaluation import (
     ContingencyTable,
     CvReport,
     MetricsReport,
-    balance_train_set,
-    contingency,
     cross_validate,
     metrics,
-    stratified_kfold,
 )
 from .hht import (
     FEATURE_NAMES,
     analytic_signal,
     emd,
-    find_extrema,
     instantaneous_frequency,
-    spline_envelope,
-    stat_features,
     trial_feature_vector,
 )
 from .solvers import (
     SolverKind,
     hessenberg_reduce,
-    lu_factor_solve,
     solve_output_weights,
     svd_pseudoinverse,
 )
@@ -66,32 +58,24 @@ __all__ = [
     "SynthConfig",
     "TrainConfig",
     "analytic_signal",
-    "balance_train_set",
-    "contingency",
     "cross_validate",
     "deep_elm_predict",
     "deep_elm_train",
     "draw_layers",
-    "elm_ae_train",
     "elm_train",
     "emd",
     "errors",
-    "find_extrema",
     "hessenberg_reduce",
     "instantaneous_frequency",
     "load_features_csv",
     "load_report",
     "load_trials_csv",
     "lowpass_filter",
-    "lu_factor_solve",
     "metrics",
     "save_features_csv",
     "save_report",
     "save_trials_csv",
     "solve_output_weights",
-    "spline_envelope",
-    "stat_features",
-    "stratified_kfold",
     "svd_pseudoinverse",
     "synth_scp",
     "trial_feature_vector",

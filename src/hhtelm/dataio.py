@@ -80,7 +80,12 @@ def _check_field(value, name):
         raise InvalidConfig(
             f"{name} {value!r} holds a comma, a quote or a line break, or starts with '#'"
         )
-    # Artifacts are UTF-8, which cannot hold a lone surrogate.
+    _check_utf8(value, name)
+
+
+def _check_utf8(value, name):
+    """InvalidConfig unless the string ``value`` encodes as UTF-8, as every
+    artifact is written: a lone surrogate does not."""
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -157,7 +162,7 @@ class SynthConfig:
         _check_real(self.fs, "fs")
         object.__setattr__(self, "n_per_class", _check_int(self.n_per_class, "n_per_class", 1))
         object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
-        # find_extrema, and so the decomposition, needs at least 4 samples.
+        # emd, and so every decomposition, needs at least 4 samples.
         samples = int(round(TRIAL_SECONDS * self.fs))
         if samples < 4:
             raise InvalidConfig(
@@ -340,11 +345,14 @@ def write_csv(path, header, rows, config_note=None):
     sequence of column names and each row a sequence of strings. Each line
     goes to the temp file as soon as it is joined, so one row's text is
     held at a time. A ``config_note`` other than None or a string of one
-    line raises InvalidConfig before anything is written.
+    line that encodes as UTF-8 raises InvalidConfig before anything is
+    written.
     """
     one_line = isinstance(config_note, str) and not set("\r\n") & set(config_note)
     if config_note is not None and not one_line:
         raise InvalidConfig(f"config_note must be a string of one line, got {config_note!r}")
+    if config_note:
+        _check_utf8(config_note, "config_note")
 
     def lines():
         if config_note:

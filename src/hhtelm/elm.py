@@ -167,11 +167,12 @@ def elm_train(x, t, layer, kernel, *, _checked=False):
     return solve_output_weights(layer.hidden(x), t, kernel)
 
 
-def elm_ae_train(x, layer, kernel, *, _checked=False):
+def elm_ae_train(x, layer, kernel):
     """Train one autoencoder stage on ``layer`` (the input is its own target).
 
-    ``_checked`` is passed on to ``elm_train``."""
-    return AutoencoderLayer(beta=elm_train(x, x, layer, kernel, _checked=_checked))
+    ``deep_elm_train`` passes the finite float rows it built, so x is
+    checked once, as the targets of the solve."""
+    return AutoencoderLayer(beta=elm_train(x, x, layer, kernel, _checked=True))
 
 
 @dataclass
@@ -266,7 +267,7 @@ def deep_elm_train(x, labels, config, *, _start=None):
     del x
     ae_layers = [stage for stage, _ in kept]
     for layer in _start.layers:
-        stage = elm_ae_train(r, layer, config.kernel, _checked=True)
+        stage = elm_ae_train(r, layer, config.kernel)
         ae_layers.append(stage)
         r = stage.forward(r)
         if len(kept) < _start.keep:

@@ -37,10 +37,6 @@ class SingularMatrix(NumericalFailure):
     """Pivoting found no usable pivot; the system is singular."""
 
 
-class InsufficientExtrema(PipelineError):
-    """Too few extrema to construct a spline envelope."""
-
-
 class DegenerateLabels(PipelineError):
     """Training data does not contain every class."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dataio import CLASS_NAMES, LABEL_NEGATIVITY, LABEL_POSITIVITY, CvReport, MetricsReport
+from .dataio import CLASS_NAMES, LABEL_POSITIVITY, CvReport, MetricsReport
 from .elm import (
     ElmLayer,
     TrainConfig,
@@ -46,22 +46,13 @@ class ContingencyTable:
 
 
 def contingency(predicted, actual):
-    """Tally a 2x2 contingency table, positivity counted as positive."""
-    predicted = _array(predicted, "predicted")
-    actual = _array(actual, "actual")
-    if predicted.shape != actual.shape or predicted.ndim != 1:
-        raise ShapeMismatch("predicted and actual must be 1-D and the same length")
-    if predicted.size == 0:
-        raise ShapeMismatch("need at least one prediction")
-    positive = []
-    for name, arr in (("predicted", predicted), ("actual", actual)):
-        pos = arr == LABEL_POSITIVITY
-        known = pos | (arr == LABEL_NEGATIVITY)
-        if not known.all():
-            unknown = sorted(set(arr[~known].tolist()), key=str)
-            raise InvalidLabel(f"{name} contains unknown labels {unknown}")
-        positive.append(pos)
-    pos_pred, pos_actual = positive
+    """Tally a 2x2 contingency table, positivity counted as positive.
+
+    ``predicted`` and ``actual`` are label arrays of one fold's held-out
+    rows, one label each. Every fold's ``_fit_start`` refuses an unknown
+    label before the first fit, so each label here is one of the two."""
+    pos_pred = predicted == LABEL_POSITIVITY
+    pos_actual = actual == LABEL_POSITIVITY
     tp = int(np.count_nonzero(pos_pred & pos_actual))
     fp = int(np.count_nonzero(pos_pred)) - tp
     fn = int(np.count_nonzero(pos_actual)) - tp
@@ -90,35 +81,31 @@ def metrics(table):
     )
 
 
-def _classes(labels):
-    """The distinct labels, sorted; InvalidLabel for labels that do not sort."""
-    try:
-        return np.unique(labels)
-    except TypeError:  # an object array of labels whose types do not compare
-        raise InvalidLabel("labels must be of one sortable type") from None
-
-
 def stratified_kfold(labels, k, seed):
     """Assign every item to one of k folds, stratified by label.
 
     Each class is shuffled with the seeded generator and dealt round-robin;
     the deal offset carries over between classes so total fold sizes match
     the ceil/floor partition of n exactly. Per-class fold counts differ by
-    at most one. ``k`` must be an integer >= 2 and ``seed`` an integer >= 0.
+    at most one. ``labels`` is the 1-D label array ``cross_validate``
+    read; ``k`` must be an integer >= 2 and ``seed`` an integer >= 0.
 
     Returns
     -------
     ndarray of int
         Fold index (0..k-1) per item.
     """
-    labels = _array(labels, "labels")
     if labels.ndim != 1 or labels.size < 1:
         raise ShapeMismatch("labels must be a non-empty 1-D sequence")
     k = _check_int(k, "k", 2)
     rng = np.random.default_rng(_check_int(seed, "seed", 0))
+    try:
+        classes = np.unique(labels)
+    except TypeError:  # an object array of labels whose types do not compare
+        raise InvalidLabel("labels must be of one sortable type") from None
     assignment = np.empty(labels.size, dtype=int)
     offset = 0
-    for cls in _classes(labels).tolist():
+    for cls in classes.tolist():
         members = np.flatnonzero(labels == cls)
         if members.size < k:
             raise InsufficientClassMembers(
@@ -135,26 +122,17 @@ def balance_train_set(train_indices, labels, seed):
 
     Selection within a class is a seeded draw without replacement; the
     result is sorted, so an already-balanced input comes back unchanged.
-    ``train_indices`` must be integers in ``range(len(labels))``, and
-    ``seed`` an integer >= 0 or a ``np.random.SeedSequence``.
+    The fold plan passes one fold's training rows as indices into the
+    label array, and a ``np.random.SeedSequence`` spawned from its seed.
+    Raises DegenerateLabels when the rows miss a class.
     """
-    train_indices = _array(train_indices, "train_indices")
-    labels = _array(labels, "labels")
-    if train_indices.ndim != 1 or train_indices.size < 1:
-        raise ShapeMismatch("train_indices must be a non-empty 1-D sequence")
-    if train_indices.dtype.kind not in "iu":
-        raise InvalidConfig(f"train_indices must be integers, got {train_indices.dtype}")
-    if train_indices.min() < 0 or train_indices.max() >= labels.size:
-        raise ShapeMismatch(f"train_indices must lie in 0..{labels.size - 1}")
     subset = labels[train_indices]
-    classes = _classes(subset)
+    classes = np.unique(subset)
     if classes.size < len(CLASS_NAMES):
         missing = sorted(set(CLASS_NAMES) - set(classes.tolist()))
         raise DegenerateLabels(f"training subset is missing class(es) {missing}")
     per_class = [train_indices[subset == cls] for cls in classes]
     floor = min(members.size for members in per_class)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     kept = [
         members if members.size == floor else rng.choice(members, size=floor, replace=False)

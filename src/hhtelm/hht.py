@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import (
-    InsufficientExtrema,
-    InvalidConfig,
-    NumericalFailure,
-    ShapeMismatch,
-)
-from .errors import _check_int, _check_real, _finite, _floats
+from .errors import NumericalFailure, ShapeMismatch
+from .errors import _check_real, _finite, _floats
 
 
 class _RowFailure(NumericalFailure):
@@ -80,18 +75,15 @@ class ImfSet:
 
 
 def find_extrema(samples):
-    """Indices of strict local maxima and minima.
+    """Indices of strict local maxima and minima of a float series.
 
     Three-point comparison; a plateau of equal values flanked by strictly
     lower (or higher) neighbors contributes its midpoint index. Returns
-    ``(maxima, minima)`` as int arrays. Raises InvalidConfig for a sample
-    that is not finite.
+    ``(maxima, minima)`` as int arrays, each strictly increasing and
+    within 1..n-2. ``emd`` passes the finite series of at least 4 samples
+    it checked and sifts.
     """
-    x = _floats(samples, "samples")
-    if x.ndim != 1 or x.size < 4:
-        raise ShapeMismatch("need a 1-D series of at least 4 samples")
-    _finite(x, "samples")
-    dx = x[1:] - x[:-1]
+    dx = samples[1:] - samples[:-1]
     if dx.all():
         # No plateau: the extrema are where the step changes sign, maxima
         # and minima in turn. All 1385 series that emd passes here for 80
@@ -116,15 +108,16 @@ def find_extrema(samples):
 
 
 def spline_envelope(indices, values, n):
-    """Natural cubic spline through extrema, evaluated at 0..n-1.
+    """Natural cubic splines through sets of extrema, evaluated at 0..n-1.
 
-    ``indices`` and ``values`` are either one set of extrema (two 1-D
-    arrays; returns shape ``(n,)``) or equal-length sequences of such sets
-    (returns shape ``(sets, n)``, one envelope per set). Boundary knots come
-    from the two extrema nearest each edge, reflected across the edge along
-    their own line (so collinear extrema reproduce their line exactly and a
-    constant pair stays constant); a mirror knot that does not fall beyond
-    the extrema drops out.
+    ``indices`` and ``values`` are equal-length lists of index and value
+    arrays, one pair per set; returns shape ``(sets, n)``, one envelope per
+    set. ``emd`` passes each set as ``find_extrema`` found it: at least 2
+    strictly increasing indices in 1..n-2, and finite values. Boundary
+    knots come from the two extrema nearest each edge, reflected across the
+    edge along their own line (so collinear extrema reproduce their line
+    exactly and a constant pair stays constant); with no extremum at
+    sample 0 or n-1, every such mirror knot lies beyond its set's extrema.
 
     The envelopes equal scipy's ``CubicSpline(bc_type="natural")`` bit for
     bit: the same slope system and Hermite coefficients. All sets' knots
@@ -132,38 +125,7 @@ def spline_envelope(indices, values, n):
     set's slope system are shifted slices of it, and one ``dgtsv`` call,
     the LAPACK routine behind scipy's ``solve_banded((1, 1), ...)``,
     solves them all.
-
-    Raises ShapeMismatch for index and value arrays that do not pair up,
-    InsufficientExtrema for a set of fewer than 2 extrema, and
-    InvalidConfig for an ``n`` that is not an integer >= 2, extrema that
-    are not finite numbers or indices that do not strictly increase.
     """
-    batched = isinstance(indices, (list, tuple)) and _floats(indices[:1], "indices").ndim == 2
-    if batched:
-        if not isinstance(values, (list, tuple)) or len(values) != len(indices):
-            raise ShapeMismatch("need one value array per index array")
-        sets = zip(indices, values)
-    else:
-        sets = [(indices, values)]
-    idx, val = zip(*[_check_extrema(i, v) for i, v in sets])
-    n = _check_int(n, "n", 2, size=True)
-    envelopes = _natural_splines(idx, val, n)
-    return envelopes if batched else envelopes[0]
-
-
-def _check_extrema(indices, values):
-    idx = _floats(indices, "indices")
-    val = _floats(values, "values")
-    if idx.shape != val.shape or idx.ndim != 1:
-        raise ShapeMismatch("indices and values must be 1-D and the same length")
-    if idx.size < 2:
-        raise InsufficientExtrema(f"need at least 2 extrema, got {idx.size}")
-    return idx, val
-
-
-def _natural_splines(indices, values, n):
-    """Natural cubic splines through each set of extrema and their mirror
-    knots, evaluated at 0..n-1 into a ``(sets, n)`` array."""
     pieces, counts, first, last = _spline_pieces(indices, values, n)
     grid = np.arange(n, dtype=float)
     out = np.empty((first.size, n))
@@ -194,10 +156,6 @@ def _spline_pieces(indices, values, n):
     idx = np.concatenate(indices)
     val = np.concatenate(values)
     ends = np.cumsum([len(i) for i in indices])
-    rises = idx[1:] > idx[:-1]
-    rises[ends[:-1] - 1] = True  # across two sets
-    if not (rises.all() and np.isfinite(idx).all() and np.isfinite(val).all()):
-        raise InvalidConfig("extrema must be finite, at strictly increasing indices")
     # A set's knots: two mirror images, its extrema, two mirror images.
     last = ends + 4 * np.arange(1, ends.size + 1) - 1
     first = last - np.diff(ends, prepend=0) - 3
@@ -219,16 +177,6 @@ def _spline_pieces(indices, values, n):
         for slot, at in zip(slots, (near, far)):
             x[slot] = 2.0 * edge - x[at]
             y[slot] = 2.0 * c - y[at]
-    # A mirror image that does not fall beyond the extrema drops out; in
-    # emd none does, as find_extrema never returns sample 0 or n - 1.
-    kept = [x[slot] < x[first + 2] for slot in mirrors[:2]]
-    kept += [x[slot] > x[last - 2] for slot in mirrors[2:]]
-    if not all(k.all() for k in kept):
-        for slot, k in zip(mirrors, kept):
-            keep[slot] = k
-        last = np.cumsum(keep)[last] - 1
-        first = np.concatenate(([0], last[:-1] + 1))
-        x, y = x[keep], y[keep]
     # Width and slope of the interval each knot starts.
     width = x[1:] - x[:-1]
     slope = y[1:] - y[:-1]
@@ -244,7 +192,8 @@ def _spline_pieces(indices, values, n):
     # first and last interval as scipy extrapolates; so an interval holds
     # the samples from its left knot up to its right one, with a set's
     # first interval reaching down to 0 and its last one up to n (a set
-    # has at least two intervals, as at least one mirror image stays).
+    # has at least five intervals, between its four mirror images and its
+    # two or more extrema).
     below = np.clip(np.ceil(x), 0, n).astype(np.intp)
     counts = below[1:] - below[:-1]
     counts[first] = below[first + 1]
@@ -311,6 +260,8 @@ def emd(signal):
     _finite(x, "signal")
     if x.ndim not in (1, 2):
         raise ShapeMismatch("need one series or a (rows, samples) matrix")
+    if x.shape[-1] < 4:
+        raise ShapeMismatch("need a 1-D series of at least 4 samples")
     rows = np.atleast_2d(x)
     n = rows.shape[1]
     residuals = [np.array(row, dtype=float) for row in rows]
@@ -412,10 +363,10 @@ def instantaneous_frequency(phase, fs):
 def stat_features(series, reference):
     """The 11-statistic block of each series against a reference.
 
-    ``series`` is one series, or a ``(m, n)`` matrix of them, and
-    ``reference`` one series of the same length, shared by every row.
-    Returns ``(11,)`` for one series, ``(m, 11)`` for a matrix; each row
-    is computed on its own.
+    ``series`` is a ``(m, n)`` float matrix of series and ``reference`` one
+    float series of length n, shared by every row; returns ``(m, 11)``,
+    each row computed on its own. ``trial_feature_vector`` passes a trial's
+    modes and amplitudes, and the trial, all finite, with n >= 4.
 
     Order: mean, sample std (n-1), min, max, skewness, kurtosis (raw 4th
     standardized moment), mode (midpoint of the fullest of 64 equal-width
@@ -424,19 +375,9 @@ def stat_features(series, reference):
     sample covariance with the reference. Skewness, kurtosis, and
     correlation are defined as 0 whenever the relevant series is constant
     up to rounding: its second central moment is at most ``(n * eps)**2``
-    times its mean square. A series or reference that is not finite raises
-    InvalidConfig.
+    times its mean square.
     """
-    x = _floats(series, "series")
-    r = _floats(reference, "reference")
-    if x.ndim not in (1, 2) or r.shape != x.shape[-1:]:
-        raise ShapeMismatch("reference must be one series of the series' length")
-    if x.shape[-1] < 2:
-        raise ShapeMismatch("need at least 2 samples")
-    _finite(x, "series")
-    _finite(r, "reference")
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
+    x, r = series, reference
     n = x.shape[1]
     mean = np.mean(x, axis=1)
     d = x - mean[:, None]
@@ -470,10 +411,9 @@ def stat_features(series, reference):
     corr = np.divide(cross, sx * sr, out=np.zeros_like(cross), where=~(flat_x | flat_r))
     lo = np.min(x, axis=1)
     hi = np.max(x, axis=1)
-    stats = np.column_stack(
+    return np.column_stack(
         [mean, std, lo, hi, skew, kurt, _histogram_mode(x, lo, hi), m5, cum4, corr, cov]
     )
-    return stats[0] if single else stats
 
 
 _MODE_BINS = 64

@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from .errors import _check_matrix, _check_real, _floats
+from .errors import _check_matrix, _check_real
 
 KERNEL_SVD = "svd"
 KERNEL_HESSENBERG = "hessenberg"
@@ -213,30 +213,20 @@ def _apply_reflectors(fact, c, trans):
     return c
 
 
-def lu_factor_solve(a, b, *, _checked=False):
+def lu_factor_solve(a, b):
     """Solve a @ x = b by LU factorization with partial pivoting (LAPACK ``gesv``).
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result matches its shape. Raises SingularMatrix when no usable pivot
-    remains. ``solve_output_weights`` passes ``_checked`` for the system it
-    built from checked arrays, a square ``a`` and a 2-D ``b``, which skips
-    the checks of both.
+    ``solve_output_weights`` passes the regularized Gram system it built
+    from checked arrays: a square ``a`` and a 2-D ``b`` of stacked
+    right-hand sides. Raises SingularMatrix when no usable pivot remains.
     """
-    vector = False
-    if not _checked:
-        a = _check_matrix(a, "a", square=True)
-        b = _floats(b, "b", InvalidMatrix)
-        vector = b.ndim == 1
-        b = _check_matrix(b[:, None] if vector else b, "b")
-        if b.shape[0] != a.shape[0]:
-            raise ShapeMismatch(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
     lu, _, x, info = dgesv(a, b)
     if info > 0:
         raise SingularMatrix(f"no usable pivot in column {info - 1}")
     weak = np.flatnonzero(np.abs(np.diagonal(lu)) < _PIVOT_FLOOR)
     if weak.size:
         raise SingularMatrix(f"no usable pivot in column {weak[0]}")
-    return x[:, 0] if vector else x
+    return x
 
 
 def random_orthogonal(rows, cols, rng):
@@ -285,7 +275,7 @@ def solve_output_weights(h, t, kind):
         gram = h @ h.T if dual else h.T @ h
         gram.flat[:: gram.shape[0] + 1] += lam
         if kind.variant == KERNEL_LU:
-            x = lu_factor_solve(gram, t if dual else h.T @ t, _checked=True)
+            x = lu_factor_solve(gram, t if dual else h.T @ t)
         else:
             # Each intermediate is let go of once the next is formed, so that
             # no more than two of them are held at a time.

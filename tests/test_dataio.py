@@ -2,6 +2,9 @@
 import csv
 import json
 import os
+import random
+import re
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +18,7 @@ from hhtelm import (
     SynthConfig,
     TrainConfig,
     cross_validate,
-    find_extrema,
+    emd,
     load_features_csv,
     load_report,
     load_trials_csv,
@@ -138,7 +141,7 @@ def test_synth_config_rejects_values_that_cannot_make_trials():
     # the smallest rate that still gives a trial the decomposition accepts
     trial = synth_scp(SynthConfig(n_per_class=1, fs=0.5))[0]
     assert trial.samples.size == 4
-    find_extrema(trial.samples)
+    emd(trial.samples)
 
 
 def test_synth_config_caps_the_samples_per_trial():
@@ -1072,3 +1075,86 @@ def test_io_refuses_what_is_not_a_path_before_opening_it(call):
         os.fstat(read_end)
     finally:
         os.close(read_end)
+
+
+# ---------------------------------------------------------------------------
+# hostile file contents
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _splice(data, at, cut, text):
+    return data[:at] + text + data[at + cut :]
+
+
+def _mutate(data, rng):
+    """One seeded mutation of a file's bytes; one that finds nothing to
+    act on truncates instead."""
+    at = rng.randrange(len(data) + 1)
+    numbers = [m.span() for m in _NUMBER.finditer(data)]
+    kind = rng.choice(
+        ["delimiter", "non-finite", "extreme", "bom", "nul", "not-utf-8", "delete", "flip", "truncate"]
+    )
+    spots = [i for i, byte in enumerate(data) if byte in b",:\n"]
+    if kind == "delimiter" and spots:
+        i = rng.choice(spots)
+        return _splice(data, i, 1, rng.choice([b";", b"\t", b" ", b",,", b",", b":", b"\n", b"\r\n"]))
+    if kind in ("non-finite", "extreme") and numbers:
+        start, stop = rng.choice(numbers)
+        literals = (
+            [b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"-nan"]
+            if kind == "non-finite"
+            else [b"1e308", b"1e309", b"-1e400", b"1e-320", b"4.9e-324", b"9" * 400, b"0." + b"0" * 400 + b"1"]
+        )
+        return _splice(data, start, stop - start, rng.choice(literals))
+    if kind == "bom":
+        return _splice(data, rng.choice([0, at]), 0, b"\xef\xbb\xbf")
+    if kind == "nul":
+        return _splice(data, at, 0, b"\x00")
+    if kind == "not-utf-8":
+        return _splice(data, at, 0, rng.choice([b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80"]))
+    if kind == "delete":
+        return _splice(data, at, rng.randint(1, 20), b"")
+    if kind == "flip" and at < len(data):
+        return _splice(data, at, 1, bytes([data[at] ^ rng.randint(1, 255)]))
+    return data[:at]
+
+
+def test_readers_return_or_refuse_every_mutated_file(tmp_path):
+    """A few hundred seeded mutations of a small trials file, features file
+    and report: every load returns or raises a PipelineError, warnings
+    counted as errors."""
+    started = time.perf_counter()
+    files = {name: str(tmp_path / name) for name in ("trials.csv", "features.csv", "report.json")}
+    save_trials_csv(synth_scp(SynthConfig(n_per_class=2, fs=16.0, seed=3)), files["trials.csv"])
+    values = np.random.default_rng(5).standard_normal((4, 3)) * [1.0, 1e-300, 1e300]
+    save_features_csv(values, ("a", "b", "c"), [NEG, POS] * 2, files["features.csv"])
+    save_report(small_report(), files["report.json"])
+    readers = {"trials.csv": load_trials_csv, "features.csv": load_features_csv, "report.json": load_report}
+    rng = random.Random(0)
+    escaped = []
+    for name, load in readers.items():
+        with open(files[name], "rb") as handle:
+            original = handle.read()
+        path = str(tmp_path / f"mutated-{name}")
+        outcomes = {"loaded": 0, "refused": 0}
+        for _ in range(300):
+            data = original
+            for _ in range(rng.randint(1, 3)):
+                data = _mutate(data, rng)
+            with open(path, "wb") as handle:
+                handle.write(data)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    load(path)
+                outcomes["loaded"] += 1
+            except PipelineError:
+                outcomes["refused"] += 1
+            except Exception as exc:
+                escaped.append(f"{name} {data[:60]!r}: {type(exc).__name__}: {exc}"[:200])
+        # Both outcomes happen, so the mutations reach past the first check.
+        assert outcomes["loaded"] and outcomes["refused"], (name, outcomes)
+    assert escaped == []
+    assert time.perf_counter() - started < 3.0

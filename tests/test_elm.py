@@ -10,7 +10,6 @@ from hhtelm import (
     deep_elm_predict,
     deep_elm_train,
     draw_layers,
-    elm_ae_train,
     elm_train,
     lowpass_filter,
     synth_scp,
@@ -18,7 +17,7 @@ from hhtelm import (
 )
 from hhtelm import elm as elm_module
 from hhtelm import solvers
-from hhtelm.elm import sigmoid
+from hhtelm.elm import elm_ae_train, sigmoid
 from hhtelm.errors import (
     DegenerateLabels,
     InvalidConfig,
@@ -145,8 +144,6 @@ def test_elm_rejects_non_finite_inputs_and_targets(bad):
         elm_train(spoiled, np.ones((4, 1)), layer, HESS)
     with pytest.raises(InvalidMatrix, match="t contains non-finite"):
         elm_train(np.ones((4, 2)), spoiled, layer, HESS)
-    with pytest.raises(InvalidMatrix, match="x contains non-finite"):
-        elm_ae_train(spoiled, layer, HESS)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +177,10 @@ def test_ae_fit_checks_its_input_once_and_the_solve_once(monkeypatch):
 
     monkeypatch.setattr(elm_module, "_check_matrix", counted)
     monkeypatch.setattr(solvers, "_check_matrix", counted)
-    # svd with a ridge factors h itself, so no kernel adds a check of its own.
+    # x is checked once, as the targets t; svd with a ridge factors h itself,
+    # so no kernel adds a check of its own.
     elm_ae_train(np.ones((4, 2)), drawn(2, 3, seed=0), SolverKind("svd", ridge=1e-3))
-    assert calls == ["x", "h", "t"]
+    assert calls == ["h", "t"]
 
 
 def test_ae_deterministic():

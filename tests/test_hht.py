@@ -19,16 +19,13 @@ from hhtelm import (
     SynthConfig,
     analytic_signal,
     emd,
-    find_extrema,
     instantaneous_frequency,
     lowpass_filter,
-    spline_envelope,
-    stat_features,
     synth_scp,
     trial_feature_vector,
 )
-from hhtelm.hht import _MAX_IMFS, STAT_NAMES
-from hhtelm.errors import InsufficientExtrema, InvalidConfig, ShapeMismatch
+from hhtelm.hht import _MAX_IMFS, STAT_NAMES, find_extrema, spline_envelope, stat_features
+from hhtelm.errors import InvalidConfig, ShapeMismatch
 
 
 def scan_extrema(x):
@@ -164,6 +161,11 @@ def assert_extrema_match_scan(x):
     ref_max, ref_min = scan_extrema(x)
     np.testing.assert_array_equal(maxima, ref_max)
     np.testing.assert_array_equal(minima, ref_min)
+    # spline_envelope takes these sets unchecked: with every index strictly
+    # increasing and in 1..n-2, every mirror knot falls beyond its set.
+    for indices in (maxima, minima):
+        assert np.all(np.diff(indices) > 0)
+        assert np.all((indices >= 1) & (indices <= x.size - 2))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -192,15 +194,20 @@ def test_extrema_of_small_integer_series_match_scan_oracle(values):
 # spline_envelope
 
 
+def envelope(indices, values, n):
+    """The envelope of one set of extrema, from a batch of one."""
+    return spline_envelope([indices], [values], n)[0]
+
+
 def test_envelope_constant():
-    env = spline_envelope(np.array([3, 11]), np.array([2.0, 2.0]), 16)
+    env = envelope(np.array([3, 11]), np.array([2.0, 2.0]), 16)
     np.testing.assert_allclose(env, 2.0, atol=1e-10)
 
 
 def test_envelope_collinear_extrema_reproduce_line():
     idx = np.array([2, 7, 13, 19])
     values = 0.5 * idx + 1.0
-    env = spline_envelope(idx, values, 24)
+    env = envelope(idx, values, 24)
     expected = 0.5 * np.arange(24) + 1.0
     np.testing.assert_allclose(env, expected, atol=1e-10)
 
@@ -210,7 +217,7 @@ def test_envelope_of_sine_maxima_near_one():
     t = np.arange(int(10 * fs)) / fs  # 10 periods of a 1 Hz tone
     x = np.sin(2.0 * np.pi * t)
     maxima, _ = find_extrema(x)
-    env = spline_envelope(maxima, x[maxima], len(x))
+    env = envelope(maxima, x[maxima], len(x))
     inner = interior(len(x))
     assert np.all(env[inner] > 0.98)
     assert np.all(env[inner] < 1.02)
@@ -222,9 +229,9 @@ def test_batched_envelopes_equal_scipy_natural_spline_bit_for_bit():
         n = int(rng.integers(8, 2500))
         indices, values = [], []
         for _ in range(int(rng.integers(1, 10))):
-            # Extrema anywhere, or touching either edge.
-            low = 0 if rng.random() < 0.3 else int(rng.integers(0, n // 3))
-            high = n if rng.random() < 0.3 else int(rng.integers(2 * n // 3, n + 1))
+            # Extrema anywhere find_extrema finds them: from sample 1 to n - 2.
+            low = 1 if rng.random() < 0.3 else int(rng.integers(1, n // 3))
+            high = n - 1 if rng.random() < 0.3 else int(rng.integers(2 * n // 3, n - 1))
             count = int(rng.integers(2, min(high - low, 60) + 1))
             idx = np.sort(rng.choice(np.arange(low, high), size=count, replace=False))
             val = rng.standard_normal(count) * 10.0 ** rng.uniform(-3, 3)
@@ -237,7 +244,7 @@ def test_batched_envelopes_equal_scipy_natural_spline_bit_for_bit():
         for row, idx, val in zip(batch, indices, values):
             expected = reference_envelope(idx, val, n)
             np.testing.assert_array_equal(row, expected)
-            np.testing.assert_array_equal(spline_envelope(idx, val, n), expected)
+            np.testing.assert_array_equal(envelope(idx, val, n), expected)
 
 
 def assert_batch_equals_scipy(indices, values, n):
@@ -248,58 +255,17 @@ def assert_batch_equals_scipy(indices, values, n):
 
 
 def test_envelopes_at_fractional_indices_equal_scipy_natural_spline_bit_for_bit():
-    """Knots between samples, some beyond either edge, where mirror knots
-    drop out."""
+    """Knots between samples, anywhere from sample 1 to n - 2."""
     rng = np.random.default_rng(44)
     for _ in range(30):
         n = int(rng.integers(8, 600))
         indices, values = [], []
         for _ in range(int(rng.integers(1, 8))):
-            idx = np.unique(rng.uniform(-1.5, n + 0.5, size=int(rng.integers(2, 40))))
+            idx = np.unique(rng.uniform(1.0, n - 2.0, size=int(rng.integers(2, 40))))
             assert idx.size >= 2 and np.any(idx != np.round(idx))
             indices.append(idx)
             values.append(rng.standard_normal(idx.size) * 10.0 ** rng.uniform(-3, 3))
         assert_batch_equals_scipy(indices, values, n)
-
-
-def test_envelope_batch_mixing_interior_and_edge_sets_equals_scipy_bit_for_bit():
-    """One batch of sets that keep all four mirror knots and sets at sample
-    0 or n - 1 that drop some, so dropped knots are compressed out between
-    sets that keep theirs."""
-    n = 64
-    indices = [
-        np.array([3, 10, 20, 40]),
-        np.array([0, 7, 15]),
-        np.array([5, 33, 60]),
-        np.array([12, 30, 63]),
-        np.array([0, 63]),
-        np.array([1, 2]),
-        np.array([0, 1, 62, 63]),
-        np.array([9, 50, 62]),
-    ]
-    rng = np.random.default_rng(45)
-    values = [rng.standard_normal(idx.size) for idx in indices]
-    assert_batch_equals_scipy(indices, values, n)
-
-
-def test_envelope_rejects_unordered_or_non_finite_extrema():
-    with pytest.raises(InvalidConfig, match="increasing"):
-        spline_envelope(np.array([3, 9, 6]), np.array([1.0, 2.0, 3.0]), 16)
-    with pytest.raises(InvalidConfig, match="increasing"):
-        spline_envelope([np.array([2, 9]), np.array([4, 4])], [np.ones(2), np.ones(2)], 16)
-    with pytest.raises(InvalidConfig, match="finite"):
-        spline_envelope(np.array([3.0, np.inf]), np.array([1.0, 2.0]), 16)
-    with pytest.raises(InvalidConfig, match="finite"):
-        spline_envelope(np.array([3, 9]), np.array([1.0, np.nan]), 16)
-
-
-def test_envelope_needs_two_extrema():
-    with pytest.raises(InsufficientExtrema):
-        spline_envelope(np.array([5]), np.array([1.0]), 20)
-    with pytest.raises(InsufficientExtrema):
-        spline_envelope([np.array([2, 9]), np.array([5])], [np.ones(2), np.ones(1)], 20)
-    with pytest.raises(ShapeMismatch):
-        spline_envelope([np.array([2, 9]), np.array([4, 8])], [np.ones(2)], 20)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +482,15 @@ def test_chirp_instantaneous_frequency_tracks_ramp():
 # stat_features
 
 
+def stats_of(series, reference):
+    """The statistics of one series by name, from a matrix of one row."""
+    return dict(zip(STAT_NAMES, stat_features(series[None], reference)[0]))
+
+
 def test_stats_constant_series_conventions():
     series = np.full(10, 4.0)
     reference = np.arange(10.0)
-    got = dict(zip(STAT_NAMES, stat_features(series, reference)))
+    got = stats_of(series, reference)
     assert got["mean"] == 4.0
     assert got["std"] == 0.0
     assert got["min"] == 4.0 and got["max"] == 4.0
@@ -536,9 +507,9 @@ def test_stats_rounding_noise_counts_as_constant():
     reference = np.sin(np.arange(2048.0))
     for series in (np.full(2048, 0.1) + 0.2, 5.0 + 1e-13 * noise):
         for x, ref in ((series, reference), (reference, series)):
-            got = dict(zip(STAT_NAMES, stat_features(x, ref)))
+            got = stats_of(x, ref)
             assert got["corr"] == 0.0
-        got = dict(zip(STAT_NAMES, stat_features(series, reference)))
+        got = stats_of(series, reference)
         assert got["skewness"] == 0.0
         assert got["kurtosis"] == 0.0
 
@@ -546,13 +517,13 @@ def test_stats_rounding_noise_counts_as_constant():
 def test_stats_self_correlation():
     rng = np.random.default_rng(31)
     x = rng.standard_normal(50)
-    got = dict(zip(STAT_NAMES, stat_features(x, x)))
+    got = stats_of(x, x)
     assert abs(got["corr"] - 1.0) < 1e-12
     assert abs(got["cov"] - np.var(x, ddof=1)) < 1e-12
 
 
 def test_stats_small_series_frozen_values():
-    got = dict(zip(STAT_NAMES, stat_features(np.array([1.0, 2.0, 3.0, 4.0]), np.array([2.0, 4.0, 6.0, 8.0]))))
+    got = stats_of(np.array([1.0, 2.0, 3.0, 4.0]), np.array([2.0, 4.0, 6.0, 8.0]))
     assert got["mean"] == 2.5
     assert abs(got["std"] - 1.2909944487358056) < 1e-15
     assert got["min"] == 1.0 and got["max"] == 4.0
@@ -570,7 +541,7 @@ def test_stats_match_definition_oracle():
         n = int(rng.integers(4, 200))
         x = rng.standard_normal(n) * rng.uniform(0.5, 5.0)
         ref = rng.standard_normal(n)
-        got = dict(zip(STAT_NAMES, stat_features(x, ref)))
+        got = stats_of(x, ref)
         m = np.mean(x)
         centered = x - m
         m2 = np.mean(centered**2)
@@ -596,7 +567,7 @@ def test_stats_rows_equal_their_own_statistics():
     stats = stat_features(rows, reference)
     assert stats.shape == (6, len(STAT_NAMES))
     for row, got in zip(rows, stats):
-        np.testing.assert_array_equal(got, stat_features(row, reference))
+        np.testing.assert_array_equal(got, stat_features(row[None], reference)[0])
 
 
 def test_stats_mode_matches_np_histogram():
@@ -619,15 +590,6 @@ def test_stats_mode_matches_np_histogram():
             counts, edges = np.histogram(series, bins=64)
             top = int(np.argmax(counts))
             assert stats[STAT_NAMES.index("mode")] == 0.5 * (edges[top] + edges[top + 1])
-
-
-def test_stats_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        stat_features(np.arange(4.0), np.arange(5.0))
-    with pytest.raises(ShapeMismatch):
-        stat_features(np.ones((3, 4)), np.ones((3, 4)))
-    with pytest.raises(ShapeMismatch):
-        stat_features(np.ones((3, 4)), np.ones(5))
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +659,12 @@ def test_feature_vector_zero_pads_missing_imfs():
 
 def test_signal_validation():
     # The filter checks its own input (tests/test_dataio.py); the
-    # decomposition needs 4 samples of one series or rows of series.
-    for short in (np.array([1.0, 2.0]), np.ones((3, 2))):
-        with pytest.raises(ShapeMismatch):
-            emd(short)
-        with pytest.raises(ShapeMismatch):
-            trial_feature_vector(short)
+    # decomposition needs 4 samples of one series or rows of series, and
+    # emd refuses fewer itself, as find_extrema does not check.
+    for short in (np.array([1.0, 2.0]), np.ones((3, 2)), np.array([0.0, 1.0, 0.0]), np.ones((2, 3))):
+        for call in (emd, trial_feature_vector):
+            with pytest.raises(ShapeMismatch, match="^need a 1-D series of at least 4 samples$"):
+                call(short)
     with pytest.raises(ShapeMismatch):
         emd(np.zeros((2, 2, 8)))
 
