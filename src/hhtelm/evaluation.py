@@ -87,14 +87,15 @@ def stratified_kfold(labels, k, seed):
     Each class is shuffled with the seeded generator and dealt round-robin;
     the deal offset carries over between classes so total fold sizes match
     the ceil/floor partition of n exactly. Per-class fold counts differ by
-    at most one. ``labels`` is the 1-D label array ``cross_validate``
-    read; ``k`` must be an integer >= 2 and ``seed`` an integer >= 0.
+    at most one. ``labels`` must be a non-empty 1-D sequence, ``k`` an
+    integer >= 2 and ``seed`` an integer >= 0.
 
     Returns
     -------
     ndarray of int
         Fold index (0..k-1) per item.
     """
+    labels = _array(labels, "labels")
     if labels.ndim != 1 or labels.size < 1:
         raise ShapeMismatch("labels must be a non-empty 1-D sequence")
     k = _check_int(k, "k", 2)

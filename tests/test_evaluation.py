@@ -11,6 +11,7 @@ from hhtelm import (
     cross_validate,
     deep_elm_predict,
     deep_elm_train,
+    evaluation,
     metrics,
 )
 from hhtelm.evaluation import (
@@ -96,6 +97,50 @@ def test_contingency_matches_tally_oracle():
         predicted = rng.choice([NEG, POS], size=100)
         table = contingency(predicted, actual)
         assert (table.tp, table.fp, table.tn, table.fn) == tally_oracle(predicted, actual)
+
+
+def tallied(monkeypatch):
+    """The (predicted, actual) pairs that cross_validate passes to contingency."""
+    seen = []
+
+    def spy(predicted, actual):
+        seen.append((predicted, actual))
+        return contingency(predicted, actual)
+
+    monkeypatch.setattr(evaluation, "contingency", spy)
+    return seen
+
+
+def test_contingency_length_mismatch(monkeypatch):
+    # contingency takes its arrays unchecked: every fold passes the
+    # predictions and labels of its held-out rows, and features and labels
+    # of different lengths are refused before any fold is fitted.
+    x, labels = blob_features(10)
+    config = TrainConfig(layer_sizes=(4,), kernel=HESS)
+    seen = tallied(monkeypatch)
+    cross_validate(x, labels, config, k=3, seed=0)
+    assert len(seen) == 3
+    assert all(p.ndim == 1 and p.shape == a.shape and a.size >= 1 for p, a in seen)
+    seen.clear()
+    with pytest.raises(ShapeMismatch, match="one row per label"):
+        cross_validate(x[:-1], labels, config, k=3, seed=0)
+    assert seen == []
+
+
+def test_contingency_unknown_label(monkeypatch):
+    # contingency counts every label that is not positivity as negativity:
+    # each fold's _fit_start refuses an unknown label before any fit.
+    x, labels = blob_features(10)
+    config = TrainConfig(layer_sizes=(4,), kernel=HESS)
+    seen = tallied(monkeypatch)
+    cross_validate(x, labels, config, k=2, seed=0)
+    assert all(set(p.tolist()) | set(a.tolist()) <= {NEG, POS} for p, a in seen)
+    seen.clear()
+    unknown = labels.astype(object)
+    unknown[::4] = "maybe"
+    with pytest.raises(InvalidLabel, match="maybe"):
+        cross_validate(x, unknown, config, k=2, seed=0)
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +443,8 @@ def test_cv_rejects_bad_inputs():
         cross_validate(x[:5], labels, TrainConfig(layer_sizes=(4,), kernel=HESS), k=3, seed=0)
     with pytest.raises(InvalidMatrix, match="features is not numeric"):
         cross_validate(np.full(x.shape, "a"), labels, TrainConfig(layer_sizes=(4,), kernel=HESS))
-    # The fold stages take labels unchecked: these come from cross_validate,
-    # the fold assignment and each fold's _fit_start, before any fit.
-    unknown = labels.astype(object)
-    unknown[::4] = "maybe"
-    with pytest.raises(InvalidLabel, match="maybe"):
-        cross_validate(x, unknown, TrainConfig(layer_sizes=(4,), kernel=HESS), k=2, seed=0)
+    # The fold stages take labels unchecked: these come from cross_validate
+    # and the fold assignment, before any fit.
     with pytest.raises(InsufficientClassMembers, match="k=11"):
         cross_validate(x, labels, TrainConfig(layer_sizes=(4,), kernel=HESS), k=11, seed=0)
     with pytest.raises(ShapeMismatch, match="1-D"):

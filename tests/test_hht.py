@@ -24,6 +24,7 @@ from hhtelm import (
     synth_scp,
     trial_feature_vector,
 )
+from hhtelm import hht
 from hhtelm.hht import _MAX_IMFS, STAT_NAMES, find_extrema, spline_envelope, stat_features
 from hhtelm.errors import InvalidConfig, ShapeMismatch
 
@@ -266,6 +267,28 @@ def test_envelopes_at_fractional_indices_equal_scipy_natural_spline_bit_for_bit(
             indices.append(idx)
             values.append(rng.standard_normal(idx.size) * 10.0 ** rng.uniform(-3, 3))
         assert_batch_equals_scipy(indices, values, n)
+
+
+def test_envelope_needs_two_extrema(monkeypatch):
+    # spline_envelope takes its sets unchecked: emd builds envelopes only
+    # through sets of at least two extrema, one set per index array, and a
+    # series with fewer maxima or minima is its own residual, with no mode.
+    sizes = []
+
+    def spy(indices, values, n):
+        assert len(indices) == len(values)
+        sizes.extend(idx.size for idx in indices)
+        return spline_envelope(indices, values, n)
+
+    monkeypatch.setattr(hht, "spline_envelope", spy)
+    t = np.linspace(0.0, 1.0, 256)
+    emd(np.sin(2.0 * np.pi * 9.0 * t) + t)
+    assert sizes and min(sizes) >= 2
+    sizes.clear()
+    for few in (t, np.sin(2.0 * np.pi * t), np.sin(3.0 * np.pi * t)):
+        out = emd(few)
+        assert out.imfs == [] and np.array_equal(out.residual, few)
+    assert sizes == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import hhtelm
+from hhtelm import elm, evaluation, hht, solvers
 from hhtelm.errors import InvalidConfig, InvalidMatrix, NumericalFailure, ShapeMismatch
 
 NEG, POS = "negativity", "positivity"
+LU = hhtelm.SolverKind("lu", ridge=1e-3)
 
 
 def test_every_export_is_bound_once():
@@ -177,6 +179,26 @@ BOUNDARY_CASES = {
         lambda path: hhtelm.save_features_csv(np.ones((1, 1)) * 1j, ("f",), [NEG], path),
         InvalidMatrix,
     ),
+    "folds-of-ragged-labels": (
+        lambda path: evaluation.stratified_kfold([[NEG, ["x"]]], 2, 0),
+        ShapeMismatch,
+    ),
+    # A stage outside __all__ takes what its entry point checked, so its
+    # cases are refused by the entry point that reaches it.
+    "extrema-of-a-string": (lambda path: hhtelm.trial_feature_vector("abcd"), InvalidConfig),
+    "extrema-of-nan": (lambda path: hhtelm.emd([0, 2, 1, np.nan, 3, 0]), InvalidConfig),
+    "statistics-of-nan": (
+        lambda path: hhtelm.trial_feature_vector(np.full(8, np.nan)),
+        InvalidConfig,
+    ),
+    "lu-of-a-string-right-hand-side": (
+        lambda path: hhtelm.solve_output_weights(np.eye(1), ["a"], LU),
+        InvalidMatrix,
+    ),
+    "lu-of-a-complex-right-hand-side": (
+        lambda path: hhtelm.solve_output_weights(np.eye(2), np.ones((2, 1)) * 1j, LU),
+        InvalidMatrix,
+    ),
 }
 
 
@@ -274,16 +296,104 @@ def test_walker_table_covers_every_public_callable(tmp_path):
     assert set(valid_arguments(tmp_path)) == public_callables()
 
 
-@pytest.mark.parametrize("name", sorted(public_callables()))
+# What each stage outside __all__ takes unchecked from its entry point.
+
+
+def extrema_input(samples):
+    assert samples.dtype == float and samples.ndim == 1 and samples.size >= 4
+    assert np.isfinite(samples).all()
+
+
+def envelope_input(indices, values, n):
+    assert isinstance(n, int) and n >= 4
+    assert len(indices) == len(values) >= 1
+    for idx, val in zip(indices, values):
+        assert idx.dtype.kind == "i" and 2 <= idx.size == val.size
+        assert np.all(np.diff(idx) > 0) and idx[0] >= 1 and idx[-1] <= n - 2
+        assert np.isfinite(val).all()
+
+
+def statistics_input(series, reference):
+    assert series.dtype == float and series.ndim == 2 and series.shape[0] >= 1
+    assert reference.dtype == float and reference.shape == series.shape[1:]
+    assert reference.size >= 4
+    assert np.isfinite(series).all() and np.isfinite(reference).all()
+
+
+def lu_input(a, b):
+    assert a.dtype == float and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
+    assert b.dtype == float and b.ndim == 2 and b.shape[0] == a.shape[0] and b.shape[1] >= 1
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+
+
+def autoencoder_input(x, layer, kernel):
+    assert x.dtype == float and x.ndim == 2 and np.isfinite(x).all()
+    assert isinstance(layer, elm.ElmLayer) and layer.input_weights.shape[0] == x.shape[1]
+    assert isinstance(kernel, hhtelm.SolverKind)
+
+
+def contingency_input(predicted, actual):
+    assert predicted.ndim == 1 and predicted.shape == actual.shape and actual.size >= 1
+    assert set(predicted.tolist()) | set(actual.tolist()) <= {NEG, POS}
+
+
+def balance_input(train_indices, labels, seed):
+    assert labels.ndim == 1
+    assert train_indices.dtype.kind == "i" and train_indices.ndim == 1 and train_indices.size >= 1
+    assert 0 <= train_indices.min() and train_indices.max() < labels.size
+    assert isinstance(seed, np.random.SeedSequence)
+
+
+# A stage outside __all__ -> its module, the entry point that reaches it,
+# that entry point's arguments that differ from its own walker row, and
+# what the stage takes unchecked. Its row walks the entry point with the
+# stage wrapped in that check, so a hostile argument must be refused
+# before it reaches the stage. stratified_kfold keeps its own refusals
+# and is walked as it is.
+STAGES = {
+    "balance_train_set": (evaluation, "cross_validate", {}, balance_input),
+    "contingency": (evaluation, "cross_validate", {}, contingency_input),
+    "elm_ae_train": (elm, "deep_elm_train", {}, autoencoder_input),
+    "find_extrema": (hht, "emd", {}, extrema_input),
+    "lu_factor_solve": (solvers, "solve_output_weights", {"kind": LU}, lu_input),
+    "spline_envelope": (hht, "emd", {}, envelope_input),
+    "stat_features": (hht, "trial_feature_vector", {}, statistics_input),
+}
+
+
+def walked(name, tmp_path, monkeypatch):
+    """The callable that the walker row ``name`` calls, its valid arguments,
+    and the number of calls of the row's guarded stage so far."""
+    reached = [0]
+    if name == "stratified_kfold":
+        return evaluation.stratified_kfold, dict(labels=[NEG, POS] * 4, k=2, seed=0), reached
+    if name not in STAGES:
+        return getattr(hhtelm, name), valid_arguments(tmp_path)[name], reached
+    module, entry, overrides, takes = STAGES[name]
+    stage = getattr(module, name)
+
+    def guarded(*args):
+        reached[0] += 1
+        takes(*args)
+        return stage(*args)
+
+    # The valid arguments are built before the guard goes in.
+    valid = {**valid_arguments(tmp_path)[entry], **overrides}
+    monkeypatch.setattr(module, name, guarded)
+    return getattr(hhtelm, entry), valid, reached
+
+
+@pytest.mark.parametrize("name", sorted(public_callables() | set(STAGES) | {"stratified_kfold"}))
 def test_every_hostile_argument_raises_a_package_error(name, tmp_path, monkeypatch):
     """Each argument of the callable in turn takes each value of HOSTILE,
     the others keeping their valid values: the call returns or raises a
     PipelineError, warnings counted as errors. A loader may also raise
-    OSError for a path that names no file."""
+    OSError for a path that names no file. A stage's row also fails if any
+    call reaches the stage with input it does not check."""
     monkeypatch.chdir(tmp_path)  # a hostile string path names a file here
-    valid = valid_arguments(tmp_path)[name]
-    call = getattr(hhtelm, name)
+    call, valid, reached = walked(name, tmp_path, monkeypatch)
     assert call(**valid) is not None or name.startswith("save_")
+    assert reached[0] > 0 or name not in STAGES
     escaped = []
     for argument in valid:
         for label, value in HOSTILE.items():

@@ -269,6 +269,16 @@ def test_lu_matches_elimination_oracle():
         assert np.linalg.norm(a @ x - b) <= 1e-9 * max(np.linalg.norm(b), 1e-30)
 
 
+def test_lu_vector_rhs():
+    # One right-hand side, as the column of a single-target elm_train.
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+    b = rng.standard_normal(5)
+    x = lu_factor_solve(a, b[:, None])
+    assert x.shape == (5, 1)
+    np.testing.assert_allclose(x[:, 0], gauss_solve(a, b), atol=1e-10)
+
+
 def test_lu_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
     with pytest.raises(SingularMatrix):
