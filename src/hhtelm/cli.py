@@ -50,7 +50,8 @@ _PROG = "hhtelm"
 # SynthConfig(n_per_class=200, seed=42) took 1.26, 1.18 and 1.13 s in
 # blocks of 20, 32 and 64 (medians of 3), and 1.14 s in one block. Under
 # tracemalloc one block peaked at 55.0 MiB of allocations, blocks of 64 at
-# 14.2 MiB, and reading their CSV alone takes 6.9 MiB.
+# 14.2 MiB, and at 13.3 MiB once emd sifted in place; reading their CSV
+# alone takes 6.9 MiB.
 _BLOCK_TRIALS = 64
 
 # sweep refuses a grid of more configurations than this unless --budget is

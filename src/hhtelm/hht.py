@@ -14,7 +14,7 @@ tridiagonal system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -68,10 +68,13 @@ FEATURE_NAMES = tuple(
 
 @dataclass
 class ImfSet:
-    """Decomposition output: modes ordered fast to slow, plus the residual."""
+    """Decomposition output: modes ordered fast to slow, plus the residual.
+    ``siftings`` holds how many siftings each mode took, in the same order;
+    ``emd`` fills it, and it is empty by default."""
 
     imfs: list
     residual: np.ndarray
+    siftings: list = field(default_factory=list)
 
 
 def find_extrema(samples):
@@ -242,9 +245,12 @@ def emd(signal):
     Returns
     -------
     ImfSet, or a list with one ImfSet per row of a matrix
-        Extracted modes (possibly empty) and the residual. The input is
-        always exactly the sum of the modes and the residual because each
-        accepted mode is subtracted from the running residual.
+        Extracted modes (possibly empty), the residual, and each mode's
+        sifting count. The input is always exactly the sum of the modes and
+        the residual because each accepted mode is subtracted from the
+        running residual. A mode is the candidate array itself, a copy of
+        the residual sifted in place, so it is owned by the result and
+        shares memory with neither the input nor any other returned array.
 
     Sifting of one candidate stops when SD = sum(mean^2) / sum(h^2) drops
     below 0.2 and the candidate is a proper mode (its extrema and
@@ -266,6 +272,7 @@ def emd(signal):
     n = rows.shape[1]
     residuals = [np.array(row, dtype=float) for row in rows]
     imfs = [[] for _ in residuals]
+    siftings = [[] for _ in residuals]
     # Row -> (candidate mode, its maxima, its minima, siftings done).
     sifting = {}
 
@@ -275,29 +282,39 @@ def emd(signal):
             if maxima.size >= 2 and minima.size >= 2:
                 sifting[r] = (residuals[r].copy(), maxima, minima, 0)
 
-    def accept_mode(r, h):
+    def accept_mode(r, h, done):
         imfs[r].append(h)
-        residuals[r] = residuals[r] - h
+        siftings[r].append(done)
+        residuals[r] -= h
         del sifting[r]
         start_mode(r)
 
     for r in range(len(residuals)):
         start_mode(r)
     while sifting:
-        active = list(sifting.items())
-        knot_sets = [ext for _, (_, maxima, minima, _) in active for ext in (maxima, minima)]
-        heights = [h[ext] for _, (h, maxima, minima, _) in active for ext in (maxima, minima)]
-        envelopes = spline_envelope(knot_sets, heights, n)
-        for j, (r, (h, _, _, done)) in enumerate(active):
-            env_mean = 0.5 * (envelopes[2 * j] + envelopes[2 * j + 1])
+        # By row key: a list of the step's tuples would hold every old
+        # candidate's extrema until the step ends.
+        active = list(sifting)
+        envelopes = spline_envelope(
+            [ext for r in active for ext in sifting[r][1:3]],
+            [sifting[r][0][ext] for r in active for ext in sifting[r][1:3]],
+            n,
+        )
+        for j, r in enumerate(active):
+            h, _, _, done = sifting[r]
+            # The envelope mean in the row's upper envelope, and the
+            # candidate, emd's own copy of the residual, sifted in place.
+            env_mean = envelopes[2 * j]
+            env_mean += envelopes[2 * j + 1]
+            env_mean *= 0.5
             denom = float(np.dot(h, h))
             if not math.isfinite(denom):
                 raise _RowFailure(r, "the energy of a mode overflows; scale the samples down")
             if denom == 0.0:
-                accept_mode(r, h)
+                accept_mode(r, h, done)
                 continue
             sd = float(np.dot(env_mean, env_mean)) / denom
-            h = h - env_mean
+            h -= env_mean
             done += 1
             maxima, minima = find_extrema(h)
             if (
@@ -306,12 +323,15 @@ def emd(signal):
                 or (sd < _SD_THRESHOLD and abs(maxima.size + minima.size - _zero_crossings(h)) <= 1)
                 or done == _MAX_SIFTINGS
             ):
-                accept_mode(r, h)
+                accept_mode(r, h, done)
             else:
                 sifting[r] = (h, maxima, minima, done)
-        # Freed before the next step builds its own.
-        del active, envelopes
-    sets = [ImfSet(imfs=modes, residual=residual) for modes, residual in zip(imfs, residuals)]
+        # The buffer and its last view go before the next step builds its own.
+        del envelopes, env_mean
+    sets = [
+        ImfSet(imfs=modes, residual=residual, siftings=counts)
+        for modes, residual, counts in zip(imfs, residuals, siftings)
+    ]
     return sets if x.ndim == 2 else sets[0]
 
 
@@ -409,6 +429,8 @@ def stat_features(series, reference):
     r_m2 = sr * sr / n
     flat_r = r_m2 <= rounding * (r_m2 + r_mean * r_mean)
     corr = np.divide(cross, sx * sr, out=np.zeros_like(cross), where=~(flat_x | flat_r))
+    # The deviations go before the histogram takes its own (m, n) arrays.
+    del d, power
     lo = np.min(x, axis=1)
     hi = np.max(x, axis=1)
     return np.column_stack(
@@ -435,12 +457,20 @@ def _histogram_mode(x, lo, hi):
     edges[:, bins] = np.inf
     edges = edges.ravel()
     row_edges = np.arange(x.shape[0])[:, None] * (bins + 1)
-    index = ((x - lo[:, None]) / (hi - lo)[:, None] * bins).astype(np.intp)
+    # One float scratch and one index array: the scaled offsets, then the
+    # lower and the upper edge of each index. A take with mode="raise"
+    # buffers its out array; every index here is in range, so "clip"
+    # gathers the same edges without that copy.
+    scratch = x - lo[:, None]
+    scratch /= (hi - lo)[:, None]
+    scratch *= bins
+    index = scratch.astype(np.intp)
     np.minimum(index, bins - 1, out=index)
     index += row_edges
-    index -= x < edges.take(index)
-    index += x >= edges.take(index + 1)
-    counts = np.bincount((index - np.arange(x.shape[0])[:, None]).ravel(), minlength=x.shape[0] * bins)
+    index -= x < edges.take(index, out=scratch, mode="clip")
+    index += x >= edges[1:].take(index, out=scratch, mode="clip")
+    index -= np.arange(x.shape[0])[:, None]
+    counts = np.bincount(index.ravel(), minlength=x.shape[0] * bins)
     fullest = np.argmax(counts.reshape(-1, bins), axis=1)
     upper = np.where(fullest == bins - 1, hi, edges.take(fullest + 1 + row_edges[:, 0]))
     return 0.5 * (edges.take(fullest + row_edges[:, 0]) + upper)
@@ -478,9 +508,14 @@ def trial_feature_vector(signal):
         for trial, modes, out in zip(trials, mode_lists, values):
             k = len(modes)
             if k:
-                imfs = np.array(modes)
-                amplitude = np.abs(analytic_signal(imfs))
-                stats = stat_features(np.concatenate([imfs, amplitude]), trial)
+                # The modes in the top half, their amplitudes in the bottom
+                # half, and the trial's mode list let go of once stacked.
+                series = np.empty((2 * k, trials.shape[1]))
+                np.stack(modes, out=series[:k])
+                modes.clear()
+                np.abs(analytic_signal(series[:k]), out=series[k:])
+                stats = stat_features(series, trial)
+                del series
                 out[:k, 0] = stats[:k]
                 out[:k, 1] = stats[k:]
     values = values.reshape(trials.shape[0], -1)

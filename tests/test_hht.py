@@ -6,6 +6,9 @@ scipy's natural ``CubicSpline`` for the envelopes and a sifting loop built
 on it, closed-form phase derivatives, ``np.histogram``, and statistics
 recomputed inline from their definitions.
 """
+import statistics
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -24,8 +27,16 @@ from hhtelm import (
     synth_scp,
     trial_feature_vector,
 )
-from hhtelm import hht
-from hhtelm.hht import _MAX_IMFS, STAT_NAMES, find_extrema, spline_envelope, stat_features
+from hhtelm import cli, hht
+from hhtelm.hht import (
+    _MAX_IMFS,
+    _MAX_SIFTINGS,
+    STAT_NAMES,
+    ImfSet,
+    find_extrema,
+    spline_envelope,
+    stat_features,
+)
 from hhtelm.errors import InvalidConfig, ShapeMismatch
 
 
@@ -365,6 +376,39 @@ def test_emd_of_one_row_equals_emd_of_the_series():
     for a, b in zip(alone.imfs, batched.imfs):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(alone.residual, batched.residual)
+    assert alone.siftings == batched.siftings
+
+
+def test_emd_keeps_the_sifting_count_of_each_mode():
+    # The pinned trials, sifted in the blocks that features sifts them in.
+    assert ImfSet(imfs=[], residual=np.zeros(4)).siftings == []
+    trials = filtered_synth_trials(200, 42)
+    blocks = range(0, len(trials), cli._BLOCK_TRIALS)
+    sets = [modes for at in blocks for modes in emd(trials[at : at + cli._BLOCK_TRIALS])]
+    assert Counter(len(modes.imfs) for modes in sets) == {4: 307, 5: 93}
+    assert all(len(modes.siftings) == len(modes.imfs) for modes in sets)
+    counts = [count for modes in sets for count in modes.siftings]
+    assert len(counts) == 1693 and min(counts) >= 1
+    assert counts.count(_MAX_SIFTINGS) == 3
+    assert statistics.median(counts) == 2
+
+
+def test_sifting_in_place_leaves_the_input_alone():
+    # emd sifts copies in place: the caller's samples keep their bytes, and
+    # no returned array shares memory with them or with another.
+    trials = filtered_synth_trials(2, 7)
+    for signal in (trials[0], trials):
+        before = signal.tobytes()
+        result = emd(signal)
+        assert signal.tobytes() == before
+        sets = result if isinstance(result, list) else [result]
+        arrays = [array for modes in sets for array in (*modes.imfs, modes.residual)]
+        assert len(arrays) > len(sets)
+        for i, array in enumerate(arrays):
+            assert not np.shares_memory(array, signal)
+            assert not any(np.shares_memory(array, other) for other in arrays[:i])
+        trial_feature_vector(signal)
+        assert signal.tobytes() == before
 
 
 def test_emd_imf_count_capped():
